@@ -166,19 +166,27 @@ GpuDriver::gpuMalloc(ProcessId pid, std::uint64_t pages,
         return alloc;
     }
 
+    const std::uint64_t coalesced_before = coalesced_pages_.value();
     mapAllGroups(pt, layout);
+    alloc.coalesced_pages = coalesced_pages_.value() - coalesced_before;
 
-    // Count how many of the buffer's pages actually coalesced and
-    // register the PEC entry if any did (§IV-G).
-    std::uint64_t coalesced = 0;
-    for (std::uint64_t p = 0; p < pages; ++p) {
-        auto pte = pt.walk(alloc.start_vpn + p);
-        barre_assert(pte.has_value(), "page lost during allocation");
-        if (pte->coalInfo().coalesced())
-            ++coalesced;
-    }
-    alloc.coalesced_pages = coalesced;
-    if (coalesced > 0)
+    BARRE_AUDIT({
+        std::uint64_t walked = 0;
+        for (std::uint64_t p = 0; p < pages; ++p) {
+            auto pte = pt.walk(alloc.start_vpn + p);
+            barre_assert(pte.has_value(), "page lost during allocation");
+            if (pte->coalInfo().coalesced())
+                ++walked;
+        }
+        barre_assert(walked == alloc.coalesced_pages,
+                     "page table holds %llu coalesced pages, driver "
+                     "counted %llu",
+                     (unsigned long long)walked,
+                     (unsigned long long)alloc.coalesced_pages);
+    });
+
+    // Register the PEC entry if any page coalesced (§IV-G).
+    if (alloc.coalesced_pages > 0)
         pec_entries_.push_back(layout);
     return alloc;
 }

@@ -1,5 +1,6 @@
 #include "mem/frame_allocator.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -33,6 +34,8 @@ FrameAllocator::allocate(LocalPfn pfn)
         return false;
     free_bits_[pfn / word_bits] &= ~(std::uint64_t{1} << (pfn % word_bits));
     --free_count_;
+    if (pfn == low_water_)
+        ++low_water_;
     return true;
 }
 
@@ -41,26 +44,11 @@ FrameAllocator::allocateAny()
 {
     if (free_count_ == 0)
         return std::nullopt;
-    for (std::uint64_t w = scan_hint_ / word_bits; w < wordCount(); ++w) {
-        if (free_bits_[w] == 0)
-            continue;
-        int bit = std::countr_zero(free_bits_[w]);
-        LocalPfn pfn = w * word_bits + static_cast<std::uint64_t>(bit);
-        allocate(pfn);
-        scan_hint_ = pfn;
-        return pfn;
-    }
-    // The hint skipped frames freed below it; rescan once from zero.
-    scan_hint_ = 0;
-    for (std::uint64_t w = 0; w < wordCount(); ++w) {
-        if (free_bits_[w] == 0)
-            continue;
-        int bit = std::countr_zero(free_bits_[w]);
-        LocalPfn pfn = w * word_bits + static_cast<std::uint64_t>(bit);
-        allocate(pfn);
-        return pfn;
-    }
-    barre_panic("free_count_ nonzero but no free bit found");
+    LocalPfn pfn = firstFree();
+    if (pfn >= num_frames_)
+        barre_panic("free_count_ nonzero but no free bit found");
+    allocate(pfn);
+    return pfn;
 }
 
 bool
@@ -70,16 +58,28 @@ FrameAllocator::release(LocalPfn pfn)
         return false;
     free_bits_[pfn / word_bits] |= std::uint64_t{1} << (pfn % word_bits);
     ++free_count_;
-    if (pfn < scan_hint_)
-        scan_hint_ = pfn;
+    low_water_ = std::min(low_water_, pfn);
     return true;
 }
 
-std::optional<LocalPfn>
-FrameAllocator::findCommonFree(std::span<const FrameAllocator *> peers,
-                               LocalPfn start_hint)
+LocalPfn
+FrameAllocator::firstFree() const
 {
-    return findCommonFreeRun(peers, 1, start_hint);
+    std::uint64_t w = low_water_ / word_bits;
+    if (w >= wordCount())
+        return low_water_;
+    std::uint64_t bits =
+        free_bits_[w] & (~std::uint64_t{0} << (low_water_ % word_bits));
+    while (bits == 0) {
+        if (++w == wordCount()) {
+            low_water_ = num_frames_;
+            return low_water_;
+        }
+        bits = free_bits_[w];
+    }
+    low_water_ =
+        w * word_bits + static_cast<std::uint64_t>(std::countr_zero(bits));
+    return low_water_;
 }
 
 std::optional<LocalPfn>
@@ -90,24 +90,51 @@ FrameAllocator::findCommonFreeRun(std::span<const FrameAllocator *> peers,
     barre_assert(!peers.empty(), "no allocators to intersect");
     barre_assert(run_length >= 1, "empty run requested");
 
+    // No frame below a peer's low-water mark is free in that peer, so
+    // no common run starts below the highest mark.
     std::uint64_t frames = peers.front()->numFrames();
-    for (const auto *p : peers)
+    LocalPfn start = start_hint;
+    for (const auto *p : peers) {
         frames = std::min(frames, p->numFrames());
-    if (frames < run_length)
+        start = std::max(start, p->firstFree());
+    }
+    if (frames < run_length || start >= frames)
         return std::nullopt;
 
+    const std::uint64_t first_word = start / word_bits;
+    const std::uint64_t words = (frames + word_bits - 1) / word_bits;
+    // Length of the common-free run that ends at the current bit,
+    // carried from word to word.
     std::uint64_t run = 0;
-    for (LocalPfn pfn = start_hint; pfn < frames; ++pfn) {
-        bool all_free = true;
-        for (const auto *p : peers) {
-            if (!p->isFree(pfn)) {
-                all_free = false;
+    for (std::uint64_t w = first_word; w < words; ++w) {
+        std::uint64_t bits = ~std::uint64_t{0};
+        for (const auto *p : peers)
+            bits &= p->free_bits_[w];
+        // The smallest peer keeps the bits past its last frame clear,
+        // so only the first word needs a mask.
+        if (w == first_word)
+            bits &= ~std::uint64_t{0} << (start % word_bits);
+
+        // Walk the word's runs of set bits, lowest first.
+        int pos = 0;
+        while (pos < word_bits) {
+            std::uint64_t rest = bits >> pos;
+            if (rest == 0) {
+                run = 0;
                 break;
             }
+            const int gap = std::countr_zero(rest);
+            if (gap != 0) {
+                run = 0;
+                pos += gap;
+                rest >>= gap;
+            }
+            const int ones = std::countr_one(rest);
+            run += static_cast<std::uint64_t>(ones);
+            pos += ones;
+            if (run >= run_length)
+                return w * word_bits + static_cast<std::uint64_t>(pos) - run;
         }
-        run = all_free ? run + 1 : 0;
-        if (run == run_length)
-            return pfn + 1 - run_length;
     }
     return std::nullopt;
 }

@@ -49,16 +49,20 @@ class FrameAllocator
     bool release(LocalPfn pfn);
 
     /**
-     * Find (without claiming) the lowest frame >= @p start_hint that is
-     * free in *every* allocator of @p peers and in *this*.
+     * The low-water mark: no frame below it is free. release() lowers
+     * it; allocation and the searches only raise it, so it may lag
+     * behind the lowest free frame until the next search.
      */
-    static std::optional<LocalPfn>
-    findCommonFree(std::span<const FrameAllocator *> peers,
-                   LocalPfn start_hint = 0);
+    LocalPfn lowWaterMark() const { return low_water_; }
 
     /**
-     * Find the lowest start of a run of @p run_length consecutive frames
-     * free in every allocator of @p peers.
+     * Find the lowest start >= @p start_hint of a run of @p run_length
+     * consecutive frames free in every allocator of @p peers.
+     *
+     * Works a 64-frame word at a time: the peers' bitmaps are ANDed per
+     * word from the highest peer low-water mark, and a run carries
+     * across word boundaries. The result equals a frame-by-frame
+     * first-fit scan.
      */
     static std::optional<LocalPfn>
     findCommonFreeRun(std::span<const FrameAllocator *> peers,
@@ -76,12 +80,21 @@ class FrameAllocator
 
     std::uint64_t wordCount() const { return (num_frames_ + 63) / 64; }
 
+    /**
+     * Raise the low-water mark to the lowest free frame and return it
+     * (numFrames() when every frame is allocated).
+     */
+    LocalPfn firstFree() const;
+
     std::uint64_t num_frames_;
     std::uint64_t free_count_;
     /** Bit set = frame free. */
     std::vector<std::uint64_t> free_bits_;
-    /** Low-water hint for allocateAny scans. */
-    std::uint64_t scan_hint_ = 0;
+    /**
+     * See lowWaterMark(). Mutable so the const searches can raise it;
+     * only the driver, on the host domain, touches an allocator.
+     */
+    mutable LocalPfn low_water_ = 0;
 };
 
 } // namespace barre

@@ -7,10 +7,49 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <vector>
 
 #include "mem/frame_allocator.hh"
 
 using namespace barre;
+
+namespace
+{
+
+/** Frame-by-frame first-fit scan: the reference the search must match. */
+std::optional<LocalPfn>
+referenceCommonFreeRun(std::span<const FrameAllocator *> peers,
+                       std::uint64_t run_length, LocalPfn start_hint)
+{
+    std::uint64_t frames = peers.front()->numFrames();
+    for (const auto *p : peers)
+        frames = std::min(frames, p->numFrames());
+    if (frames < run_length)
+        return std::nullopt;
+    std::uint64_t run = 0;
+    for (LocalPfn pfn = start_hint; pfn < frames; ++pfn) {
+        bool all_free = true;
+        for (const auto *p : peers)
+            all_free = all_free && p->isFree(pfn);
+        run = all_free ? run + 1 : 0;
+        if (run == run_length)
+            return pfn + 1 - run_length;
+    }
+    return std::nullopt;
+}
+
+/** No frame below the low-water mark may be free. */
+void
+expectLowWaterHolds(const FrameAllocator &fa)
+{
+    ASSERT_LE(fa.lowWaterMark(), fa.numFrames());
+    for (LocalPfn p = 0; p < fa.lowWaterMark(); ++p)
+        ASSERT_FALSE(fa.isFree(p)) << "frame " << p << " below mark "
+                                   << fa.lowWaterMark();
+}
+
+} // namespace
 
 TEST(FrameAllocator, StartsAllFree)
 {
@@ -75,7 +114,7 @@ TEST(FrameAllocator, CommonFreeIntersects)
     b.allocate(1);
     c.allocate(2);
     std::array<const FrameAllocator *, 3> peers{&a, &b, &c};
-    auto p = FrameAllocator::findCommonFree(peers);
+    auto p = FrameAllocator::findCommonFreeRun(peers, 1);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(*p, 3u);
 }
@@ -84,7 +123,7 @@ TEST(FrameAllocator, CommonFreeHonoursHint)
 {
     FrameAllocator a(32), b(32);
     std::array<const FrameAllocator *, 2> peers{&a, &b};
-    auto p = FrameAllocator::findCommonFree(peers, 10);
+    auto p = FrameAllocator::findCommonFreeRun(peers, 1, 10);
     ASSERT_TRUE(p.has_value());
     EXPECT_EQ(*p, 10u);
 }
@@ -97,7 +136,7 @@ TEST(FrameAllocator, CommonFreeNoneWhenDisjoint)
     b.allocate(2);
     b.allocate(3);
     std::array<const FrameAllocator *, 2> peers{&a, &b};
-    EXPECT_FALSE(FrameAllocator::findCommonFree(peers).has_value());
+    EXPECT_FALSE(FrameAllocator::findCommonFreeRun(peers, 1).has_value());
 }
 
 TEST(FrameAllocator, CommonFreeRunFindsContiguity)
@@ -146,7 +185,7 @@ TEST(FrameAllocator, HintSurvivesReleaseBelow)
     fa.release(5);
     auto p = fa.allocateAny();
     ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(*p, 5u); // scan hint was pulled back
+    EXPECT_EQ(*p, 5u); // low-water mark was pulled back
 }
 
 /** Property: free count always equals the number of free bits. */
@@ -165,4 +204,102 @@ TEST(FrameAllocator, FreeCountInvariantUnderRandomOps)
     for (LocalPfn p = 0; p < 512; ++p)
         free_bits += fa.isFree(p) ? 1 : 0;
     EXPECT_EQ(free_bits, fa.freeFrames());
+}
+
+/**
+ * Differential property: the word-parallel search returns what the
+ * frame-by-frame scan returns, over random bitmaps of every density,
+ * 1-4 peers of unequal size, runs of 1-130 frames (inside a word,
+ * across words, longer than a word) and random start hints.
+ */
+TEST(FrameAllocator, CommonFreeRunMatchesFrameByFrameScan)
+{
+    Rng rng(2024);
+    int found = 0;
+    int found_long = 0;
+    int none = 0;
+    for (int c = 0; c < 20000; ++c) {
+        const std::size_t n_peers = 1 + rng.below(4);
+        const double density = static_cast<double>(rng.below(11)) / 10.0;
+        std::vector<std::unique_ptr<FrameAllocator>> owners;
+        std::vector<const FrameAllocator *> peers;
+        std::uint64_t max_frames = 0;
+        for (std::size_t i = 0; i < n_peers; ++i) {
+            const std::uint64_t frames = 1 + rng.below(400);
+            max_frames = std::max(max_frames, frames);
+            auto fa = std::make_unique<FrameAllocator>(frames);
+            // Allocate with probability density; long free stretches
+            // come from the low densities.
+            for (LocalPfn p = 0; p < frames; ++p)
+                if (rng.chance(density))
+                    fa->allocate(p);
+            // Move the low-water mark off zero now and then.
+            if (rng.chance(0.3) && fa->freeFrames() > 0)
+                fa->allocateAny();
+            if (rng.chance(0.3))
+                fa->release(rng.below(frames));
+            peers.push_back(fa.get());
+            owners.push_back(std::move(fa));
+        }
+        const std::uint64_t run_length = 1 + rng.below(130);
+        const LocalPfn hint =
+            rng.chance(0.5) ? 0 : rng.below(max_frames + 10);
+        auto want = referenceCommonFreeRun(peers, run_length, hint);
+        auto got = FrameAllocator::findCommonFreeRun(peers, run_length,
+                                                     hint);
+        ASSERT_EQ(got, want) << "case " << c << ": peers " << n_peers
+                             << ", density " << density << ", run "
+                             << run_length << ", hint " << hint;
+        if (want) {
+            ++found;
+            found_long += run_length > 64 ? 1 : 0;
+        } else {
+            ++none;
+        }
+        for (const auto *p : peers)
+            expectLowWaterHolds(*p);
+    }
+    // Both outcomes, and runs longer than a word, must be covered.
+    EXPECT_GT(found, 1000);
+    EXPECT_GT(found_long, 100);
+    EXPECT_GT(none, 1000);
+}
+
+/**
+ * Property: under a random mix of allocate, release, allocateAny and
+ * common-run searches, no frame below any allocator's low-water mark
+ * is ever free, and the search keeps matching the reference.
+ */
+TEST(FrameAllocator, LowWaterInvariantUnderRandomOps)
+{
+    FrameAllocator a(300), b(257), c(320);
+    std::array<FrameAllocator *, 3> all{&a, &b, &c};
+    std::array<const FrameAllocator *, 3> peers{&a, &b, &c};
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        FrameAllocator &fa = *all[rng.below(all.size())];
+        switch (rng.below(4)) {
+          case 0:
+            fa.allocate(rng.below(fa.numFrames()));
+            break;
+          case 1:
+            fa.release(rng.below(fa.numFrames()));
+            break;
+          case 2:
+            fa.allocateAny();
+            break;
+          default: {
+            const std::size_t n = 1 + rng.below(peers.size());
+            std::span<const FrameAllocator *> some(peers.data(), n);
+            const std::uint64_t len = 1 + rng.below(80);
+            const LocalPfn hint = rng.chance(0.7) ? 0 : rng.below(320);
+            ASSERT_EQ(FrameAllocator::findCommonFreeRun(some, len, hint),
+                      referenceCommonFreeRun(some, len, hint))
+                << "op " << i;
+            break;
+          }
+        }
+        for (const auto *p : peers)
+            expectLowWaterHolds(*p);
+    }
 }
