@@ -10,24 +10,19 @@
  *   - tagged 1-dom: sim_domains=1, the tagged engine on one thread
  *                   (the identity reference for partitioned runs);
  *
- * — and then the full partitioned matrix: both schedulers (async =
- * per-channel conservative clocks, epoch = lock-step global-lookahead
- * barriers) × a thread sweep up to min($BARRE_JOBS, domains). Every
- * partitioned run must be bitwise identical to the tagged serial
- * reference (csv metrics row and per-tag firing digests); the bench
- * exits non-zero otherwise. Wall times, simulated events/s, and the
- * speedup ratios land in a schema-versioned BENCH_pdes.json; the
- * flagship async row is additionally spliced into the perf-trajectory
- * JSON as its "pdes_speedup" member:
+ * — and then the partitioned runs: the epoch scheduler over a thread
+ * sweep up to min($BARRE_JOBS, domains). Every partitioned run must be
+ * bitwise identical to the tagged serial reference (csv metrics row
+ * and per-tag firing digests); the bench exits non-zero otherwise.
+ * Wall times, simulated events/s, and the speedup ratios land in a
+ * schema-versioned BENCH_pdes.json; the flagship row at the top thread
+ * count is additionally spliced into the perf-trajectory JSON as its
+ * "pdes_speedup" member:
  *
  *   build/bench/bench_pdes_speedup [out.json]  # BENCH_runner.json
  *   build/bench/bench_pdes_speedup --smoke     # small, no file writes
  *
  * $BARRE_SCALE scales the workload; $BARRE_JOBS caps the worker count.
- * The headline number is async_vs_epoch at the top thread count
- * (target: >= 1.5x on hosts granting >= 4 cores — the async scheduler
- * exists to stop NoC-coupled domains from syncing at PCIe granularity,
- * and that only shows once domains actually run concurrently).
  * host_cores is recorded so trajectory diffs can tell "code got
  * slower" from "CI got smaller".
  */
@@ -79,12 +74,11 @@ struct RunOut
 
 RunOut
 runOne(SystemConfig cfg, std::uint32_t domains, std::uint32_t threads,
-       bool async, double scale)
+       double scale)
 {
     cfg.workload_scale = scale;
     cfg.sim_domains = domains;
     cfg.sim_threads = threads;
-    cfg.sim_async = async;
 
     System sys(std::move(cfg));
     sys.loadScenario(ScenarioSpec::solo("cov"));
@@ -125,10 +119,9 @@ benchConfigs()
     return out;
 }
 
-/** One partitioned cell of the scheduler × thread matrix. */
+/** One partitioned cell of the thread sweep. */
 struct PartRun
 {
-    bool async = true;
     std::uint32_t threads = 1;
     RunOut out;
     bool identical = false;
@@ -139,35 +132,8 @@ struct Row
     std::string name;
     RunOut legacy;
     RunOut serial;
+    /** Ascending thread counts; the last is the headline cell. */
     std::vector<PartRun> parts;
-
-    const PartRun *
-    find(bool async, std::uint32_t threads) const
-    {
-        for (const PartRun &p : parts)
-            if (p.async == async && p.threads == threads)
-                return &p;
-        return nullptr;
-    }
-
-    /** The headline cell: async at the top thread count. */
-    const PartRun &
-    best() const
-    {
-        return parts.back().async ? parts.back()
-                                  : parts[parts.size() - 2];
-    }
-
-    /** async wall vs epoch wall at the top thread count. */
-    double
-    asyncVsEpoch() const
-    {
-        const std::uint32_t top = parts.back().threads;
-        const PartRun *a = find(true, top);
-        const PartRun *e = find(false, top);
-        return a && e && a->out.wall > 0 ? e->out.wall / a->out.wall
-                                         : 0.0;
-    }
 };
 
 double
@@ -220,7 +186,7 @@ writePdesJson(const std::string &path, const std::vector<Row> &rows,
         return false;
     std::fprintf(f,
                  "{\n"
-                 "  \"schema_version\": 2,\n"
+                 "  \"schema_version\": 3,\n"
                  "  \"family\": \"pdes\",\n"
                  "  \"host_cores\": %u,\n"
                  "  \"domains\": %u,\n"
@@ -236,20 +202,19 @@ writePdesJson(const std::string &path, const std::vector<Row> &rows,
                      "      \"tagged_serial_wall_s\": %.6f,\n"
                      "      \"legacy_events_per_s\": %.0f,\n"
                      "      \"tagged_serial_events_per_s\": %.0f,\n"
-                     "      \"async_vs_epoch\": %.3f,\n"
                      "      \"runs\": [\n",
                      r.name.c_str(), r.legacy.wall, r.serial.wall,
-                     r.legacy.eps(), r.serial.eps(), r.asyncVsEpoch());
+                     r.legacy.eps(), r.serial.eps());
         for (std::size_t j = 0; j < r.parts.size(); ++j) {
             const PartRun &p = r.parts[j];
             std::fprintf(
                 f,
-                "        {\"scheduler\": \"%s\", \"threads\": %u, "
+                "        {\"scheduler\": \"epoch\", \"threads\": %u, "
                 "\"wall_s\": %.6f, \"events_per_s\": %.0f, "
                 "\"speedup_vs_tagged_serial\": %.3f, "
                 "\"speedup_vs_legacy\": %.3f, "
                 "\"identical_results\": %s}%s\n",
-                p.async ? "async" : "epoch", p.threads, p.out.wall,
+                p.threads, p.out.wall,
                 p.out.eps(), speedup(r.serial, p.out),
                 speedup(r.legacy, p.out),
                 p.identical ? "true" : "false",
@@ -303,48 +268,42 @@ main(int argc, char **argv)
 
         Row r;
         r.name = nc.name;
-        r.legacy = runOne(nc.cfg, 0, 0, true, scale);
-        r.serial = runOne(nc.cfg, 1, 1, true, scale);
+        r.legacy = runOne(nc.cfg, 0, 0, scale);
+        r.serial = runOne(nc.cfg, 1, 1, scale);
         for (const std::uint32_t threads : sweep) {
-            for (const bool async : {false, true}) {
-                PartRun p;
-                p.async = async;
-                p.threads = threads;
-                p.out = runOne(nc.cfg, domains, threads, async, scale);
-                p.identical = r.serial.csv == p.out.csv &&
-                              r.serial.digests == p.out.digests;
-                if (!p.identical) {
-                    all_identical = false;
-                    std::fprintf(stderr,
-                                 "ERROR: %s %s/%u-thread run differs "
-                                 "from the tagged serial reference!\n",
-                                 nc.name.c_str(),
-                                 async ? "async" : "epoch", threads);
-                }
-                r.parts.push_back(std::move(p));
+            PartRun p;
+            p.threads = threads;
+            p.out = runOne(nc.cfg, domains, threads, scale);
+            p.identical = r.serial.csv == p.out.csv &&
+                          r.serial.digests == p.out.digests;
+            if (!p.identical) {
+                all_identical = false;
+                std::fprintf(stderr,
+                             "ERROR: %s %u-thread run differs from the "
+                             "tagged serial reference!\n",
+                             nc.name.c_str(), threads);
             }
+            r.parts.push_back(std::move(p));
         }
         rows.push_back(std::move(r));
     }
 
-    TextTable table({"config", "sched", "threads", "wall-s",
-                     "vs-tagged", "vs-legacy", "identity"});
+    TextTable table({"config", "threads", "wall-s", "vs-tagged",
+                     "vs-legacy", "identity"});
     for (const Row &r : rows) {
         for (const PartRun &p : r.parts) {
-            table.addRow({r.name, p.async ? "async" : "epoch",
-                          std::to_string(p.threads), fmt(p.out.wall, 3),
+            table.addRow({r.name, std::to_string(p.threads),
+                          fmt(p.out.wall, 3),
                           fmt(speedup(r.serial, p.out)),
                           fmt(speedup(r.legacy, p.out)),
                           p.identical ? "bitwise" : "BROKEN"});
         }
-        table.addRow({r.name, "async/epoch", "top",
-                      fmt(r.asyncVsEpoch()), "-", "-", "-"});
     }
-    table.print("PDES scheduler matrix per partitionable config");
+    table.print("PDES thread sweep per partitionable config");
 
     if (!smoke) {
         const Row &flag = rows.front(); // fbarre: the trajectory row
-        const PartRun &fp = flag.best();
+        const PartRun &fp = flag.parts.back();
         char member[704];
         std::snprintf(member, sizeof member,
                       "{\n"
@@ -360,14 +319,13 @@ main(int argc, char **argv)
                       "    \"partitioned_events_per_s\": %.0f,\n"
                       "    \"speedup_vs_tagged_serial\": %.3f,\n"
                       "    \"speedup_vs_legacy\": %.3f,\n"
-                      "    \"async_vs_epoch\": %.3f,\n"
                       "    \"identical_results\": %s\n"
                       "  }",
                       cores, domains, fp.threads, scale,
                       flag.legacy.wall, flag.serial.wall, fp.out.wall,
                       flag.legacy.eps(), flag.serial.eps(),
                       fp.out.eps(), speedup(flag.serial, fp.out),
-                      speedup(flag.legacy, fp.out), flag.asyncVsEpoch(),
+                      speedup(flag.legacy, fp.out),
                       fp.identical ? "true" : "false");
         if (!mergeJson(out_path, member))
             std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -106,13 +106,9 @@ struct SystemConfig
     std::uint32_t sim_threads = 0;
 
     /**
-     * Scheduler for partitioned runs. true (default): asynchronous
-     * per-channel conservative scheduling — each domain advances to
-     * min over incoming channels of (sender clock + channel
-     * lookahead), so NoC-coupled domains never wait for PCIe-grained
-     * synchronization. false: the lock-step epoch scheduler bounded by
-     * the global minimum lookahead, kept as a differential-testing
-     * reference. Both fire events in bitwise-identical order.
+     * Ignored: partitioned runs always use the epoch scheduler. Kept
+     * only because the repo benchmark still assigns it; the next
+     * change to the benchmark removes it.
      */
     bool sim_async = true;
 

@@ -1,7 +1,6 @@
 #include "harness/domain_scheduler.hh"
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -20,14 +19,17 @@ namespace
  * A sense-counting barrier for the epoch loops: bounded spin first
  * (epochs are short — microseconds — so parked threads would spend
  * their life in futex calls), then yield so oversubscribed hosts
- * (including single-core CI runners) keep making progress.
+ * (including single-core CI runners) keep making progress. A worker
+ * that fails calls abort() instead of arriving, which releases every
+ * waiter, present and future, with wait() returning false.
  */
 class EpochBarrier
 {
   public:
     explicit EpochBarrier(unsigned n) : n_(n) {}
 
-    void
+    /** @return false once the barrier is aborted: stop the run. */
+    bool
     wait()
     {
         const std::uint64_t gen = gen_.load(std::memory_order_acquire);
@@ -37,19 +39,25 @@ class EpochBarrier
             // orders this store before their arrival.
             count_.store(0, std::memory_order_relaxed);
             gen_.fetch_add(1, std::memory_order_release);
-            return;
+            return true;
         }
         unsigned spins = 0;
         while (gen_.load(std::memory_order_acquire) == gen) {
+            if (aborted_.load(std::memory_order_acquire))
+                return false;
             if (++spins > 256)
                 std::this_thread::yield();
         }
+        return true;
     }
+
+    void abort() { aborted_.store(true, std::memory_order_release); }
 
   private:
     const unsigned n_;
     std::atomic<unsigned> count_{0};
     std::atomic<std::uint64_t> gen_{0};
+    std::atomic<bool> aborted_{false};
 };
 
 Tick
@@ -145,127 +153,41 @@ parallelEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool &pool,
     eng.beginEpoch(sh.horizon);
 
     pool.runPinned(workers, [&sh](std::size_t w) {
-        for (;;) {
-            // Phase A: fire this worker's domains below the horizon.
-            // Domain assignment is static (d ≡ w mod workers), so all
-            // per-domain and per-tag state stays single-writer.
-            for (std::uint32_t d = std::uint32_t(w); d < sh.domains;
-                 d += sh.workers) {
-                sh.eng.runEpoch(d, sh.horizon);
-            }
-            sh.barrier.wait(); // everyone finished the epoch
-            if (w == 0) {
-                sh.eng.drainStaged();
-                const Tick next = sh.eng.nextEventTick();
-                if (next == max_tick) {
-                    sh.done = true;
-                } else {
-                    sh.horizon = clampAdd(next, sh.lookahead);
-                    sh.eng.beginEpoch(sh.horizon);
+        try {
+            for (;;) {
+                // Phase A: fire this worker's domains below the
+                // horizon. Domain assignment is static (d ≡ w mod
+                // workers), so all per-domain and per-tag state stays
+                // single-writer.
+                for (std::uint32_t d = std::uint32_t(w); d < sh.domains;
+                     d += sh.workers) {
+                    sh.eng.runEpoch(d, sh.horizon);
                 }
+                if (!sh.barrier.wait()) // everyone finished the epoch
+                    return;
+                if (w == 0) {
+                    sh.eng.drainStaged();
+                    const Tick next = sh.eng.nextEventTick();
+                    if (next == max_tick) {
+                        sh.done = true;
+                    } else {
+                        sh.horizon = clampAdd(next, sh.lookahead);
+                        sh.eng.beginEpoch(sh.horizon);
+                    }
+                }
+                if (!sh.barrier.wait()) // horizon / done published
+                    return;
+                if (sh.done)
+                    return;
             }
-            sh.barrier.wait(); // horizon / done published
-            if (sh.done)
-                return;
+        } catch (...) {
+            // Release the peers spinning at (or heading for) the
+            // barrier this worker will never reach; the pool rethrows
+            // the first error once every worker has returned.
+            sh.barrier.abort();
+            throw;
         }
     });
-}
-
-/**
- * Shared state of one async run. The generation counter and the idle
- * mirror follow the classic no-missed-wakeup discipline: a sleeper
- * publishes itself idle *before* re-checking the generation (both
- * seq_cst), a producer bumps the generation *before* checking for
- * idlers, so at least one of them observes the other.
- */
-struct AsyncShared
-{
-    TaggedEngine &eng;
-    unsigned workers;
-    std::atomic<std::uint64_t> gen{0};
-    std::atomic<unsigned> idle{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-};
-
-void
-asyncWorker(AsyncShared &sh, std::size_t w)
-{
-    TaggedEngine &eng = sh.eng;
-    const std::uint32_t domains = eng.domains();
-    try {
-        for (;;) {
-            const std::uint64_t g =
-                sh.gen.load(std::memory_order_acquire);
-            bool progress = false;
-            for (std::uint32_t d = std::uint32_t(w); d < domains;
-                 d += sh.workers) {
-                progress = eng.serviceDomain(d) || progress;
-            }
-            if (progress) {
-                sh.gen.fetch_add(1, std::memory_order_seq_cst);
-                if (sh.idle.load(std::memory_order_seq_cst) > 0) {
-                    std::lock_guard<std::mutex> lk(sh.mu);
-                    sh.cv.notify_all();
-                }
-                continue;
-            }
-            std::unique_lock<std::mutex> lk(sh.mu);
-            if (sh.done)
-                return;
-            if (sh.gen.load(std::memory_order_acquire) != g)
-                continue; // someone progressed since our pass began
-            if (sh.idle.load(std::memory_order_acquire) + 1 ==
-                sh.workers) {
-                // Last runner standing with nothing to do; everyone
-                // else is parked in wait() below, so no domain is
-                // being serviced and global state is quiescent enough
-                // to inspect.
-                if (eng.liveEvents() == 0) {
-                    sh.done = true;
-                    sh.cv.notify_all();
-                    return;
-                }
-                const Tick jump = eng.stallBreak();
-                barre_assert(jump != max_tick,
-                             "async stall with %lld live events but "
-                             "no pending work found",
-                             (long long)eng.liveEvents());
-                sh.gen.fetch_add(1, std::memory_order_seq_cst);
-                sh.cv.notify_all();
-                continue;
-            }
-            sh.idle.fetch_add(1, std::memory_order_seq_cst);
-            sh.cv.wait(lk, [&] {
-                return sh.done ||
-                       sh.gen.load(std::memory_order_seq_cst) != g;
-            });
-            sh.idle.fetch_sub(1, std::memory_order_seq_cst);
-            if (sh.done)
-                return;
-        }
-    } catch (...) {
-        // Unblock every parked peer before propagating (the pool
-        // rethrows the first error once all workers returned).
-        std::lock_guard<std::mutex> lk(sh.mu);
-        sh.done = true;
-        sh.cv.notify_all();
-        throw;
-    }
-}
-
-void
-asyncRun(TaggedEngine &eng, ThreadPool *pool, unsigned workers)
-{
-    AsyncShared sh{eng, workers};
-    if (workers <= 1 || pool == nullptr) {
-        sh.workers = 1;
-        asyncWorker(sh, 0);
-        return;
-    }
-    pool->runPinned(workers,
-                    [&sh](std::size_t w) { asyncWorker(sh, w); });
 }
 
 } // namespace
@@ -278,14 +200,12 @@ DomainScheduler::budget()
 }
 
 std::uint64_t
-DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads,
-                     bool async)
+DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
 {
     TaggedEngine *eng = eq.taggedEngine();
     barre_assert(eng != nullptr,
                  "DomainScheduler::run on an untagged queue");
     barre_assert(lookahead >= 1, "scheduler lookahead must be >= 1");
-    eng->defaultLookahead(lookahead);
     const std::uint64_t fired_before = eng->fired();
     const std::uint32_t domains = eng->domains();
 
@@ -295,36 +215,26 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads,
     if (want < 1)
         want = 1;
 
-    eng->setAsync(async && eng->multiDomain());
     eng->setRunning(true);
     if (domains == 1) {
         // One domain stages nothing; a single unbounded epoch drains
-        // the run without any scheduling overhead in either mode.
+        // the run without any scheduling overhead.
         eng->beginEpoch(max_tick);
         eng->runEpoch(0, max_tick);
     } else if (want == 1) {
-        if (async)
-            asyncRun(*eng, nullptr, 1);
-        else
-            serialEpochs(*eng, lookahead);
+        serialEpochs(*eng, lookahead);
     } else {
         const unsigned granted = budget().acquire(want);
         if (granted == 1) {
             // Budget exhausted by concurrent runs; results don't
             // depend on the thread count, so run single-threaded
             // rather than oversubscribing.
-            if (async)
-                asyncRun(*eng, nullptr, 1);
-            else
-                serialEpochs(*eng, lookahead);
+            serialEpochs(*eng, lookahead);
             budget().release(granted);
         } else {
             std::unique_ptr<ThreadPool> pool = checkoutPool(granted);
             try {
-                if (async)
-                    asyncRun(*eng, pool.get(), granted);
-                else
-                    parallelEpochs(*eng, lookahead, *pool, granted);
+                parallelEpochs(*eng, lookahead, *pool, granted);
             } catch (...) {
                 returnPool(std::move(pool));
                 budget().release(granted);
@@ -335,7 +245,6 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads,
         }
     }
     eng->setRunning(false);
-    eng->setAsync(false);
     barre_assert(eng->empty(), "partitioned run left staged events");
     return eng->fired() - fired_before;
 }

@@ -1,34 +1,23 @@
 /**
  * @file
- * Drivers for a partitioned (tagged) EventQueue.
+ * Driver for a partitioned (tagged) EventQueue: the lock-step epoch
+ * scheduler.
  *
- * Async mode (default): the classic Chandy–Misra–Bryant conservative
- * protocol. Every domain publishes a monotone clock; each worker
- * repeatedly services its domains — merge incoming channel lanes,
- * replay the safe prefix of shared-resource arbitration, run to
- *     safe = min over incoming channels (sender clock + channel
- *     lookahead),
- * republish — and parks on a condition variable when a full pass makes
- * no hard progress. Any worker that does make progress bumps a
- * generation counter and wakes the parked ones; the last worker to
- * park either detects global quiescence (no live events anywhere →
- * done) or breaks the stall by jumping every clock to the earliest
- * pending tick in one hop (replacing the slow null-message creep
- * across idle stretches). There is no barrier: domains connected only
- * by NoC links run ahead at NoC granularity while host traffic syncs
- * at PCIe granularity.
+ * Domains advance in epochs [S, S + lookahead): every worker fires its
+ * domains' events below the horizon in parallel, then all workers meet
+ * at a barrier where one thread drains the cross-domain outboxes,
+ * replays shared-resource arbitration in key order, and picks the next
+ * epoch start — the earliest pending tick anywhere, so idle stretches
+ * cost one epoch, not one per lookahead. The global conservative
+ * lookahead (min over cross-domain links of 1 serialization cycle +
+ * latency) guarantees drained arrivals always land at or beyond the
+ * horizon. Events fire in (when, birth, key) order, so CSVs, stats,
+ * and per-tag digests are bitwise identical across any domain count ×
+ * any thread count.
  *
- * Epoch mode (`async = false`, the differential reference): domains
- * advance in lock-step epochs [S, S + lookahead) — every domain fires
- * its events below the horizon in parallel, then one thread drains the
- * cross-domain staging lanes and picks the next epoch start. The
- * global conservative lookahead (min over cross-domain links of
- * 1 serialization cycle + latency) guarantees drained arrivals always
- * land at or beyond the horizon.
- *
- * Both schedulers fire events in identical (when, birth, key) order,
- * so CSVs, stats, and per-tag digests are bitwise identical across
- * {async, epoch} × any domain count × any thread count.
+ * A worker that throws (e.g. a DomainGuard ownership panic) aborts the
+ * barrier, so its peers return instead of waiting for it forever, and
+ * run() rethrows the first error on the calling thread.
  *
  * Worker threads come from a process-wide budget: concurrent
  * partitioned runs (e.g. cells inside runMany) each lease a share of
@@ -117,18 +106,13 @@ class DomainScheduler
      * @param eq        an EventQueue with enableTags() applied.
      * @param lookahead global conservative lookahead in ticks (>= 1);
      *                  must not exceed any cross-domain link's minimum
-     *                  delivery delay. Async mode uses it as the
-     *                  default for channels without a tighter
-     *                  per-channel bound
-     *                  (TaggedEngine::setChannelLookahead).
+     *                  delivery delay.
      * @param threads   worker threads to use (clamped to the domain
      *                  count; 0 = ThreadPool::defaultWorkers()).
-     * @param async     per-channel asynchronous scheduling (default);
-     *                  false selects the lock-step epoch reference.
      * @return events fired during this run.
      */
     static std::uint64_t run(EventQueue &eq, Tick lookahead,
-                             unsigned threads, bool async = true);
+                             unsigned threads);
 
     /** The process-wide worker-thread budget shared by all runs. */
     static WorkerBudget &budget();

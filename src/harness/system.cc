@@ -284,35 +284,6 @@ System::setupPartition()
     pdes_.lookahead = lookahead;
     eq_.enableTags(std::move(tag_domain), domains);
 
-    // Per-directed-channel lookaheads for the async scheduler: the
-    // host/chiplet boundary is only crossed by PCIe (and, in shared-TLB
-    // mode, the shared-TLB request/response links); chiplet<->chiplet
-    // traffic rides the NoC (or the oracle's fixed-latency hop). The
-    // async scheduler lets each channel sync at its own granularity
-    // instead of the global minimum above; any link that beats its
-    // channel's bound trips the engine's cross-send audit.
-    if (domains >= 2) {
-        Tick host_ch = 1 + cfg_.pcie.latency;
-        if (cfg_.shared_l2_tlb) {
-            host_ch = std::min<Tick>(host_ch,
-                                     1 + cfg_.shared_tlb.latency);
-        }
-        Tick chip_ch = 1 + cfg_.noc.latency;
-        if (cfg_.mode == TranslationMode::fbarre &&
-            cfg_.fbarre.oracle_sharing) {
-            chip_ch = std::min<Tick>(chip_ch,
-                                     cfg_.fbarre.oracle_latency);
-        }
-        TaggedEngine *eng = eq_.taggedEngine();
-        for (std::uint32_t s = 0; s < domains; ++s) {
-            for (std::uint32_t d = 0; d < domains; ++d) {
-                if (s == d)
-                    continue;
-                eng->setChannelLookahead(
-                    s, d, (s == 0 || d == 0) ? host_ch : chip_ch);
-            }
-        }
-    }
     if (fbarre_)
         fbarre_->shardStats(tags);
     if (gmmu_)
@@ -712,7 +683,7 @@ System::run()
             }
         }
         fired = DomainScheduler::run(eq_, pdes_.lookahead,
-                                     cfg_.sim_threads, cfg_.sim_async);
+                                     cfg_.sim_threads);
         for (const TagDone &td : tag_done_) {
             cus_done_ += td.done;
             finish_tick_ = std::max(finish_tick_, td.finish);

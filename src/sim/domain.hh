@@ -1,32 +1,17 @@
 /**
  * @file
  * Conservative-PDES core: sequencing tags, per-domain event heaps, and
- * the per-channel staging machinery behind EventQueue's partitioned
- * mode.
+ * the cross-domain staging behind EventQueue's partitioned mode.
  *
  * The simulated system is split into *tags* — the finest units that are
  * never divided across threads (the host/IOMMU side is tag 0, chiplet c
- * is tag 1+c) — and tags are grouped into *domains*. Two schedulers
- * drive the domains:
- *
- *  - Epoch mode (the differential reference): all domains advance in
- *    lock-step epochs of `lookahead` ticks — the minimum over all
- *    cross-domain links of (1 serialization cycle + propagation
- *    latency) — staging cross-domain sends until a global barrier.
- *
- *  - Async mode (the default): each directed domain pair (s, d) is a
- *    *channel* with its own conservative lookahead la(s, d), the
- *    minimum delivery delay of any link connecting s to d. Every
- *    domain publishes a monotone clock — a promise that it will never
- *    again send a message stamped earlier — and each domain
- *    independently advances to its safe horizon
- *        safe(d) = min over s != d of (clock(s) + la(s, d)),
- *    the classic Chandy–Misra–Bryant bound. Cross-domain sends stage
- *    on their own channel lane (single writer: the sender's worker;
- *    single reader: the receiver's worker) and are merged whenever the
- *    receiver services itself. No barrier: a chiplet domain whose only
- *    incoming channels are NoC links runs ahead at NoC granularity
- *    while host traffic syncs at PCIe granularity.
+ * is tag 1+c) — and tags are grouped into *domains*. All domains
+ * advance in lock-step epochs [S, S + lookahead), where `lookahead` is
+ * the minimum over all cross-domain links of (1 serialization cycle +
+ * propagation latency): nothing sent inside an epoch can land before
+ * its horizon. Cross-domain sends stage in the sending domain's outbox
+ * until the barrier that ends the epoch, where one thread moves them
+ * into their destination heaps.
  *
  * Determinism does not come from drain order but from the firing key.
  * Every event carries a composite key (when, birth, key) where `when`
@@ -37,29 +22,22 @@
  * tag's event stream — independent of how tags are grouped into
  * domains. Firing in lexicographic (when, birth, key) order therefore
  * yields the same per-tag event interleaving for 1, 2, 4, or 8
- * domains, on 1 or N threads, under either scheduler. fireDigests()
- * condenses that order into one hash chain per tag so tests can assert
- * bitwise identity cheaply.
+ * domains, on 1 or N threads. fireDigests() condenses that order into
+ * one hash chain per tag so tests can assert bitwise identity cheaply.
  *
  * Shared cross-domain resources (the PCIe upstream link arbitrating
  * wire occupancy among all chiplets) cannot be resolved at send time in
  * parallel mode: the sender only knows *when* it sent, not who else
  * did. Those sends are staged as arbitration ops keyed by
  * (send tick, sending event's birth, sending event's key, per-event op
- * index) and replayed through an ArbHook in key order — at the epoch
- * barrier in epoch mode; in async mode the owning domain drains its
- * arb lanes at every service and replays the sorted prefix of ops with
- * sent < min over other domains' clocks (later ops, staged or future,
- * are guaranteed to sort after that prefix), clamping its safe horizon
- * below any still-unreplayed op's earliest possible delivery.
+ * index) and replayed through an ArbHook in key order at the epoch
+ * barrier.
  */
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -208,19 +186,16 @@ class ArbHook
 /**
  * The partitioned-mode engine owned by an EventQueue: one 4-ary event
  * heap per domain ordered by the composite key, per-tag key counters
- * and firing digests, a per-directed-channel lookahead matrix, and
- * per-channel staging lanes drained either at the epoch barrier
- * (epoch mode) or by each receiver's serviceDomain() (async mode).
+ * and firing digests, and one outbox per sending domain that stages
+ * cross-domain sends until the epoch barrier drains it.
  *
  * Threading contract: domain d is only ever advanced by one worker at
- * a time (runEpoch / serviceDomain), and a tag lives in exactly one
- * domain, so all per-domain and per-tag state is single-writer. The
- * only cross-worker traffic is through the channel lanes (each guarded
- * by its own mutex, single producer + single consumer) and the
- * per-domain published clocks (atomics). In epoch mode
- * drainStaged()/beginEpoch() run on one thread while the others wait
- * at a barrier, whose release/acquire ordering publishes every
- * mutation.
+ * a time (runEpoch), and a tag lives in exactly one domain, so all
+ * per-domain and per-tag state is single-writer — including the
+ * domain's outbox, which only its own worker appends to. drainStaged()
+ * and beginEpoch() run on one thread while the others wait at a
+ * barrier, whose release/acquire ordering publishes every append
+ * before the drain and every drained event before the next epoch.
  */
 class TaggedEngine
 {
@@ -236,12 +211,7 @@ class TaggedEngine
         : tag_domain_(std::move(tag_domain)),
           domains_(domains),
           ctr_(tag_domain_.size()),
-          digest_(tag_domain_.size()),
-          la_(std::size_t(domains) * domains, 0),
-          clocks_(domains),
-          lanes_(std::size_t(domains) * domains),
-          arb_lanes_(std::size_t(domains) * domains),
-          pending_arb_(domains)
+          digest_(tag_domain_.size())
     {
         barre_assert(domains >= 1, "need at least one domain");
         for (std::uint32_t d : tag_domain_)
@@ -284,62 +254,17 @@ class TaggedEngine
         return n;
     }
 
+    /** Pending events, staged sends included; call outside a run. */
     std::size_t
     pending() const
     {
         std::size_t n = 0;
         for (const Domain &d : domains_)
-            n += d.heap.size();
-        for (const Lane &l : lanes_) {
-            std::lock_guard<std::mutex> lk(l.mu);
-            n += l.evs.size();
-        }
-        for (const ArbLane &l : arb_lanes_) {
-            std::lock_guard<std::mutex> lk(l.mu);
-            n += l.ops.size();
-        }
-        for (const auto &v : pending_arb_)
-            n += v.size();
+            n += d.heap.size() + d.out.size() + d.arb_out.size();
         return n;
     }
 
     bool empty() const { return pending() == 0; }
-
-    // -- per-channel conservative lookahead ---------------------------
-
-    /**
-     * Lower-bound the delivery delay of the directed channel
-     * src domain -> dst domain: any cross send staged by src for dst
-     * arrives at >= (src's clock at send) + la. Tightest sound value:
-     * the minimum over links connecting the two domains of
-     * (1 serialization cycle + link latency). Must be >= 1 (the
-     * deadlock-freedom condition of conservative PDES).
-     */
-    void
-    setChannelLookahead(std::uint32_t src, std::uint32_t dst, Tick la)
-    {
-        barre_assert(la >= 1, "channel lookahead must be >= 1");
-        barre_assert(src < domains() && dst < domains(),
-                     "lookahead for channel %u->%u outside %u domains",
-                     src, dst, domains());
-        la_[std::size_t(src) * domains() + dst] = la;
-    }
-
-    /** Fill every still-unset channel with the global lookahead. */
-    void
-    defaultLookahead(Tick la)
-    {
-        barre_assert(la >= 1, "lookahead must be >= 1");
-        for (Tick &v : la_)
-            if (v == 0)
-                v = la;
-    }
-
-    Tick
-    channelLookahead(std::uint32_t src, std::uint32_t dst) const
-    {
-        return la_[std::size_t(src) * domains() + dst];
-    }
 
     /** Schedule @p cb on the current tag at absolute tick @p when. */
     void
@@ -353,7 +278,6 @@ class TaggedEngine
                      "scheduling into the past (%llu < %llu)",
                      (unsigned long long)when,
                      (unsigned long long)dom.now);
-        dom.net += 1;
         heapPush(dom, Entry{when, dom.now, allocKey(ctx.tag), ctx.tag,
                             std::move(cb)});
     }
@@ -366,7 +290,6 @@ class TaggedEngine
         barre_assert(ctx.engine == this,
                      "tagged schedule outside any execution context");
         Domain &dom = domains_[ctx.domain];
-        dom.net += 1;
         heapPush(dom, Entry{dom.now + delay, dom.now,
                             allocKey(ctx.tag), ctx.tag, std::move(cb)});
     }
@@ -376,8 +299,8 @@ class TaggedEngine
      * delivery key is allocated from the *sending* tag's counter (the
      * caller's context), keeping allocation race-free and partition-
      * independent. Same-domain and non-running sends insert directly;
-     * cross-domain sends during a run stage on the (src, dst) channel
-     * lane until the receiver's safe horizon passes them.
+     * cross-domain sends during a run stage in the sender's outbox
+     * until the epoch barrier.
      */
     void
     scheduleCross(SeqTag dst, Tick when, Callback cb)
@@ -391,46 +314,28 @@ class TaggedEngine
         if (!running_ || dd == ctx.domain) {
             barre_assert(when >= domains_[dd].now,
                          "cross schedule into the past");
-            src.net += 1;
             heapPush(domains_[dd], std::move(e));
             return;
         }
-        // The channel lookahead must lower-bound every delivery on
-        // that channel; a violation means a message beat its link's
-        // minimum latency and the conservative bound is unsound. In
-        // epoch mode the (coarser) global horizon gives the same
-        // guarantee.
-        if (async_) {
-            BARRE_AUDIT(barre_assert(
-                when >= src.now + channelLookahead(ctx.domain, dd),
-                "cross-domain event for tag %u at tick %llu beats "
-                "channel %u->%u lookahead %llu (sender now %llu)",
-                unsigned(dst), (unsigned long long)when, ctx.domain,
-                dd,
-                (unsigned long long)channelLookahead(ctx.domain, dd),
-                (unsigned long long)src.now));
-        } else {
-            BARRE_AUDIT(barre_assert(
-                when >= horizon_,
-                "cross-domain event for tag %u at tick %llu inside "
-                "the epoch horizon %llu: lookahead is unsound",
-                unsigned(dst), (unsigned long long)when,
-                (unsigned long long)horizon_));
-        }
-        src.net += 1;
-        Lane &lane = lanes_[std::size_t(ctx.domain) * domains() + dd];
-        std::lock_guard<std::mutex> lk(lane.mu);
-        lane.evs.push_back(std::move(e));
+        // The lookahead must lower-bound every cross-domain delivery;
+        // a message landing inside the current epoch beat its link's
+        // minimum latency and the conservative bound is unsound.
+        BARRE_AUDIT(barre_assert(
+            when >= horizon_,
+            "cross-domain event for tag %u at tick %llu inside "
+            "the epoch horizon %llu: lookahead is unsound",
+            unsigned(dst), (unsigned long long)when,
+            (unsigned long long)horizon_));
+        src.out.push_back(std::move(e));
     }
 
     /**
      * Send through a shared resource owned by tag @p owner. Serial (or
      * single-domain) operation resolves the arbitration inline and
      * returns the delivery tick; parallel operation stages the op for
-     * key-ordered replay — at the barrier (epoch mode) or the owning
-     * domain's next service (async mode) — and returns 0 (the arrival
-     * is unknowable until every competitor that sorts earlier is
-     * visible).
+     * key-ordered replay at the epoch barrier and returns 0 (the
+     * arrival is unknowable until every competitor that sorts earlier
+     * is visible).
      */
     Tick
     stageArb(SeqTag owner, ArbHook &hook, std::uint64_t bytes,
@@ -441,30 +346,17 @@ class TaggedEngine
                      "tagged stageArb outside any execution context");
         Domain &src = domains_[ctx.domain];
         const Tick sent = src.now;
-        src.net += 1;
-        const std::uint32_t od = tag_domain_[owner];
         if (!running_ || !multiDomain()) {
             const Tick arrive = hook.arbitrate(sent, bytes);
-            heapPush(domains_[od],
+            heapPush(domains_[tag_domain_[owner]],
                      Entry{arrive, sent, allocKey(ctx.tag), owner,
                            std::move(deliver)});
             return arrive;
         }
-        StagedArb op;
-        op.sent = sent;
-        op.ev_birth = ctx.ev_birth;
-        op.ev_key = ctx.ev_key;
-        op.op_idx = ctx.op_ctr++;
-        op.key = allocKey(ctx.tag);
-        op.src_dom = ctx.domain;
-        op.owner = owner;
-        op.bytes = bytes;
-        op.hook = &hook;
-        op.deliver = std::move(deliver);
-        ArbLane &lane =
-            arb_lanes_[std::size_t(ctx.domain) * domains() + od];
-        std::lock_guard<std::mutex> lk(lane.mu);
-        lane.ops.push_back(std::move(op));
+        src.arb_out.push_back(StagedArb{sent, ctx.ev_birth, ctx.ev_key,
+                                        ctx.op_ctr++, allocKey(ctx.tag),
+                                        owner, bytes, &hook,
+                                        std::move(deliver)});
         return 0;
     }
 
@@ -473,10 +365,6 @@ class TaggedEngine
     /** Mark the start/end of parallel execution. */
     void setRunning(bool r) { running_ = r; }
     bool running() const { return running_; }
-
-    /** Select the async (per-channel) or epoch staging discipline. */
-    void setAsync(bool a) { async_ = a; }
-    bool asyncMode() const { return async_; }
 
     /** Publish the next epoch's horizon (exclusive upper tick). */
     void beginEpoch(Tick horizon) { horizon_ = horizon; }
@@ -513,63 +401,14 @@ class TaggedEngine
         }
         ctx = saved;
         dom.fired += fired;
-        dom.net -= std::int64_t(fired);
         return fired;
     }
 
     /**
-     * Async mode: one conservative service pass of domain @p d —
-     * snapshot every domain's published clock, replay the safe prefix
-     * of staged arbitration ops, merge incoming channel lanes, run to
-     * the safe horizon, and republish d's clock. Called only by d's
-     * worker.
-     *
-     * @return true on hard progress (events fired, lanes drained, or
-     *         arb ops replayed); clock-only improvement returns false
-     *         so the caller can park and rely on the scheduler's
-     *         stall-breaker.
-     */
-    bool serviceDomain(std::uint32_t d);
-
-    /**
-     * Async mode: global stall recovery. Called with every worker
-     * parked (the caller must guarantee mutual exclusion with all
-     * serviceDomain calls): jumps every domain's clock up to the
-     * earliest tick any pending work anywhere could fire — sound
-     * because no event below that tick exists, so no domain can send
-     * below it either — in one hop, replacing the slow
-     * lookahead-per-pass null-message creep across idle stretches.
-     * @return the jump target (max_tick when nothing is pending).
-     */
-    Tick stallBreak();
-
-    /**
-     * Net live events (scheduled minus fired, including staged lanes
-     * and pending arb ops). Sums per-domain counters without
-     * synchronization: call only when no domain is being serviced
-     * (e.g. under the scheduler's park mutex with all workers idle).
-     */
-    std::int64_t
-    liveEvents() const
-    {
-        std::int64_t n = 0;
-        for (const Domain &d : domains_)
-            n += d.net;
-        return n;
-    }
-
-    /** Domain @p d's published conservative clock (async mode). */
-    Tick
-    domainClock(std::uint32_t d) const
-    {
-        return clocks_[d].v.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Barrier-phase replay (epoch mode): sort all staged arbitration
-     * ops into global key order, resolve each through its hook, and
-     * move every staged event into its destination domain's heap.
-     * Runs on one thread while all workers wait.
+     * Barrier-phase replay: sort all staged arbitration ops into
+     * global key order, resolve each through its hook, and move every
+     * staged event into its destination domain's heap. Runs on one
+     * thread while all workers wait.
      */
     void drainStaged();
 
@@ -587,8 +426,8 @@ class TaggedEngine
     /**
      * One FNV-style hash chain per tag over the (when, birth, key) of
      * every event fired as that tag — a compact witness of the firing
-     * order. Two runs (any domain count, any thread count, either
-     * scheduler) simulate identically iff these match.
+     * order. Two runs (any domain count, any thread count) simulate
+     * identically iff these match.
      */
     std::vector<std::uint64_t>
     fireDigests() const
@@ -653,24 +492,10 @@ class TaggedEngine
         std::uint64_t ev_key;  ///< sending event's key
         std::uint32_t op_idx;  ///< nth op issued by that event
         std::uint64_t key;     ///< pre-allocated delivery key
-        std::uint32_t src_dom; ///< staging domain (lookahead lookup)
         SeqTag owner;          ///< tag owning the shared resource
         std::uint64_t bytes;
         ArbHook *hook;
         Callback deliver;
-    };
-
-    /** Directed channel lane: src worker stages, dst worker drains. */
-    struct alignas(64) Lane
-    {
-        mutable std::mutex mu;
-        std::vector<Entry> evs;
-    };
-
-    struct alignas(64) ArbLane
-    {
-        mutable std::mutex mu;
-        std::vector<StagedArb> ops;
     };
 
     struct alignas(64) Domain
@@ -679,21 +504,15 @@ class TaggedEngine
         Tick now = 0;
         std::uint64_t fired = 0;
         std::uint64_t audit_tick = 0;
-        /** Scheduled-minus-fired delta, single-writer (d's worker);
-         *  summed by liveEvents() for quiescence detection. */
-        std::int64_t net = 0;
-        /** Clock-snapshot scratch for serviceDomain (no allocs). */
-        std::vector<Tick> snap;
+        /** Cross-domain sends staged this epoch (drained at the
+         *  barrier); appended only by this domain's worker. */
+        std::vector<Entry> out;
+        std::vector<StagedArb> arb_out;
     };
 
     struct alignas(64) PaddedU64
     {
         std::uint64_t v = 0;
-    };
-
-    struct alignas(64) PaddedClock
-    {
-        std::atomic<Tick> v{0};
     };
 
     static constexpr std::uint64_t kAuditPeriod = 4096;
@@ -744,9 +563,6 @@ class TaggedEngine
         return h;
     }
 
-    /** Replay one arbitration op into its owner domain's heap. */
-    void replayArb(StagedArb &op);
-
     static void heapPush(Domain &dom, Entry e);
     static Entry heapPop(Domain &dom);
 
@@ -754,22 +570,9 @@ class TaggedEngine
     std::vector<Domain> domains_;
     std::vector<PaddedU64> ctr_;    ///< per-tag key counters
     std::vector<PaddedU64> digest_; ///< per-tag firing hash chains
-    /** Directed-channel lookahead matrix, la_[src * domains + dst];
-     *  0 = unset (filled by defaultLookahead at run start). */
-    std::vector<Tick> la_;
-    /** Per-domain published conservative clocks (async mode). */
-    std::vector<PaddedClock> clocks_;
-    /** Cross-domain event lanes, lanes_[src * domains + dst]. */
-    std::vector<Lane> lanes_;
-    /** Shared-resource send lanes, [src * domains + owner domain]. */
-    std::vector<ArbLane> arb_lanes_;
-    /** Drained-but-not-yet-replayable arb ops, per owner domain,
-     *  sorted by (sent, ev_birth, ev_key, op_idx). */
-    std::vector<std::vector<StagedArb>> pending_arb_;
     /** Drain-time sort buffer; reused so steady state allocates 0. */
     std::vector<StagedArb> scratch_arb_;
     bool running_ = false;
-    bool async_ = false;
     Tick horizon_ = 0;
 };
 

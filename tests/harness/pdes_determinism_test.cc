@@ -2,10 +2,10 @@
  * @file
  * End-to-end bitwise-identity proof for partitioned simulation: a full
  * F-Barre run produces byte-identical metrics (csvRow), stats dumps,
- * and per-tag firing digests across the whole scheduler matrix —
- * {async, epoch} × sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8} —
- * with the heap-only queue and the epoch scheduler kept as
- * differential references. Also covers the PDES-compatible feature
+ * and per-tag firing digests across the whole partition matrix —
+ * sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8} — with the
+ * heap-only queue kept as a differential reference. Also covers the
+ * PDES-compatible feature
  * set (GMMU platform, multicast, validation) and the documented
  * fallback: non-partitionable configurations run the legacy serial
  * queue and match sim_domains=0 exactly.
@@ -74,7 +74,7 @@ expectIdentical(const RunOut &a, const RunOut &b, const char *what)
     EXPECT_TRUE(a.digests == b.digests) << what;
 }
 
-TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossSchedulersDomainsThreads)
+TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossDomainsThreads)
 {
     SystemConfig base = fbarreSmall();
     base.sim_domains = 1;
@@ -82,27 +82,22 @@ TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossSchedulersDomainsThreads)
     const RunOut ref = runCfg(base);
     ASSERT_TRUE(ref.tagged);
 
-    for (bool async : {true, false}) {
-        for (std::uint32_t domains : {2u, 4u, 8u}) {
-            for (std::uint32_t threads : {1u, 2u, 8u}) {
-                SystemConfig cfg = fbarreSmall();
-                cfg.sim_async = async;
-                cfg.sim_domains = domains;
-                cfg.sim_threads = threads;
-                const RunOut got = runCfg(cfg);
-                EXPECT_TRUE(got.tagged);
-                expectIdentical(
-                    ref, got,
-                    (std::string(async ? "async" : "epoch") +
-                     " domains=" + std::to_string(domains) +
-                     " threads=" + std::to_string(threads))
-                        .c_str());
-            }
+    for (std::uint32_t domains : {1u, 2u, 4u, 8u}) {
+        for (std::uint32_t threads : {1u, 2u, 8u}) {
+            SystemConfig cfg = fbarreSmall();
+            cfg.sim_domains = domains;
+            cfg.sim_threads = threads;
+            const RunOut got = runCfg(cfg);
+            EXPECT_TRUE(got.tagged);
+            expectIdentical(ref, got,
+                            ("domains=" + std::to_string(domains) +
+                             " threads=" + std::to_string(threads))
+                                .c_str());
         }
     }
 
-    // Differential reference #2: the pure-heap queue must not change
-    // the schedule either (heap vs calendar front, async scheduler).
+    // Differential reference: the pure-heap queue must not change the
+    // schedule either (heap vs calendar front).
     SystemConfig heap = fbarreSmall();
     heap.heap_only_queue = true;
     heap.sim_domains = 4;
@@ -245,15 +240,6 @@ TEST_P(NewlyPartitioned, IdenticalAcrossDomainsAndThreads)
                     .c_str());
         }
     }
-
-    // The epoch reference scheduler must land on the same schedule.
-    SystemConfig epoch = cfgFor(GetParam());
-    epoch.workload_scale = 0.04;
-    epoch.sim_async = false;
-    epoch.sim_domains = 4;
-    epoch.sim_threads = 8;
-    expectIdentical(ref, runCfg(epoch),
-                    (std::string(GetParam()) + " epoch domains=4").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllUnblockedConfigs, NewlyPartitioned,

@@ -5,8 +5,9 @@
  * rng streams, firing digests — no matter how tags are grouped into
  * domains or how many threads advance them. Plus the staged-arbitration
  * replay (shared-link wire state matches serial bitwise) and the
- * horizon audit (a cross-domain event inside the epoch horizon fires
- * the invariant instead of corrupting the run).
+ * horizon audits (a cross-domain event or arbitrated delivery inside
+ * the epoch horizon fires the invariant instead of corrupting the
+ * run).
  */
 
 #include <gtest/gtest.h>
@@ -247,26 +248,24 @@ TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
     eng->setRunning(false);
 }
 
-TEST(DomainQueueAudit, AsyncCrossEventBeatingChannelLookaheadFires)
+TEST(DomainQueueAudit, ArbitratedDeliveryInsideHorizonFires)
 {
     if (!invariants_enabled)
-        GTEST_SKIP() << "channel audit needs BARRE_CHECK_INVARIANTS";
+        GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
     EventQueue eq(QueueMode::ladder);
     eq.enableTags({0, 1}, 2);
     TaggedEngine *eng = eq.taggedEngine();
-    eng->setChannelLookahead(0, 1, 20);
-    eng->setChannelLookahead(1, 0, 20);
-    eng->setAsync(true);
+    FakeWire wire;
     eng->setRunning(true);
-    EventQueue::TagScope scope(eq, kHostTag);
-    // The sender's clock is 0 and the 0->1 channel promises nothing
-    // arrives before clock + 20: a tick-19 delivery would beat the
-    // channel's conservative bound, so the audit must refuse it.
-    EXPECT_THROW(eq.scheduleCross(1, 19, []() {}), std::logic_error);
-    // Exactly at the bound is legal.
-    eq.scheduleCross(1, 20, []() {});
+    eng->beginEpoch(100);
+    {
+        EventQueue::TagScope scope(eq, 1);
+        eq.stageArb(kHostTag, wire, 1, []() {});
+    }
+    // Sent at tick 0, the wire delivers at tick 41, inside the epoch
+    // [0, 100): the replay must refuse it rather than fire it late.
+    EXPECT_THROW(eng->drainStaged(), std::logic_error);
     eng->setRunning(false);
-    eng->setAsync(false);
 }
 
 TEST(DomainQueueAudit, TaggedScheduleOutsideAnyContextFires)

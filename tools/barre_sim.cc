@@ -57,8 +57,6 @@ usage()
         "  --multicast         speculative PFN multicast (ablation)\n"
         "  --domains N         event domains (0 = legacy serial queue)\n"
         "  --sim-threads N     workers advancing the domains (0 = auto)\n"
-        "  --sim-epochs        lock-step epoch scheduler instead of the\n"
-        "                      default async per-channel scheduler\n"
         "  --scale F           workload scale factor (default 1.0)\n"
         "  --validate          check every translation vs page table\n"
         "  --stats             dump all component stats after the run\n"
@@ -200,8 +198,6 @@ main(int argc, char **argv)
         } else if (arg == "--sim-threads") {
             cfg.sim_threads =
                 parseUnsignedArg(next(), "--sim-threads");
-        } else if (arg == "--sim-epochs") {
-            cfg.sim_async = false;
         } else if (arg == "--scale") {
             cfg.workload_scale = parseScaleArg(next(), "--scale");
         } else if (arg == "--validate") {

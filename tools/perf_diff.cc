@@ -9,7 +9,7 @@
  * are flattened to dotted keys ("pdes_speedup.partitioned_wall_s") and
  * classified by name. Array elements flatten under a stable segment:
  * the element's "name" member when it has one ("configs.fbarre..."),
- * else its "scheduler" member plus thread count ("runs.async@4..."),
+ * else its "scheduler" member plus thread count ("runs.epoch@4..."),
  * else its index — so reordering a config list does not shuffle every
  * comparison. Key classes:
  *
