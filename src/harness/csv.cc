@@ -2,23 +2,72 @@
 
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "sim/logging.hh"
 
 namespace barre
 {
 
+namespace
+{
+
+/** One sweep column: its header name and the RunMetrics field it prints. */
+struct Column
+{
+    const char *name;
+    std::variant<std::string RunMetrics::*, std::uint64_t RunMetrics::*,
+                 double RunMetrics::*>
+        field;
+};
+
+/** The sweep CSV schema in column order: csvHeader and csvRow read it. */
+const Column kColumns[] = {
+    {"config", &RunMetrics::config},
+    {"app", &RunMetrics::app},
+    {"runtime", &RunMetrics::runtime},
+    {"accesses", &RunMetrics::accesses},
+    {"instructions", &RunMetrics::instructions},
+    {"l2_tlb_hits", &RunMetrics::l2_tlb_hits},
+    {"l2_tlb_misses", &RunMetrics::l2_tlb_misses},
+    {"l2_mpki", &RunMetrics::l2_mpki},
+    {"mshr_retries", &RunMetrics::mshr_retries},
+    {"ats_packets", &RunMetrics::ats_packets},
+    {"walks", &RunMetrics::walks},
+    {"iommu_coalesced", &RunMetrics::iommu_coalesced},
+    {"iommu_tlb_hits", &RunMetrics::iommu_tlb_hits},
+    {"avg_ats_time", &RunMetrics::avg_ats_time},
+    {"local_calc_hits", &RunMetrics::local_calc_hits},
+    {"remote_probes", &RunMetrics::remote_probes},
+    {"remote_hits", &RunMetrics::remote_hits},
+    {"fbarre_fallbacks", &RunMetrics::fbarre_fallbacks},
+    {"filter_updates", &RunMetrics::filter_updates},
+    {"local_data", &RunMetrics::local_data},
+    {"remote_data", &RunMetrics::remote_data},
+    {"noc_bytes", &RunMetrics::noc_bytes},
+    {"pcie_up_bytes", &RunMetrics::pcie_up_bytes},
+    {"pcie_down_bytes", &RunMetrics::pcie_down_bytes},
+    {"gmmu_local_walks", &RunMetrics::gmmu_local_walks},
+    {"gmmu_remote_walks", &RunMetrics::gmmu_remote_walks},
+    {"gmmu_coalesced", &RunMetrics::gmmu_coalesced},
+    {"coalesced_pages", &RunMetrics::coalesced_pages},
+    {"mapped_pages", &RunMetrics::mapped_pages},
+    {"migrations", &RunMetrics::migrations},
+};
+
+} // namespace
+
 std::string
 csvHeader()
 {
-    return "config,app,runtime,accesses,instructions,l2_tlb_hits,"
-           "l2_tlb_misses,l2_mpki,mshr_retries,ats_packets,walks,"
-           "iommu_coalesced,iommu_tlb_hits,avg_ats_time,"
-           "local_calc_hits,remote_probes,remote_hits,"
-           "fbarre_fallbacks,filter_updates,local_data,remote_data,"
-           "noc_bytes,pcie_up_bytes,pcie_down_bytes,gmmu_local_walks,"
-           "gmmu_remote_walks,gmmu_coalesced,coalesced_pages,"
-           "mapped_pages,migrations";
+    std::string out;
+    for (const Column &c : kColumns) {
+        if (!out.empty())
+            out += ',';
+        out += c.name;
+    }
+    return out;
 }
 
 std::string
@@ -108,20 +157,20 @@ std::string
 csvRow(const RunMetrics &m)
 {
     std::ostringstream os;
-    os << csvQuote(m.config) << ',' << csvQuote(m.app) << ','
-       << m.runtime << ','
-       << m.accesses << ',' << m.instructions << ',' << m.l2_tlb_hits
-       << ',' << m.l2_tlb_misses << ',' << m.l2_mpki << ','
-       << m.mshr_retries << ',' << m.ats_packets << ',' << m.walks
-       << ',' << m.iommu_coalesced << ',' << m.iommu_tlb_hits << ','
-       << m.avg_ats_time << ',' << m.local_calc_hits << ','
-       << m.remote_probes << ',' << m.remote_hits << ','
-       << m.fbarre_fallbacks << ',' << m.filter_updates << ','
-       << m.local_data << ',' << m.remote_data << ',' << m.noc_bytes
-       << ',' << m.pcie_up_bytes << ',' << m.pcie_down_bytes << ','
-       << m.gmmu_local_walks << ',' << m.gmmu_remote_walks << ','
-       << m.gmmu_coalesced << ',' << m.coalesced_pages << ','
-       << m.mapped_pages << ',' << m.migrations;
+    const char *sep = "";
+    for (const Column &c : kColumns) {
+        os << sep;
+        sep = ",";
+        std::visit(
+            [&](auto field) {
+                if constexpr (std::is_same_v<decltype(field),
+                                             std::string RunMetrics::*>)
+                    os << csvQuote(m.*field);
+                else
+                    os << m.*field;
+            },
+            c.field);
+    }
     return os.str();
 }
 

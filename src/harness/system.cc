@@ -705,8 +705,8 @@ System::run()
         }
         fired = eq_.run();
     }
-    // Post-run harvest runs from the host context; stop checking but
-    // keep any report-mode violations readable through domainGuard().
+    // Post-run harvest reads every component from the host context;
+    // stop checking.
     guard_.setMode(DomainAuditMode::off);
     barre_assert(cus_done_ == cus_with_work_,
                  "simulation drained with %u/%u CUs unfinished",

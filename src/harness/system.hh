@@ -87,8 +87,8 @@ class System
     /**
      * The domain-ownership audit (sim/domain_guard.hh). Every component
      * is bound at construction; the mode resolves at run() time (off by
-     * default — pre-arm report mode here, or export
-     * $BARRE_DOMAIN_AUDIT, to collect violations).
+     * default — pre-arm panic mode here, or export
+     * $BARRE_DOMAIN_AUDIT=panic, to throw on a cross-domain touch).
      */
     DomainGuard &domainGuard() { return guard_; }
     GpuDriver &driver() { return *driver_; }

@@ -1,9 +1,7 @@
 #include "sim/domain_guard.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
@@ -11,6 +9,10 @@
 namespace barre
 {
 
+namespace
+{
+
+/** Human name for a sequencing tag ("host", "chiplet3", "any"). */
 std::string
 domainTagName(SeqTag t)
 {
@@ -21,45 +23,6 @@ domainTagName(SeqTag t)
     return "chiplet" + std::to_string(unsigned(t) - 1);
 }
 
-namespace
-{
-
-/** Tag class for the golden form: host / chiplet / any. */
-std::string
-tagClass(SeqTag t)
-{
-    if (t == kHostTag)
-        return "host";
-    if (t == kAnyDomain)
-        return "any";
-    return "chiplet";
-}
-
-/**
- * Drop instance indices, keeping structural digits: a digit run is
- * removed only when it ends a dot-separated token ("gpu3.l1tlb7" ->
- * "gpu.l1tlb", "driver.pt12" -> "driver.pt" — but "l2tlb" survives).
- */
-std::string
-stripDigits(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] >= '0' && s[i] <= '9') {
-            std::size_t j = i;
-            while (j < s.size() && s[j] >= '0' && s[j] <= '9')
-                ++j;
-            if (j == s.size() || s[j] == '.') {
-                i = j - 1; // trailing run: an instance index — drop
-                continue;
-            }
-        }
-        out.push_back(s[i]);
-    }
-    return out;
-}
-
 } // namespace
 
 DomainAuditMode
@@ -68,13 +31,9 @@ DomainGuard::resolveMode(DomainAuditMode current, bool partitioned)
     if (const char *env = std::getenv("BARRE_DOMAIN_AUDIT")) {
         if (std::strcmp(env, "off") == 0)
             return DomainAuditMode::off;
-        if (std::strcmp(env, "report") == 0)
-            return DomainAuditMode::report;
         if (std::strcmp(env, "panic") == 0)
             return DomainAuditMode::panic;
-        barre_fatal("BARRE_DOMAIN_AUDIT=%s: expected off, report or "
-                    "panic",
-                    env);
+        barre_fatal("BARRE_DOMAIN_AUDIT=%s: expected off or panic", env);
     }
     if (partitioned && invariants_enabled &&
         current == DomainAuditMode::off) {
@@ -84,60 +43,8 @@ DomainGuard::resolveMode(DomainAuditMode current, bool partitioned)
 }
 
 void
-DomainGuard::record(const std::string &component, const char *site,
-                    SeqTag owner, SeqTag accessor)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ++violations_[Key{component, site, owner, accessor}];
-}
-
-std::vector<DomainViolation>
-DomainGuard::report() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<DomainViolation> out;
-    out.reserve(violations_.size());
-    for (const auto &[key, count] : violations_) {
-        out.push_back(DomainViolation{std::get<0>(key),
-                                      std::get<1>(key),
-                                      std::get<2>(key),
-                                      std::get<3>(key), count});
-    }
-    return out;
-}
-
-std::vector<std::string>
-DomainGuard::goldenLines() const
-{
-    std::set<std::string> uniq;
-    for (const DomainViolation &v : report()) {
-        uniq.insert(stripDigits(v.component) + " " + v.site + " " +
-                    tagClass(v.owner) + " " + tagClass(v.accessor));
-    }
-    return {uniq.begin(), uniq.end()};
-}
-
-bool
-DomainGuard::clean() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return violations_.empty();
-}
-
-void
-DomainGuard::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    violations_.clear();
-}
-
-void
 DomainOwned::domainViolation(const char *site, SeqTag accessor) const
 {
-    if (guard_->mode() == DomainAuditMode::report) {
-        guard_->record(domain_name_, site, domain_owner_, accessor);
-        return;
-    }
     barre_panic("domain violation: %s.%s owned by %s touched from "
                 "%s's execution context — route it over a Link / "
                 "message path (see DESIGN.md §8)",

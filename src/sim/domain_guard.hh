@@ -16,17 +16,13 @@
  * instrumented accessor; the System binds every component to its
  * owning tag when it builds the machine. The check is always compiled
  * (the pattern of sim/invariant.hh's audits) but costs one pointer
- * test while the guard is off. Three modes:
+ * test while the guard is off. Two modes:
  *
  *  - off:    no checking (default outside System::run()).
  *  - panic:  a cross-domain touch throws via barre_panic — the debug /
  *            sanitizer default whenever a run is actually partitioned.
- *  - report: violations accumulate into a deduplicated report
- *            (component, site, owner, accessor, count) — the ratchet
- *            mode the domain_audit ctest runs every non-partitionable
- *            config under, diffing against a checked-in golden list.
  *
- * $BARRE_DOMAIN_AUDIT (off|report|panic) overrides the default at
+ * $BARRE_DOMAIN_AUDIT (off|panic) overrides the default at
  * System::run() time. The static half of the analysis lives in
  * tools/domain_lint.py, which checks the `// domain-owner:` header
  * annotations against member cross-references at lint time.
@@ -35,11 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "sim/domain.hh"
 
@@ -50,30 +42,15 @@ enum class DomainAuditMode : std::uint8_t
 {
     off,
     panic,
-    report,
 };
 
 /** Wildcard owner: a component legitimately touched from every tag. */
 inline constexpr SeqTag kAnyDomain = 0xffff;
 
-/** One deduplicated cross-domain access pattern. */
-struct DomainViolation
-{
-    std::string component; ///< bound instance name
-    std::string site;      ///< instrumented accessor ("lookup", ...)
-    SeqTag owner;          ///< tag that owns the component
-    SeqTag accessor;       ///< tag whose event touched it
-    std::uint64_t count;   ///< dynamic occurrences
-};
-
-/** Human name for a sequencing tag ("host", "chiplet3", "any"). */
-std::string domainTagName(SeqTag t);
-
 /**
- * The per-System violation collector. Components hold a pointer to it
- * (via DomainOwned::bindDomain) and feed it cross-domain touches; the
- * mutex is only taken on the violation path, so clean simulated-
- * hardware traffic never contends.
+ * The per-System audit switch. Components hold a pointer to it (via
+ * DomainOwned::bindDomain) and read its mode on every instrumented
+ * accessor.
  */
 class DomainGuard
 {
@@ -85,36 +62,13 @@ class DomainGuard
      * Resolve the mode a run should use: $BARRE_DOMAIN_AUDIT wins;
      * otherwise a partitioned run under an invariant build defaults to
      * panic (a violation there is a real race), and anything else
-     * keeps @p current (tests pre-arm report mode through setMode).
+     * keeps @p current (tests pre-arm panic mode through setMode).
      */
     static DomainAuditMode resolveMode(DomainAuditMode current,
                                        bool partitioned);
 
-    /** Record one cross-domain touch (dedup on all four fields). */
-    void record(const std::string &component, const char *site,
-                SeqTag owner, SeqTag accessor);
-
-    /** Deduplicated violations in deterministic sorted order. */
-    std::vector<DomainViolation> report() const;
-
-    /**
-     * The ratchet form: sorted unique `component site owner accessor`
-     * lines with digit runs stripped from the component name and tags
-     * collapsed to their class (host/chiplet/any) — stable across
-     * chiplet counts and workload sizes, so the checked-in golden only
-     * changes when an access *pattern* appears or disappears.
-     */
-    std::vector<std::string> goldenLines() const;
-
-    bool clean() const;
-    void clear();
-
   private:
-    using Key = std::tuple<std::string, std::string, SeqTag, SeqTag>;
-
     DomainAuditMode mode_ = DomainAuditMode::off;
-    mutable std::mutex mu_;
-    std::map<Key, std::uint64_t> violations_;
 };
 
 /**

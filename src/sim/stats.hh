@@ -13,7 +13,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace barre
 {
@@ -58,40 +57,6 @@ class Accumulator
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucket_width * buckets); values beyond
- * the last bucket land in an overflow bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width = 1.0, std::size_t buckets = 64)
-        : width_(bucket_width), bins_(buckets, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        acc_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= bins_.size())
-            ++overflow_;
-        else
-            ++bins_[idx];
-    }
-
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const Accumulator &summary() const { return acc_; }
-    double bucketWidth() const { return width_; }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t overflow_ = 0;
-    Accumulator acc_;
 };
 
 /**

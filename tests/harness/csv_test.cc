@@ -34,6 +34,61 @@ TEST(Csv, ValuesLandInTheRightColumns)
     EXPECT_NE(row.find(",77,"), std::string::npos);
 }
 
+TEST(Csv, EveryFieldLandsInItsPinnedColumn)
+{
+    // A distinct value in every field, including the ones the sweep
+    // CSV leaves out; the expected strings were recorded from the
+    // hand-written column lists, so a swapped or dropped column fails.
+    RunMetrics m;
+    m.config = "cfg";
+    m.app = "app";
+    m.runtime = 1;
+    m.accesses = 2;
+    m.instructions = 3.5;
+    m.sim_events = 901;
+    m.l1_tlb_hits = 902;
+    m.l2_tlb_hits = 4;
+    m.l2_tlb_misses = 5;
+    m.l2_mpki = 6.25;
+    m.mshr_retries = 7;
+    m.ats_packets = 8;
+    m.walks = 9;
+    m.iommu_coalesced = 10;
+    m.iommu_tlb_hits = 11;
+    m.avg_ats_time = 12.125;
+    m.avg_pw_queue_depth = 903.5;
+    m.local_calc_hits = 13;
+    m.remote_probes = 14;
+    m.remote_hits = 15;
+    m.fbarre_fallbacks = 16;
+    m.lcf_positives = 904;
+    m.lcf_true_positives = 905;
+    m.filter_updates = 17;
+    m.local_data = 18;
+    m.remote_data = 19;
+    m.noc_bytes = 20;
+    m.pcie_up_bytes = 21;
+    m.pcie_down_bytes = 22;
+    m.gmmu_local_walks = 23;
+    m.gmmu_remote_walks = 24;
+    m.gmmu_coalesced = 25;
+    m.coalesced_pages = 26;
+    m.mapped_pages = 27;
+    m.migrations = 28;
+
+    EXPECT_EQ(csvHeader(),
+              "config,app,runtime,accesses,instructions,l2_tlb_hits,"
+              "l2_tlb_misses,l2_mpki,mshr_retries,ats_packets,walks,"
+              "iommu_coalesced,iommu_tlb_hits,avg_ats_time,"
+              "local_calc_hits,remote_probes,remote_hits,"
+              "fbarre_fallbacks,filter_updates,local_data,remote_data,"
+              "noc_bytes,pcie_up_bytes,pcie_down_bytes,gmmu_local_walks,"
+              "gmmu_remote_walks,gmmu_coalesced,coalesced_pages,"
+              "mapped_pages,migrations");
+    EXPECT_EQ(csvRow(m), "cfg,app,1,2,3.5,4,5,6.25,7,8,9,10,11,12.125,13,"
+                         "14,15,16,17,18,19,20,21,22,23,24,25,26,27,28");
+}
+
 TEST(Csv, WriteCsvEmitsHeaderPlusRows)
 {
     std::ostringstream os;

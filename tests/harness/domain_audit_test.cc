@@ -1,18 +1,15 @@
 /**
  * @file
- * The domain-ownership ratchet (sim/domain_guard.hh).
+ * The domain-ownership audit (sim/domain_guard.hh).
  *
  * Three layers of proof:
  *  - Corruption tests: a component touched from the wrong execution
- *    context actually fires — panic mode throws, report mode records a
- *    deduplicated violation.
- *  - Golden ratchet: every non-partitionable configuration runs in
- *    report mode and its violation *pattern* (component class, site,
- *    owner/accessor domain classes) must match the checked-in golden
- *    list exactly. Converting a synchronous path to a message path
- *    must shrink the golden; a new synchronous path fails the diff.
- *    Regenerate with BARRE_UPDATE_GOLDEN=1 after inspecting the delta.
- *  - Clean configs: every partitionable configuration runs audit-clean
+ *    context actually throws in panic mode, and $BARRE_DOMAIN_AUDIT
+ *    accepts exactly off and panic.
+ *  - Blocked configs: the configurations partitionBlocker() still
+ *    refuses run panic-clean — their blockers are read races the
+ *    write-instrumented guard cannot witness.
+ *  - Clean configs: every partitionable configuration runs panic-clean
  *    under sim_domains>0 and bitwise identical to the tagged serial
  *    reference (sim_domains=1).
  */
@@ -20,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,6 +24,7 @@
 
 #include "harness/csv.hh"
 #include "harness/system.hh"
+#include "sim/invariant.hh"
 #include "tlb/tlb.hh"
 #include "workloads/suite.hh"
 
@@ -57,44 +54,6 @@ TEST(DomainGuardCorruption, PanicFiresOnCrossDomainTouch)
     EXPECT_THROW(tlb.peek(1, 0), std::logic_error);
 }
 
-TEST(DomainGuardCorruption, ReportModeDeduplicates)
-{
-    DomainGuard guard;
-    guard.setMode(DomainAuditMode::report);
-    Tlb tlb(TlbParams{});
-    tlb.bindDomain(&guard, chipletTag(0), "gpu0.l2tlb");
-
-    EventQueue eq;
-    EventQueue::TagScope other(eq, chipletTag(1));
-    tlb.peek(1, 0);
-    tlb.peek(1, 1); // same pattern, different operand: must dedup
-    TlbEntry te;
-    te.pid = 1;
-    te.vpn = 2;
-    te.pfn = 3;
-    te.valid = true;
-    tlb.insert(te);
-
-    EXPECT_FALSE(guard.clean());
-    auto report = guard.report();
-    ASSERT_EQ(report.size(), 2u);
-    EXPECT_EQ(report[0].component, "gpu0.l2tlb");
-    EXPECT_EQ(report[0].site, "insert");
-    EXPECT_EQ(report[0].owner, chipletTag(0));
-    EXPECT_EQ(report[0].accessor, chipletTag(1));
-    EXPECT_EQ(report[0].count, 1u);
-    EXPECT_EQ(report[1].site, "peek");
-    EXPECT_EQ(report[1].count, 2u);
-
-    auto lines = guard.goldenLines();
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "gpu.l2tlb insert chiplet chiplet");
-    EXPECT_EQ(lines[1], "gpu.l2tlb peek chiplet chiplet");
-
-    guard.clear();
-    EXPECT_TRUE(guard.clean());
-}
-
 TEST(DomainGuardCorruption, WildcardOwnerAcceptsEveryTag)
 {
     DomainGuard guard;
@@ -114,16 +73,48 @@ TEST(DomainGuardCorruption, UnboundComponentChecksNothing)
     EXPECT_NO_THROW(tlb.peek(1, 0));
 }
 
-/** Run @p cfg small in report mode and harvest the golden lines. */
-std::vector<std::string>
+TEST(DomainGuard, ResolveModeParsesEnv)
+{
+    constexpr auto off = DomainAuditMode::off;
+    constexpr auto panic = DomainAuditMode::panic;
+
+    setenv("BARRE_DOMAIN_AUDIT", "off", 1);
+    EXPECT_EQ(DomainGuard::resolveMode(panic, true), off);
+    setenv("BARRE_DOMAIN_AUDIT", "panic", 1);
+    EXPECT_EQ(DomainGuard::resolveMode(off, false), panic);
+
+    // "report" and garbage are both clean fatals that name the
+    // accepted values.
+    for (const char *bad : {"report", "pnaic"}) {
+        setenv("BARRE_DOMAIN_AUDIT", bad, 1);
+        try {
+            (void)DomainGuard::resolveMode(off, false);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("expected off or panic"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // Unset: a pre-armed mode is kept; a partitioned run auto-arms
+    // panic only under an invariant build.
+    unsetenv("BARRE_DOMAIN_AUDIT");
+    EXPECT_EQ(DomainGuard::resolveMode(panic, false), panic);
+    EXPECT_EQ(DomainGuard::resolveMode(off, false), off);
+    EXPECT_EQ(DomainGuard::resolveMode(off, true),
+              invariants_enabled ? panic : off);
+}
+
+/** Run @p cfg small with the audit pre-armed in panic mode. */
+void
 auditRun(SystemConfig cfg)
 {
     cfg.workload_scale = 0.02;
     System sys(std::move(cfg));
-    sys.domainGuard().setMode(DomainAuditMode::report);
+    sys.domainGuard().setMode(DomainAuditMode::panic);
     sys.loadScenario(ScenarioSpec::solo("cov"));
     (void)sys.run();
-    return sys.domainGuard().goldenLines();
 }
 
 struct BlockedConfig
@@ -142,7 +133,7 @@ blockedConfigs()
     // now. The two configs still blocked both race on *reads* (a
     // chiplet walking the page table while the host mutates it), which
     // the write-instrumented guard cannot witness: their runs must
-    // stay audit-silent, and the golden stays empty.
+    // stay panic-clean.
     std::vector<BlockedConfig> out;
 
     SystemConfig demand = SystemConfig::baselineAts();
@@ -160,49 +151,19 @@ blockedConfigs()
     return out;
 }
 
-TEST(DomainAudit, NonPartitionableConfigsMatchGolden)
-{
-    std::ostringstream actual;
-    for (auto &bc : blockedConfigs()) {
-        for (const std::string &line : auditRun(bc.cfg))
-            actual << bc.name << " " << line << "\n";
-    }
-
-    const std::string golden_path =
-        std::string(BARRE_TESTS_DIR) + "/harness/domain_audit_golden.txt";
-    if (std::getenv("BARRE_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(golden_path);
-        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-        out << actual.str();
-        GTEST_SKIP() << "golden regenerated at " << golden_path;
-    }
-
-    std::ifstream in(golden_path);
-    ASSERT_TRUE(in.good())
-        << "missing golden " << golden_path
-        << " — run once with BARRE_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(want.str(), actual.str())
-        << "domain-ownership pattern changed. If a synchronous "
-           "cross-domain path was removed (good), regenerate with "
-           "BARRE_UPDATE_GOLDEN=1; if a new one appeared, route it "
-           "over a Link/message path instead (DESIGN.md §8).";
-}
-
 TEST(DomainAudit, BlockedConfigsAreReadRaceOnly)
 {
     // Every remaining blocker is a read-side race the write-
     // instrumented guard cannot witness — so a blocked config that
-    // *does* report has grown a new synchronous write path, and one
+    // *does* panic has grown a new synchronous write path, and one
     // whose blocker disappears from partitionBlocker without review
     // would wrongly partition. Pin both directions: the runs stay
-    // audit-silent AND the blocker is still in force.
+    // panic-clean AND the blocker is still in force.
     for (auto &bc : blockedConfigs()) {
-        EXPECT_TRUE(auditRun(bc.cfg).empty())
-            << bc.name << " reported violations — a synchronous "
-            << "write-side crossing appeared; route it over a "
-            << "Link/message path (DESIGN.md §8)";
+        EXPECT_NO_THROW(auditRun(bc.cfg))
+            << bc.name << " panicked — a synchronous write-side "
+            << "crossing appeared; route it over a Link/message path "
+            << "(DESIGN.md §8)";
         EXPECT_NE(System::partitionBlocker(bc.cfg), nullptr)
             << bc.name << " is no longer blocked — if its read race "
             << "was actually removed, move it to the partitionable "
@@ -210,31 +171,10 @@ TEST(DomainAudit, BlockedConfigsAreReadRaceOnly)
     }
 }
 
-TEST(DomainAudit, GoldenOnlyShrinks)
-{
-    // CI ratchet: the golden may only shrink. The message-path PRs
-    // brought it from 21 entries down to zero; it must never grow
-    // again — every cross-domain touch rides a Link/message path.
-    constexpr std::size_t kCeiling = 0;
-    const std::string golden_path =
-        std::string(BARRE_TESTS_DIR) + "/harness/domain_audit_golden.txt";
-    std::ifstream in(golden_path);
-    ASSERT_TRUE(in.good()) << "missing golden " << golden_path;
-    std::size_t lines = 0;
-    for (std::string line; std::getline(in, line);)
-        if (!line.empty())
-            ++lines;
-    EXPECT_LE(lines, kCeiling)
-        << "the domain-audit golden grew — new synchronous cross-domain "
-           "paths are not allowed; route them over a Link/message path "
-           "(DESIGN.md §8)";
-}
-
 struct CleanRun
 {
     std::string csv;
     std::string stats;
-    bool clean = false;
 };
 
 CleanRun
@@ -244,7 +184,7 @@ cleanRun(SystemConfig cfg, std::uint32_t domains)
     cfg.sim_domains = domains;
     cfg.sim_threads = 1;
     System sys(std::move(cfg));
-    sys.domainGuard().setMode(DomainAuditMode::report);
+    sys.domainGuard().setMode(DomainAuditMode::panic);
     sys.loadScenario(ScenarioSpec::solo("cov"));
     RunMetrics m = sys.run();
 
@@ -253,7 +193,6 @@ cleanRun(SystemConfig cfg, std::uint32_t domains)
     std::ostringstream os;
     sys.dumpStats(os);
     out.stats = os.str();
-    out.clean = sys.domainGuard().clean();
     return out;
 }
 
@@ -305,10 +244,9 @@ TEST(DomainAudit, PartitionableConfigsAuditCleanAndBitwiseIdentical)
     cfgs.emplace_back("shared+migration", sm);
 
     for (auto &[name, cfg] : cfgs) {
-        const CleanRun serial = cleanRun(cfg, 1);
-        EXPECT_TRUE(serial.clean) << name << " serial";
-        const CleanRun part = cleanRun(cfg, 4);
-        EXPECT_TRUE(part.clean) << name << " partitioned";
+        CleanRun serial, part;
+        EXPECT_NO_THROW(serial = cleanRun(cfg, 1)) << name << " serial";
+        EXPECT_NO_THROW(part = cleanRun(cfg, 4)) << name << " partitioned";
         EXPECT_EQ(serial.csv, part.csv) << name;
         EXPECT_EQ(serial.stats, part.stats) << name;
     }

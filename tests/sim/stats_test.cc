@@ -47,22 +47,6 @@ TEST(Accumulator, HandlesNegativeValues)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 4); // [0,10) [10,20) [20,30) [30,40)
-    h.sample(0.0);
-    h.sample(9.9);
-    h.sample(10.0);
-    h.sample(35.0);
-    h.sample(100.0); // overflow
-    EXPECT_EQ(h.bins()[0], 2u);
-    EXPECT_EQ(h.bins()[1], 1u);
-    EXPECT_EQ(h.bins()[2], 0u);
-    EXPECT_EQ(h.bins()[3], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.summary().count(), 5u);
-}
-
 TEST(StatRegistry, DumpIsSortedAndComplete)
 {
     StatRegistry reg;

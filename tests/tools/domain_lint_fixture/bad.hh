@@ -3,7 +3,9 @@
  * domain_lint negative fixture. Expected violations:
  *  - Gadget: component class with no domain-owner annotation;
  *  - WidgetDirectory: host-owned class holding a chiplet-owned Widget
- *    without a domain-cross marker.
+ *    without a domain-cross marker;
+ *  - WidgetDirectory: a second chiplet-owned Widget acknowledged only
+ *    as domain-cross:sync, which is no longer an accepted marker.
  */
 
 #pragma once
@@ -32,6 +34,9 @@ class WidgetDirectory
 
   private:
     Widget *widget_ = nullptr;
+    // domain-cross:sync — direct pokes; serial-only until routed
+    // over a message path.
+    Widget *synced_widget_ = nullptr;
 };
 
 } // namespace barre

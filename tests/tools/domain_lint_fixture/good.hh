@@ -30,8 +30,7 @@ class GoodDirectory
     void poke();
 
   private:
-    // domain-cross:sync — direct pokes; serial-only until routed
-    // over a message path.
+    // domain-cross:message — every poke rides a GoodLink.
     GoodWidget *widget_ = nullptr;
     // Shared components are reachable from anywhere by definition.
     GoodLink *link_ = nullptr;

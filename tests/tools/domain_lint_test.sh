@@ -22,7 +22,7 @@ check() {
     fi
 }
 
-# --- negative fixture: exit 1 with both expected violations ------------
+# --- negative fixture: exit 1 with all three expected violations ------
 out="$(python3 "$lint" --root "$root" "$fixtures/bad.hh" 2>&1)"
 status=$?
 check "bad.hh exits 1" test "$status" -eq 1
@@ -31,8 +31,11 @@ check "bad.hh flags the unannotated class" \
 check "bad.hh flags the unmarked host->chiplet member" \
     grep -q "WidgetDirectory (host-owned) holds a direct reference" \
     <<< "$out"
-check "bad.hh reports exactly 2 violations" \
-    grep -q "2 violation(s)" <<< "$out"
+check "bad.hh rejects the sync-acknowledged member too" \
+    test "$(grep -c "WidgetDirectory (host-owned) holds a direct" \
+        <<< "$out")" -eq 2
+check "bad.hh reports exactly 3 violations" \
+    grep -q "3 violation(s)" <<< "$out"
 
 # --- positive fixture: clean ------------------------------------------
 out="$(python3 "$lint" --root "$root" "$fixtures/good.hh" 2>&1)"
@@ -40,7 +43,7 @@ status=$?
 check "good.hh exits 0" test "$status" -eq 0
 check "good.hh produces no output" test -z "$out"
 
-# --- whole tree: the ratchet stays clean ------------------------------
+# --- whole tree: stays clean -----------------------------------------
 out="$(python3 "$lint" --root "$root" 2>&1)"
 status=$?
 check "component tree is domain-lint clean" test "$status" -eq 0

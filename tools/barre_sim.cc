@@ -281,20 +281,6 @@ main(int argc, char **argv)
         tt.print("tenants");
     }
 
-    // Under BARRE_DOMAIN_AUDIT=report the run collects cross-domain
-    // touches instead of throwing; surface the deduplicated table.
-    const auto violations = sys.domainGuard().report();
-    if (!violations.empty()) {
-        std::printf("\n");
-        TextTable dt({"component", "site", "owner", "touched from",
-                      "count"});
-        for (const auto &v : violations)
-            dt.addRow({v.component, v.site, domainTagName(v.owner),
-                       domainTagName(v.accessor),
-                       std::to_string(v.count)});
-        dt.print("domain audit: cross-domain touches");
-    }
-
     if (want_stats) {
         std::printf("\n");
         sys.dumpStats(std::cout);

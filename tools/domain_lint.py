@@ -15,18 +15,18 @@ cross-ownership references: a host-owned class holding a pointer or
 reference to a chiplet-owned component (or vice versa) is how code
 bypasses the Link/message paths and mutates foreign state mid-epoch —
 exactly what keeps a configuration off the partitionable set. Such a
-member must be explicitly acknowledged:
+member must assert that every use goes over a Link/Interconnect/Pcie
+hop:
 
-    // domain-owner:chiplet domain-cross:sync — direct peeks; needs a
-    // message path to partition.
+    // domain-cross:message — every use rides Interconnect::send.
     std::vector<Tlb *> l2_tlbs_;
 
-`domain-cross:sync` documents a known synchronous crossing (it should
-also appear in the dynamic audit's golden list); `domain-cross:message`
-asserts every use goes over a Link/Interconnect/Pcie hop. A member-line
-`domain-owner:<d>` overrides the referenced class's default ownership
-for instance-level decisions (e.g. a host-bound copy of a chiplet
-class). A line may opt out entirely with `lint-allow:domain-owner`.
+`domain-cross:message` is the only accepted marker; a synchronous
+crossing has no escape hatch and must be routed over a message path.
+A member-line `domain-owner:<d>` overrides the referenced class's
+default ownership for instance-level decisions (e.g. a host-bound copy
+of a chiplet class). A line may opt out entirely with
+`lint-allow:domain-owner`.
 
 Usage:
     domain_lint.py [--root DIR]          lint the repo's component dirs
@@ -57,7 +57,7 @@ COMPONENT_DIRS = [
 ]
 
 OWNER_RE = re.compile(r"domain-owner:(host|chiplet|shared)\b")
-CROSS_RE = re.compile(r"domain-cross:(message|sync)\b")
+CROSS_RE = re.compile(r"domain-cross:message\b")
 ALLOW_RE = re.compile(r"lint-allow:domain-owner\b")
 CLASS_RE = re.compile(r"^class\s+(\w+)")
 BAD_OWNER_RE = re.compile(r"domain-owner:(?!host\b|chiplet\b|shared\b)(\S+)")
@@ -176,11 +176,9 @@ class DomainLint:
                 path, i + 1,
                 f"class {holder} ({holder_owner}-owned) holds a direct "
                 f"reference to {member_owner}-owned {ref.group(1)} "
-                f"without a domain-cross:message|sync marker — either "
-                f"route accesses over a Link/message path and say "
-                f"domain-cross:message, or acknowledge the synchronous "
-                f"crossing with domain-cross:sync (it must then appear "
-                f"in the domain_audit golden)")
+                f"without a domain-cross:message marker — route "
+                f"accesses over a Link/message path and say "
+                f"domain-cross:message")
 
     def run(self, files):
         texts = {}

@@ -25,7 +25,7 @@ correctness story depends on:
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
-                   a domain-cross marker (the static half of the
+                   a domain-cross:message marker (the static half of the
                    sim/domain_guard.hh partition-safety analysis).
 
 A line may opt out of one rule with a trailing `lint-allow:<rule>`
