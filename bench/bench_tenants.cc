@@ -13,27 +13,26 @@
  *   - fbarre+fair_pw:  per-tenant fair page-walker scheduling at the
  *                      IOMMU (iommu.fair_pw_sched) instead of FIFO.
  *
- * Reported per tenant: runtime, slowdown versus the same application
- * running alone on the same config (the multi-tenant interference
- * cost), and translation-latency percentiles (p50/p95/p99). The
- * largest cell of every config additionally runs twice — tagged
- * serial (sim_domains=1) and partitioned (chiplets+1 domains) — and
- * the bench exits non-zero unless the two are bitwise identical
- * (metrics row, per-tenant rows, per-tag firing digests).
+ * Reported per cell: runtime, the mean and worst tenant slowdown
+ * versus the same application running alone on the same config (the
+ * multi-tenant interference cost), and the worst tenant p99
+ * translation latency. The largest cell of every config additionally
+ * runs twice — tagged serial (sim_domains=1) and partitioned
+ * (chiplets+1 domains) — and the bench exits non-zero unless the two
+ * are bitwise identical (metrics row, per-tenant rows, per-tag firing
+ * digests).
  *
- *   build/bench/bench_tenants [out.json]   # default BENCH_tenants.json
- *   build/bench/bench_tenants --smoke      # small grid, no file writes
+ *   build/bench/bench_tenants           # full grid
+ *   build/bench/bench_tenants --smoke   # small grid
  *
  * $BARRE_SCALE scales the workload; $BARRE_JOBS caps harness workers
  * for the solo-reference runs.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -53,18 +52,8 @@ namespace
 
 constexpr std::uint64_t churn_seed = 7;
 
-double
-wallSeconds(const std::function<void()> &fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
 struct RunOut
 {
-    double wall = 0;
     RunMetrics m;
     std::string csv;
     std::vector<std::string> tenant_rows;
@@ -83,7 +72,7 @@ runOne(SystemConfig cfg, const ScenarioSpec &spec, std::uint32_t domains,
     sys.loadScenario(spec);
 
     RunOut out;
-    out.wall = wallSeconds([&] { out.m = sys.run(); });
+    out.m = sys.run();
     out.m.app = spec.label();
     out.csv = csvRow(out.m);
     for (const TenantMetrics &t : out.m.tenants)
@@ -179,83 +168,15 @@ soloRuntimes(const NamedConfig &nc, const std::set<std::string> &apps,
     return out;
 }
 
-bool
-writeTenantsJson(const std::string &path, const std::vector<Cell> &cells,
-                 double scale)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"schema_version\": 1,\n"
-                 "  \"workload_scale\": %g,\n"
-                 "  \"churn_seed\": %llu,\n"
-                 "  \"cells\": [\n",
-                 scale, static_cast<unsigned long long>(churn_seed));
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        std::fprintf(
-            f,
-            "    {\n"
-            "      \"config\": \"%s\",\n"
-            "      \"tenants\": %u,\n"
-            "      \"churn_rate\": %g,\n"
-            "      \"runtime\": %llu,\n"
-            "      \"wall_s\": %.6f,\n"
-            "      \"sim_events\": %llu,\n"
-            "      \"slowdown_mean\": %.4f,\n"
-            "      \"slowdown_max\": %.4f,\n"
-            "      \"lat_p99_max\": %llu,\n",
-            c.config.c_str(), c.tenants, c.churn,
-            static_cast<unsigned long long>(c.part.m.runtime),
-            c.part.wall,
-            static_cast<unsigned long long>(c.part.m.sim_events),
-            c.slowdownMean(), c.slowdownMax(),
-            static_cast<unsigned long long>(c.p99Max()));
-        if (c.checked_identity)
-            std::fprintf(f, "      \"identical_results\": %s,\n",
-                         c.identical ? "true" : "false");
-        std::fprintf(f, "      \"tenant_rows\": [\n");
-        for (std::size_t j = 0; j < c.rows.size(); ++j) {
-            const TenantOut &r = c.rows[j];
-            std::fprintf(
-                f,
-                "        {\"app\": \"%s\", \"pid\": %u, "
-                "\"arrival\": %llu, \"runtime\": %llu, "
-                "\"slowdown\": %.4f, \"lat_p50\": %llu, "
-                "\"lat_p95\": %llu, \"lat_p99\": %llu, "
-                "\"peak_l2_tlb\": %llu}%s\n",
-                r.t.app.c_str(), r.t.pid,
-                static_cast<unsigned long long>(r.t.arrival),
-                static_cast<unsigned long long>(r.t.runtime()),
-                r.slowdown,
-                static_cast<unsigned long long>(r.t.lat_p50),
-                static_cast<unsigned long long>(r.t.lat_p95),
-                static_cast<unsigned long long>(r.t.lat_p99),
-                static_cast<unsigned long long>(r.t.peak_l2_tlb),
-                j + 1 < c.rows.size() ? "," : "");
-        }
-        std::fprintf(f, "      ]\n    }%s\n",
-                     i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string out_path = "BENCH_tenants.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            out_path = argv[i];
+    const bool smoke = argc == 2 && std::strcmp(argv[1], "--smoke") == 0;
+    if (argc > 1 && !smoke) {
+        std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+        return 2;
     }
 
     const double scale = smoke ? 0.02 : envScale(0.1);
@@ -347,12 +268,5 @@ main(int argc, char **argv)
                                           : "BROKEN"});
     }
     table.print("Multi-tenant churn (slowdown vs solo, tail latency)");
-
-    if (!smoke) {
-        if (!writeTenantsJson(out_path, cells, scale))
-            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        else
-            std::printf("wrote %s\n", out_path.c_str());
-    }
     return all_identical ? 0 : 1;
 }

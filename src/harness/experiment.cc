@@ -7,9 +7,9 @@
 #include <fstream>
 #include <map>
 #include <numeric>
-#include <sstream>
 
 #include "harness/pool.hh"
+#include "harness/sweep_io.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -22,7 +22,8 @@ namespace
  * Optional persisted cost hints: $BARRE_COST_CACHE names a text file
  * of "config/app<TAB>wall_seconds" lines. runMany() prefers a cell's
  * last measured wall time over the MPKI model and rewrites the file
- * after each sweep, so repeated sweeps converge on true costs.
+ * after each sweep, so repeated sweeps converge on true costs. A
+ * missing file is an empty cache; a malformed line is fatal.
  */
 std::map<std::string, double>
 loadCostCache(const char *path)
@@ -30,12 +31,14 @@ loadCostCache(const char *path)
     std::map<std::string, double> cache;
     std::ifstream is(path);
     std::string line;
-    while (std::getline(is, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        double secs = 0;
-        if (ls >> key >> secs && secs > 0)
-            cache[key] = secs;
+    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
+        const std::string where = csprintf("%s:%zu", path, lineno);
+        const std::size_t tab = line.find('\t');
+        if (tab == std::string::npos || tab == 0)
+            barre_fatal("%s: expected 'config/app<TAB>seconds'",
+                        where.c_str());
+        cache[line.substr(0, tab)] =
+            parseScaleArg(line.substr(tab + 1), where.c_str());
     }
     return cache;
 }

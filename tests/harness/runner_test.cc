@@ -215,3 +215,91 @@ TEST(RunMany, CostCachePersistsWallTimesAndStaysDeterministic)
     std::remove(path.c_str());
     EXPECT_EQ(first, second);
 }
+
+namespace
+{
+
+/** Point $BARRE_COST_CACHE at a fresh file holding @p text. */
+std::string
+writeCostCache(const char *name, const std::string &text)
+{
+    std::string path = testing::TempDir() + name;
+    std::ofstream(path) << text;
+    setenv("BARRE_COST_CACHE", path.c_str(), 1);
+    return path;
+}
+
+/** runMany's fatal message for a malformed cache, or "" if none. */
+std::string
+costCacheError(const char *name, const std::string &text)
+{
+    const std::string path = writeCostCache(name, text);
+    std::string msg;
+    try {
+        (void)runMany(testConfigs(), {ScenarioSpec::solo("fft")}, 1);
+    } catch (const std::runtime_error &e) {
+        msg = e.what();
+    }
+    unsetenv("BARRE_COST_CACHE");
+    std::remove(path.c_str());
+    return msg;
+}
+
+} // namespace
+
+TEST(RunMany, CostCacheRejectsTrailingGarbage)
+{
+    const std::string msg = costCacheError(
+        "cost_cache_garbage", "baseline/fft\t0.5\nfbarre/gups\t1.5junk\n");
+    EXPECT_NE(msg.find("cost_cache_garbage:2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1.5junk"), std::string::npos) << msg;
+}
+
+TEST(RunMany, CostCacheRejectsNonNumericValue)
+{
+    const std::string msg =
+        costCacheError("cost_cache_word", "baseline/fft\tfast\n");
+    EXPECT_NE(msg.find("cost_cache_word:1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("not a number"), std::string::npos) << msg;
+
+    // A space instead of the tab leaves no value to parse at all.
+    EXPECT_NE(costCacheError("cost_cache_space", "baseline/fft 0.5\n")
+                  .find("cost_cache_space:1"),
+              std::string::npos);
+}
+
+TEST(RunMany, CostCacheRejectsZeroValue)
+{
+    const std::string msg =
+        costCacheError("cost_cache_zero", "baseline/fft\t0\n");
+    EXPECT_NE(msg.find("cost_cache_zero:1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("must be > 0"), std::string::npos) << msg;
+}
+
+TEST(RunMany, CostCacheRoundTripsCleanFile)
+{
+    // Entries for cells outside the sweep are loaded and written back
+    // unchanged; the rewritten file loads again without complaint.
+    const std::string path = writeCostCache(
+        "cost_cache_clean", "other/gups\t1.5\nother/matr\t2.5e-05\n");
+    const std::vector<ScenarioSpec> specs = {ScenarioSpec::solo("fft")};
+    const std::vector<RunMetrics> first = runMany(testConfigs(), specs, 1);
+    const std::vector<RunMetrics> second = runMany(testConfigs(), specs, 1);
+    unsetenv("BARRE_COST_CACHE");
+    EXPECT_EQ(first, second);
+
+    std::ifstream is(path);
+    std::map<std::string, std::string> lines;
+    std::string line;
+    while (std::getline(is, line)) {
+        const std::size_t tab = line.find('\t');
+        ASSERT_NE(tab, std::string::npos) << line;
+        lines[line.substr(0, tab)] = line.substr(tab + 1);
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(lines.size(), 4u);
+    EXPECT_EQ(lines["other/gups"], "1.5");
+    EXPECT_EQ(lines["other/matr"], "2.5e-05");
+    EXPECT_TRUE(lines.count("baseline/fft"));
+    EXPECT_TRUE(lines.count("fbarre/fft"));
+}

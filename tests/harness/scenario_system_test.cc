@@ -89,9 +89,32 @@ expectIdentical(const RunOut &a, const RunOut &b, const char *what)
     EXPECT_TRUE(a.digests == b.digests) << what;
 }
 
-TEST(ScenarioDeterminism, ChurnIsIdenticalAcrossDomainsAndThreads)
+/**
+ * barre, or one of the three F-Barre policy configs bench_tenants
+ * reports: shared L2 TLB ways with a FIFO walker queue ("fbarre"),
+ * per-tenant way partitions, and fair walker scheduling.
+ */
+SystemConfig
+cfgFor(const std::string &name)
 {
-    SystemConfig base = barreSmall();
+    if (name == "barre")
+        return barreSmall();
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.workload_scale = 0.03;
+    if (name == "fbarre+tlb_part")
+        cfg.chiplet.l2_tlb.asid_partitions = 4;
+    else if (name == "fbarre+fair_pw")
+        cfg.iommu.fair_pw_sched = true;
+    return cfg;
+}
+
+class ScenarioDeterminism : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ScenarioDeterminism, ChurnIsIdenticalAcrossDomainsAndThreads)
+{
+    SystemConfig base = cfgFor(GetParam());
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runChurn(base);
@@ -104,19 +127,25 @@ TEST(ScenarioDeterminism, ChurnIsIdenticalAcrossDomainsAndThreads)
     const std::uint32_t all = base.chiplets + 1; // host + each chiplet
     for (std::uint32_t domains : {2u, all}) {
         for (std::uint32_t threads : {1u, 8u}) {
-            SystemConfig cfg = barreSmall();
+            SystemConfig cfg = cfgFor(GetParam());
             cfg.sim_domains = domains;
             cfg.sim_threads = threads;
             const RunOut got = runChurn(cfg);
             EXPECT_TRUE(got.tagged);
             expectIdentical(
                 ref, got,
-                ("domains=" + std::to_string(domains) +
+                (std::string(GetParam()) +
+                 " domains=" + std::to_string(domains) +
                  " threads=" + std::to_string(threads))
                     .c_str());
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Policies, ScenarioDeterminism,
+                         ::testing::Values("barre", "fbarre",
+                                           "fbarre+tlb_part",
+                                           "fbarre+fair_pw"));
 
 TEST(ScenarioDeterminism, IndependentOfHarnessJobCount)
 {
@@ -124,13 +153,8 @@ TEST(ScenarioDeterminism, IndependentOfHarnessJobCount)
     // harness: worker count must not leak into any cell, tenant rows
     // included (RunMetrics operator== is field-wise).
     std::vector<NamedConfig> cfgs = {
-        {"barre", barreSmall()},
-        {"fbarre",
-         [] {
-             SystemConfig cfg = SystemConfig::fbarreCfg(2);
-             cfg.workload_scale = 0.03;
-             return cfg;
-         }()},
+        {"barre", cfgFor("barre")},
+        {"fbarre", cfgFor("fbarre")},
     };
     std::vector<ScenarioSpec> specs = {
         ScenarioSpec::poisson(6, 2.0, 7),

@@ -2,7 +2,8 @@
  * @file
  * Differential proof that the calendar-front EventQueue (QueueMode::
  * ladder) is observationally identical to the pure-heap queue: the same
- * randomized schedule fires in the same order at the same ticks, and a
+ * randomized schedule fires in the same order at the same ticks under
+ * every delay mix (general, IOMMU-shaped, uniform-horizon), and a
  * full-system run produces bitwise-identical RunMetrics either way.
  */
 
@@ -22,48 +23,80 @@ namespace
 {
 
 /**
+ * Exercises the now-lane (0), the calendar window (< 256), the window
+ * boundary, and the far-future heap backstop.
+ */
+Tick
+mixedDelay(Rng &rng)
+{
+    switch (rng.below(8)) {
+      case 0:
+        return 0; // now-lane
+      case 1:
+      case 2:
+      case 3:
+        return rng.below(256); // calendar window
+      case 4:
+        return 255 + rng.below(3); // straddle the boundary
+      case 5:
+      case 6:
+        return 256 + rng.below(4096); // near heap
+      default:
+        return rng.below(std::uint64_t{1} << 20); // far heap
+    }
+}
+
+/**
+ * The translation pipeline's mix: dense NoC/TLB/queue hops, same-tick
+ * continuations, page-walk completions and rare fault services. Almost
+ * everything lands in the calendar window.
+ */
+Tick
+iommuBurstDelay(Rng &rng)
+{
+    const std::uint64_t r = rng.below(100);
+    if (r < 50)
+        return 1 + rng.below(8); // NoC / TLB pipeline hops
+    if (r < 75)
+        return 10 + rng.below(54); // queue + link serialization
+    if (r < 90)
+        return 0; // same-tick continuations
+    if (r < 99)
+        return 500; // page-walk completion
+    return 20000; // demand-paging fault service
+}
+
+/** Uniform over a horizon far wider than the window: mostly heap. */
+Tick
+uniformHorizonDelay(Rng &rng)
+{
+    return rng.below(16384);
+}
+
+/**
  * A self-perpetuating random workload: every fired event records its id
- * and spawns two more with delays drawn from a mix that exercises the
- * now-lane (0), the calendar window (< 256), the window boundary, and
- * the far-future heap backstop. Both queues run the same seed; as long
- * as firing order matches, their Rng streams stay in lockstep, so any
- * divergence cascades into an order mismatch the test catches.
+ * and spawns two more with delays drawn from @p delay. Both queues run
+ * the same seed; as long as firing order matches, their Rng streams
+ * stay in lockstep, so any divergence cascades into an order mismatch
+ * the test catches.
  */
 struct Driver
 {
     EventQueue eq;
     Rng rng;
+    Tick (*delay)(Rng &);
     std::vector<std::uint64_t> order;
     std::vector<Tick> fire_ticks;
     std::uint64_t next_id = 0;
     std::uint64_t scheduled = 0;
     std::uint64_t target;
 
-    Driver(QueueMode mode, std::uint64_t seed, std::uint64_t events)
-        : eq(mode), rng(seed), target(events)
+    Driver(QueueMode mode, std::uint64_t seed, std::uint64_t events,
+           Tick (*delay)(Rng &))
+        : eq(mode), rng(seed), delay(delay), target(events)
     {
         order.reserve(events);
         fire_ticks.reserve(events);
-    }
-
-    Tick
-    pickDelay()
-    {
-        switch (rng.below(8)) {
-          case 0:
-            return 0; // now-lane
-          case 1:
-          case 2:
-          case 3:
-            return rng.below(256); // calendar window
-          case 4:
-            return 255 + rng.below(3); // straddle the boundary
-          case 5:
-          case 6:
-            return 256 + rng.below(4096); // near heap
-          default:
-            return rng.below(std::uint64_t{1} << 20); // far heap
-        }
     }
 
     void
@@ -73,7 +106,7 @@ struct Driver
             return;
         ++scheduled;
         const std::uint64_t id = next_id++;
-        eq.scheduleAfter(pickDelay(), [this, id]() {
+        eq.scheduleAfter(delay(rng), [this, id]() {
             order.push_back(id);
             fire_ticks.push_back(eq.now());
             spawn();
@@ -93,22 +126,32 @@ struct Driver
 TEST(EventQueueDiff, MillionEventRandomScheduleFiresIdentically)
 {
     constexpr std::uint64_t events = 1'200'000;
-    Driver ladder(QueueMode::ladder, 0xbadc0ffe, events);
-    Driver heap(QueueMode::heap_only, 0xbadc0ffe, events);
-    ladder.run();
-    heap.run();
+    const struct
+    {
+        const char *name;
+        Tick (*delay)(Rng &);
+    } mixes[] = {{"mixed", mixedDelay},
+                 {"iommu-burst", iommuBurstDelay},
+                 {"uniform-horizon", uniformHorizonDelay}};
+    for (const auto &mix : mixes) {
+        SCOPED_TRACE(mix.name);
+        Driver ladder(QueueMode::ladder, 0xbadc0ffe, events, mix.delay);
+        Driver heap(QueueMode::heap_only, 0xbadc0ffe, events, mix.delay);
+        ladder.run();
+        heap.run();
 
-    ASSERT_EQ(ladder.order.size(), events);
-    EXPECT_EQ(ladder.eq.fired(), heap.eq.fired());
-    EXPECT_EQ(ladder.eq.now(), heap.eq.now());
-    ASSERT_EQ(ladder.order.size(), heap.order.size());
-    // operator== over the whole vectors would print nothing useful on
-    // failure; report the first divergence point instead.
-    for (std::size_t i = 0; i < events; ++i) {
-        ASSERT_EQ(ladder.order[i], heap.order[i])
-            << "first divergence at firing #" << i;
-        ASSERT_EQ(ladder.fire_ticks[i], heap.fire_ticks[i])
-            << "tick divergence at firing #" << i;
+        ASSERT_EQ(ladder.order.size(), events);
+        EXPECT_EQ(ladder.eq.fired(), heap.eq.fired());
+        EXPECT_EQ(ladder.eq.now(), heap.eq.now());
+        ASSERT_EQ(ladder.order.size(), heap.order.size());
+        // operator== over the whole vectors would print nothing useful
+        // on failure; report the first divergence point instead.
+        for (std::size_t i = 0; i < events; ++i) {
+            ASSERT_EQ(ladder.order[i], heap.order[i])
+                << "first divergence at firing #" << i;
+            ASSERT_EQ(ladder.fire_ticks[i], heap.fire_ticks[i])
+                << "tick divergence at firing #" << i;
+        }
     }
 }
 
