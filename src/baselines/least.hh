@@ -168,12 +168,6 @@ class LeastService : public SimObject,
         return sum(&PerChiplet::ats_fallbacks);
     }
 
-    std::uint64_t
-    trackerUpdates() const
-    {
-        return sum(&PerChiplet::tracker_updates);
-    }
-
   private:
     /**
      * One chiplet's tracker replica and counters; only touched from
@@ -188,7 +182,6 @@ class LeastService : public SimObject,
         Counter remote_hits;
         Counter spills;
         Counter ats_fallbacks;
-        Counter tracker_updates;
     };
 
     static std::uint64_t
@@ -219,7 +212,6 @@ class LeastService : public SimObject,
                       params_.tracker_update_bytes,
                       [this, p, key, bit, add]() {
                           PerChiplet &ch = chips_[p];
-                          ++ch.tracker_updates;
                           if (add) {
                               ch.presence[key] |= bit;
                               return;

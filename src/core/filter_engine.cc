@@ -119,7 +119,6 @@ FilterEngine::auditRcfMembership() const
 std::optional<ChipletId>
 FilterEngine::predictSharer(ProcessId pid, Vpn vpn) const
 {
-    ++rcf_lookups_;
     std::uint64_t key = keyOf(pid, vpn);
     for (std::uint32_t p = 0; p < chiplets_; ++p) {
         if (p == owner_)

@@ -115,7 +115,6 @@ class FilterEngine : public DomainOwned
     std::uint64_t lcfHits() const { return lcf_hits_.value(); }
     std::uint64_t lcfLookups() const { return lcf_lookups_.value(); }
     std::uint64_t rcfHits() const { return rcf_hits_.value(); }
-    std::uint64_t rcfLookups() const { return rcf_lookups_.value(); }
 
   private:
     CuckooFilter &rcfFor(ChipletId peer);
@@ -136,7 +135,6 @@ class FilterEngine : public DomainOwned
     mutable Counter lcf_hits_;
     mutable Counter lcf_lookups_;
     mutable Counter rcf_hits_;
-    mutable Counter rcf_lookups_;
 };
 
 } // namespace barre

@@ -448,7 +448,6 @@ GpuDriver::processExit(ProcessId pid)
     page_tables_.erase(it);
     vpn_bump_.erase(pid);
     ++exits_;
-    freed_pages_ += freed;
     return freed;
 }
 

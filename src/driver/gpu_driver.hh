@@ -135,14 +135,20 @@ class GpuDriver : public DomainOwned
 
     /** Live (allocated, not yet exited) processes. */
     std::uint64_t liveProcesses() const { return page_tables_.size(); }
-    std::uint64_t processExits() const { return exits_.value(); }
-    std::uint64_t freedPages() const { return freed_pages_.value(); }
 
-    std::uint64_t demandFaults() const { return faults_.value(); }
+    void
+    regStats(StatRegistry &stats) const
+    {
+        stats.add("driver.mapped_pages", mapped_pages_);
+        stats.add("driver.process_exits", exits_);
+        stats.add("driver.coalesced_pages", coalesced_pages_);
+        stats.add("driver.merged_pages", merged_pages_);
+        stats.add("driver.fallback_pages", fallback_pages_);
+        stats.add("driver.demand_faults", faults_);
+    }
 
     std::uint64_t totalMappedPages() const { return mapped_pages_.value(); }
     std::uint64_t coalescedPages() const { return coalesced_pages_.value(); }
-    std::uint64_t mergedGroupPages() const { return merged_pages_.value(); }
     std::uint64_t fallbackPages() const { return fallback_pages_.value(); }
     std::uint64_t migrations() const { return migrations_.value(); }
 
@@ -183,7 +189,6 @@ class GpuDriver : public DomainOwned
     std::vector<PecEntry> all_layouts_;
 
     Counter exits_;
-    Counter freed_pages_;
     Counter mapped_pages_;
     Counter coalesced_pages_;
     Counter merged_pages_;

@@ -154,13 +154,4 @@ AcudMigrator::onAck()
     }
 }
 
-std::uint64_t
-AcudMigrator::migrationRequests() const
-{
-    std::uint64_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.requests.value();
-    return n;
-}
-
 } // namespace barre

@@ -138,14 +138,23 @@ class AcudMigrator : public SimObject, public DomainOwned
 
     /// @name Statistics
     /// @{
-    std::uint64_t migrations() const { return migrations_.value(); }
-    std::uint64_t migratedBytes() const { return bytes_.value(); }
-    /** Completed shootdown rounds (== migrations). */
-    std::uint64_t shootdownRounds() const { return rounds_.value(); }
-    /** Shootdown acks received (rounds x chiplets). */
-    std::uint64_t shootdownAcks() const { return acks_.value(); }
-    /** Migration requests sent upstream (includes denied ones). */
-    std::uint64_t migrationRequests() const;
+    void
+    regStats(StatRegistry &stats) const
+    {
+        stats.add("migration.count", migrations_);
+        stats.add("migration.bytes", bytes_);
+        // Requests sent upstream, denied ones included.
+        stats.add("migration.requests", [this] {
+            std::uint64_t n = 0;
+            for (const Shard &sh : shards_)
+                n += sh.requests.value();
+            return n;
+        });
+        stats.add("migration.shootdown_rounds", rounds_); // == count
+        stats.add("migration.shootdown_acks", acks_); // rounds x chiplets
+        stats.addMean("migration.avg_round_cycles", round_latency_);
+    }
+
     /** Request->all-acks round-trip, cycles. */
     const Accumulator &roundLatency() const { return round_latency_; }
     /** Until when chiplet @p c 's issue is frozen (tests/debug). */

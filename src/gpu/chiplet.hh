@@ -186,31 +186,24 @@ class Chiplet : public SimObject
 
     /// @name Statistics
     /// @{
-    /** Demand misses (no retry double counting) - the MPKI numerator. */
-    std::uint64_t
-    l2TlbMisses() const
+    void
+    regStats(StatRegistry &stats) const
     {
-        // The shared block counts per requester on the host side.
-        return shared_svc_ ? shared_svc_->demandMisses(id_)
-                           : l2_demand_misses_.value();
+        stats.add(name() + ".l2tlb.accesses", l2_demand_accesses_);
+        // Demand misses (the MPKI numerator) and retries: the shared
+        // block counts them per requester on the host side.
+        stats.add(name() + ".l2tlb.misses",
+                  shared_svc_ ? shared_svc_->demandMisses(id_)
+                              : l2_demand_misses_);
+        stats.add(name() + ".l2tlb.mshr_retries",
+                  shared_svc_ ? shared_svc_->mshrRetries(id_)
+                              : mshr_retries_);
+        stats.add(name() + ".data.local", local_data_);
+        stats.add(name() + ".data.remote", remote_data_);
+        stats.add(name() + ".l1tlb.sibling_hits", sibling_hits_);
     }
-    std::uint64_t l2TlbAccesses() const
-    {
-        return l2_demand_accesses_.value();
-    }
-    std::uint64_t l2TlbHits() const
-    {
-        return l2_demand_accesses_.value() - l2_demand_misses_.value();
-    }
-    std::uint64_t siblingProbeHits() const { return sibling_hits_.value(); }
-    std::uint64_t remoteDataAccesses() const { return remote_data_.value(); }
-    std::uint64_t localDataAccesses() const { return local_data_.value(); }
-    std::uint64_t
-    mshrRetries() const
-    {
-        return shared_svc_ ? shared_svc_->mshrRetries(id_)
-                           : mshr_retries_.value();
-    }
+
+    std::uint64_t l2TlbAccesses() const { return l2_demand_accesses_.value(); }
     Dram &dram() { return *dram_; }
     /// @}
 

@@ -96,19 +96,6 @@ class FBarreService : public SimObject,
         }
     }
 
-    /** Partitioned mode: shard the cross-context stats per tag. */
-    void
-    shardStats(std::size_t tags)
-    {
-        local_hits_.shard(tags);
-        lcf_positives_.shard(tags);
-        lcf_true_.shard(tags);
-        remote_probes_.shard(tags);
-        remote_hits_.shard(tags);
-        fallbacks_.shard(tags);
-        filter_updates_.shard(tags);
-    }
-
     void translate(ProcessId pid, Vpn vpn, ChipletId src,
                    Iommu::ResponseHandler done) override;
     void onL2Insert(ChipletId chiplet, const TlbEntry &entry) override;
@@ -134,13 +121,17 @@ class FBarreService : public SimObject,
 
     /// @name Statistics (Fig 16c/17/18/19 series)
     /// @{
-    std::uint64_t localCalcHits() const { return local_hits_.value(); }
-    std::uint64_t lcfPositives() const { return lcf_positives_.value(); }
-    std::uint64_t lcfTruePositives() const { return lcf_true_.value(); }
-    std::uint64_t remoteProbes() const { return remote_probes_.value(); }
-    std::uint64_t remoteHits() const { return remote_hits_.value(); }
-    std::uint64_t fallbacks() const { return fallbacks_.value(); }
-    std::uint64_t filterUpdates() const { return filter_updates_.value(); }
+    void
+    regStats(StatRegistry &stats)
+    {
+        stats.add(name() + ".local_calc_hits", local_hits_);
+        stats.add(name() + ".remote_probes", remote_probes_);
+        stats.add(name() + ".remote_hits", remote_hits_);
+        stats.add(name() + ".fallbacks", fallbacks_);
+        stats.add(name() + ".filter_updates", filter_updates_);
+        stats.add(name() + ".lcf_positives", lcf_positives_);
+        stats.add(name() + ".lcf_true_positives", lcf_true_);
+    }
     /// @}
 
     /** Total filter + PEC buffer bits per chiplet (§VII-K). */

@@ -107,14 +107,8 @@ class SharedTlbService : public SimObject, public DomainOwned
 
     /// @name Per-requesting-chiplet statistics (host-side writers)
     /// @{
-    std::uint64_t demandMisses(ChipletId c) const
-    {
-        return misses_[c].value();
-    }
-    std::uint64_t mshrRetries(ChipletId c) const
-    {
-        return retries_[c].value();
-    }
+    const Counter &demandMisses(ChipletId c) const { return misses_[c]; }
+    const Counter &mshrRetries(ChipletId c) const { return retries_[c]; }
     /// @}
 
   private:

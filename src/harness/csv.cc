@@ -3,69 +3,22 @@
 #include <ostream>
 #include <sstream>
 #include <type_traits>
-#include <variant>
 
 #include "sim/logging.hh"
 
 namespace barre
 {
 
-namespace
-{
-
-/** One sweep column: its header name and the RunMetrics field it prints. */
-struct Column
-{
-    const char *name;
-    std::variant<std::string RunMetrics::*, std::uint64_t RunMetrics::*,
-                 double RunMetrics::*>
-        field;
-};
-
-/** The sweep CSV schema in column order: csvHeader and csvRow read it. */
-const Column kColumns[] = {
-    {"config", &RunMetrics::config},
-    {"app", &RunMetrics::app},
-    {"runtime", &RunMetrics::runtime},
-    {"accesses", &RunMetrics::accesses},
-    {"instructions", &RunMetrics::instructions},
-    {"l2_tlb_hits", &RunMetrics::l2_tlb_hits},
-    {"l2_tlb_misses", &RunMetrics::l2_tlb_misses},
-    {"l2_mpki", &RunMetrics::l2_mpki},
-    {"mshr_retries", &RunMetrics::mshr_retries},
-    {"ats_packets", &RunMetrics::ats_packets},
-    {"walks", &RunMetrics::walks},
-    {"iommu_coalesced", &RunMetrics::iommu_coalesced},
-    {"iommu_tlb_hits", &RunMetrics::iommu_tlb_hits},
-    {"avg_ats_time", &RunMetrics::avg_ats_time},
-    {"local_calc_hits", &RunMetrics::local_calc_hits},
-    {"remote_probes", &RunMetrics::remote_probes},
-    {"remote_hits", &RunMetrics::remote_hits},
-    {"fbarre_fallbacks", &RunMetrics::fbarre_fallbacks},
-    {"filter_updates", &RunMetrics::filter_updates},
-    {"local_data", &RunMetrics::local_data},
-    {"remote_data", &RunMetrics::remote_data},
-    {"noc_bytes", &RunMetrics::noc_bytes},
-    {"pcie_up_bytes", &RunMetrics::pcie_up_bytes},
-    {"pcie_down_bytes", &RunMetrics::pcie_down_bytes},
-    {"gmmu_local_walks", &RunMetrics::gmmu_local_walks},
-    {"gmmu_remote_walks", &RunMetrics::gmmu_remote_walks},
-    {"gmmu_coalesced", &RunMetrics::gmmu_coalesced},
-    {"coalesced_pages", &RunMetrics::coalesced_pages},
-    {"mapped_pages", &RunMetrics::mapped_pages},
-    {"migrations", &RunMetrics::migrations},
-};
-
-} // namespace
-
 std::string
 csvHeader()
 {
     std::string out;
-    for (const Column &c : kColumns) {
+    for (const MetricField &c : kMetricFields) {
+        if (!c.column)
+            continue;
         if (!out.empty())
             out += ',';
-        out += c.name;
+        out += c.column;
     }
     return out;
 }
@@ -158,7 +111,9 @@ csvRow(const RunMetrics &m)
 {
     std::ostringstream os;
     const char *sep = "";
-    for (const Column &c : kColumns) {
+    for (const MetricField &c : kMetricFields) {
+        if (!c.column)
+            continue;
         os << sep;
         sep = ",";
         std::visit(

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "sim/types.hh"
@@ -124,6 +125,61 @@ struct RunMetrics
 
     /** Field-wise equality (used by determinism assertions). */
     friend bool operator==(const RunMetrics &, const RunMetrics &) = default;
+};
+
+/** The RunMetrics schema in sweep-CSV column order: each field's CSV
+ *  column (null: none) and the registry stat System::run reads it from
+ *  (null: derived by hand; absent component: left 0). */
+struct MetricField
+{
+    const char *column;
+    std::variant<std::string RunMetrics::*, std::uint64_t RunMetrics::*,
+                 double RunMetrics::*>
+        field;
+    const char *stat = nullptr;
+    const char *minus = nullptr; ///< a count subtracted from @c stat
+};
+
+inline const MetricField kMetricFields[] = {
+    {"config", &RunMetrics::config},
+    {"app", &RunMetrics::app},
+    {"runtime", &RunMetrics::runtime},
+    {"accesses", &RunMetrics::accesses},
+    {"instructions", &RunMetrics::instructions},
+    {"l2_tlb_hits", &RunMetrics::l2_tlb_hits, "gpu*.l2tlb.accesses",
+     "gpu*.l2tlb.misses"},
+    {"l2_tlb_misses", &RunMetrics::l2_tlb_misses, "gpu*.l2tlb.misses"},
+    {"l2_mpki", &RunMetrics::l2_mpki},
+    {"mshr_retries", &RunMetrics::mshr_retries, "gpu*.l2tlb.mshr_retries"},
+    {"ats_packets", &RunMetrics::ats_packets, "iommu.ats_requests"},
+    {"walks", &RunMetrics::walks, "iommu.walks"},
+    {"iommu_coalesced", &RunMetrics::iommu_coalesced,
+     "iommu.pec_calculated"},
+    {"iommu_tlb_hits", &RunMetrics::iommu_tlb_hits, "iommu.tlb_hits"},
+    {"avg_ats_time", &RunMetrics::avg_ats_time,
+     "iommu.avg_processing_cycles"},
+    {nullptr, &RunMetrics::avg_pw_queue_depth, "iommu.avg_pw_queue_depth"},
+    {"local_calc_hits", &RunMetrics::local_calc_hits,
+     "fbarre.local_calc_hits"},
+    {"remote_probes", &RunMetrics::remote_probes, "fbarre.remote_probes"},
+    {"remote_hits", &RunMetrics::remote_hits, "fbarre.remote_hits"},
+    {"fbarre_fallbacks", &RunMetrics::fbarre_fallbacks, "fbarre.fallbacks"},
+    {nullptr, &RunMetrics::lcf_positives, "fbarre.lcf_positives"},
+    {nullptr, &RunMetrics::lcf_true_positives, "fbarre.lcf_true_positives"},
+    {"filter_updates", &RunMetrics::filter_updates, "fbarre.filter_updates"},
+    {"local_data", &RunMetrics::local_data, "gpu*.data.local"},
+    {"remote_data", &RunMetrics::remote_data, "gpu*.data.remote"},
+    {"noc_bytes", &RunMetrics::noc_bytes, "noc.bytes"},
+    {"pcie_up_bytes", &RunMetrics::pcie_up_bytes, "pcie.up_bytes"},
+    {"pcie_down_bytes", &RunMetrics::pcie_down_bytes, "pcie.down_bytes"},
+    {"gmmu_local_walks", &RunMetrics::gmmu_local_walks, "gmmu.local_walks"},
+    {"gmmu_remote_walks", &RunMetrics::gmmu_remote_walks,
+     "gmmu.remote_walks"},
+    {"gmmu_coalesced", &RunMetrics::gmmu_coalesced, "gmmu.pec_calculated"},
+    {"coalesced_pages", &RunMetrics::coalesced_pages,
+     "driver.coalesced_pages"},
+    {"mapped_pages", &RunMetrics::mapped_pages, "driver.mapped_pages"},
+    {"migrations", &RunMetrics::migrations, "migration.count"},
 };
 
 /** Geometric mean of speedups (paper-style averaging). */

@@ -145,6 +145,7 @@ System::System(SystemConfigHandle cfg)
         }
     }
 
+    registerStats();
     setupPartition();
     setupDomainGuard();
 }
@@ -283,11 +284,27 @@ System::setupPartition()
     pdes_.domains = domains;
     pdes_.lookahead = lookahead;
     eq_.enableTags(std::move(tag_domain), domains);
+    stats_.shard(tags);
+}
 
+void
+System::registerStats()
+{
+    stats_ = StatRegistry{};
+    for (auto &c : chiplets_)
+        c->regStats(stats_);
+    iommu_->regStats(stats_);
     if (fbarre_)
-        fbarre_->shardStats(tags);
+        fbarre_->regStats(stats_);
     if (gmmu_)
-        gmmu_->shardStats(tags);
+        gmmu_->regStats(stats_);
+    noc_->regStats(stats_);
+    pcie_->regStats(stats_);
+    if (engine_)
+        engine_->regStats(stats_);
+    driver_->regStats(stats_);
+    if (migrator_)
+        migrator_->regStats(stats_);
 }
 
 void
@@ -472,6 +489,7 @@ System::loadScenario(const ScenarioSpec &spec)
             driver_->processExit(pid);
         });
     engine_->bindDomains(&guard_);
+    registerStats();
 
     for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
         chiplets_[c]->setLatencyProbe(
@@ -540,68 +558,7 @@ void
 System::dumpStats(std::ostream &os) const
 {
     os << "sim.ticks " << eq_.now() << "\n";
-    for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
-        const auto &chip = *chiplets_[c];
-        std::string p = "gpu" + std::to_string(c) + ".";
-        os << p << "l2tlb.accesses " << chip.l2TlbAccesses() << "\n";
-        os << p << "l2tlb.misses " << chip.l2TlbMisses() << "\n";
-        os << p << "l2tlb.mshr_retries " << chip.mshrRetries() << "\n";
-        os << p << "data.local " << chip.localDataAccesses() << "\n";
-        os << p << "data.remote " << chip.remoteDataAccesses() << "\n";
-        os << p << "l1tlb.sibling_hits " << chip.siblingProbeHits()
-           << "\n";
-    }
-    os << "iommu.ats_requests " << iommu_->atsRequests() << "\n";
-    os << "iommu.walks " << iommu_->walks() << "\n";
-    os << "iommu.pec_calculated " << iommu_->coalescedTranslations()
-       << "\n";
-    os << "iommu.tlb_hits " << iommu_->iommuTlbHits() << "\n";
-    os << "iommu.page_faults " << iommu_->pageFaults() << "\n";
-    os << "iommu.sched_deferrals " << iommu_->schedulerDeferrals()
-       << "\n";
-    os << "iommu.avg_processing_cycles "
-       << iommu_->processingTime().mean() << "\n";
-    if (fbarre_) {
-        os << "fbarre.local_calc_hits " << fbarre_->localCalcHits()
-           << "\n";
-        os << "fbarre.remote_probes " << fbarre_->remoteProbes() << "\n";
-        os << "fbarre.remote_hits " << fbarre_->remoteHits() << "\n";
-        os << "fbarre.fallbacks " << fbarre_->fallbacks() << "\n";
-        os << "fbarre.filter_updates " << fbarre_->filterUpdates()
-           << "\n";
-    }
-    if (gmmu_) {
-        os << "gmmu.local_walks " << gmmu_->localWalks() << "\n";
-        os << "gmmu.remote_walks " << gmmu_->remoteWalks() << "\n";
-        os << "gmmu.pec_calculated " << gmmu_->coalescedTranslations()
-           << "\n";
-    }
-    os << "noc.bytes " << noc_->totalBytes() << "\n";
-    os << "noc.messages " << noc_->totalMessages() << "\n";
-    os << "pcie.up_bytes " << pcie_->upstream().bytesSent() << "\n";
-    os << "pcie.down_bytes " << pcie_->downstream().bytesSent() << "\n";
-    if (engine_) {
-        os << "scenario.launches " << engine_->launches() << "\n";
-        os << "scenario.retires " << engine_->retires() << "\n";
-    }
-    os << "driver.mapped_pages " << driver_->totalMappedPages() << "\n";
-    os << "driver.process_exits " << driver_->processExits() << "\n";
-    os << "driver.coalesced_pages " << driver_->coalescedPages() << "\n";
-    os << "driver.merged_pages " << driver_->mergedGroupPages() << "\n";
-    os << "driver.fallback_pages " << driver_->fallbackPages() << "\n";
-    os << "driver.demand_faults " << driver_->demandFaults() << "\n";
-    if (migrator_) {
-        os << "migration.count " << migrator_->migrations() << "\n";
-        os << "migration.bytes " << migrator_->migratedBytes() << "\n";
-        os << "migration.requests " << migrator_->migrationRequests()
-           << "\n";
-        os << "migration.shootdown_rounds "
-           << migrator_->shootdownRounds() << "\n";
-        os << "migration.shootdown_acks " << migrator_->shootdownAcks()
-           << "\n";
-        os << "migration.avg_round_cycles "
-           << migrator_->roundLatency().mean() << "\n";
-    }
+    stats_.dump(os);
 }
 
 Trace
@@ -725,50 +682,19 @@ System::run()
     m.instructions = total_instructions_;
     m.sim_events = fired;
 
-    for (auto &c : chiplets_) {
-        m.l2_tlb_hits += c->l2TlbHits();
-        m.l2_tlb_misses += c->l2TlbMisses();
-    }
-    for (auto &c : chiplets_) {
-        m.mshr_retries += c->mshrRetries();
-        m.local_data += c->localDataAccesses();
-        m.remote_data += c->remoteDataAccesses();
+    // Everything else is read from the stats registry.
+    for (const MetricField &f : kMetricFields) {
+        if (!f.stat || !stats_.contains(f.stat))
+            continue;
+        if (auto *mean = std::get_if<double RunMetrics::*>(&f.field))
+            m.*(*mean) = stats_.mean(f.stat);
+        else
+            m.*std::get<std::uint64_t RunMetrics::*>(f.field) =
+                stats_.count(f.stat) - (f.minus ? stats_.count(f.minus) : 0);
     }
     m.l2_mpki = m.instructions > 0
                     ? m.l2_tlb_misses / (m.instructions / 1000.0)
                     : 0.0;
-
-    m.ats_packets = iommu_->atsRequests();
-    m.walks = iommu_->walks();
-    m.iommu_coalesced = iommu_->coalescedTranslations();
-    m.iommu_tlb_hits = iommu_->iommuTlbHits();
-    m.avg_ats_time = iommu_->processingTime().mean();
-    m.avg_pw_queue_depth = iommu_->queueDepth().mean();
-
-    if (fbarre_) {
-        m.local_calc_hits = fbarre_->localCalcHits();
-        m.remote_probes = fbarre_->remoteProbes();
-        m.remote_hits = fbarre_->remoteHits();
-        m.fbarre_fallbacks = fbarre_->fallbacks();
-        m.lcf_positives = fbarre_->lcfPositives();
-        m.lcf_true_positives = fbarre_->lcfTruePositives();
-        m.filter_updates = fbarre_->filterUpdates();
-    }
-
-    m.noc_bytes = noc_->totalBytes();
-    m.pcie_up_bytes = pcie_->upstream().bytesSent();
-    m.pcie_down_bytes = pcie_->downstream().bytesSent();
-
-    if (gmmu_) {
-        m.gmmu_local_walks = gmmu_->localWalks();
-        m.gmmu_remote_walks = gmmu_->remoteWalks();
-        m.gmmu_coalesced = gmmu_->coalescedTranslations();
-    }
-
-    m.coalesced_pages = driver_->coalescedPages();
-    m.mapped_pages = driver_->totalMappedPages();
-    if (migrator_)
-        m.migrations = migrator_->migrations();
 
     if (engine_) {
         for (const auto &ts : engine_->tenantStates()) {

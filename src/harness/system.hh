@@ -14,6 +14,7 @@
 #include "harness/config.hh"
 #include "harness/metrics.hh"
 #include "sim/domain_guard.hh"
+#include "sim/stats.hh"
 #include "workloads/scenario.hh"
 #include "workloads/scenario_engine.hh"
 #include "workloads/trace.hh"
@@ -76,7 +77,7 @@ class System
     void auditNoStaleAsid() const;
 
     /**
-     * Dump every component's counters (gem5-style stats listing) to
+     * Dump sim.ticks and every registered stat (gem5-style listing) to
      * @p os. Callable any time; most useful after run().
      */
     void dumpStats(std::ostream &os) const;
@@ -100,6 +101,8 @@ class System
     SharedTlbService *sharedTlb() { return shared_tlb_svc_.get(); }
     /** The churn engine (null unless a dynamic scenario is loaded). */
     ScenarioEngine *scenarioEngine() { return engine_.get(); }
+    /** Every component's reported stats (dumpStats, RunMetrics). */
+    const StatRegistry &stats() const { return stats_; }
     const SystemConfig &config() const { return cfg_; }
     const MemoryMap &memoryMap() const { return *map_; }
     /** Every buffer allocated so far, in allocation order. */
@@ -136,6 +139,8 @@ class System
     /** Why @p cfg cannot run a dynamic scenario, or nullptr. */
     const char *scenarioBlocker() const;
     void buildService();
+    /** (Re)register every existing component's stats, in dump order. */
+    void registerStats();
     /** Apply cfg_.sim_domains: tag/domain map, lookahead, enableTags. */
     void setupPartition();
     /** Bind every component to its owning sequencing tag. */
@@ -147,6 +152,7 @@ class System
     const SystemConfig &cfg_;
     EventQueue eq_;
     DomainGuard guard_;
+    StatRegistry stats_;
     std::unique_ptr<MemoryMap> map_;
     std::unique_ptr<Interconnect> noc_;
     std::unique_ptr<Pcie> pcie_;

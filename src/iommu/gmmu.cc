@@ -38,10 +38,8 @@ GmmuSystem::translate(ProcessId pid, Vpn vpn, ChipletId requester,
     Request req{pid, vpn, requester, curTick(), std::move(on_response),
                 home != requester};
     if (home == requester) {
-        ++local_reqs_;
         enqueueAt(home, std::move(req));
     } else {
-        ++remote_reqs_;
         noc_.send(requester, home, params_.request_bytes,
                   [this, home, req = std::move(req)]() mutable {
                       enqueueAt(home, std::move(req));

@@ -80,17 +80,6 @@ class GmmuSystem : public SimObject
         }
     }
 
-    /** Partitioned mode: shard the cross-context stats per tag. */
-    void
-    shardStats(std::size_t tags)
-    {
-        local_reqs_.shard(tags);
-        remote_reqs_.shard(tags);
-        local_walks_.shard(tags);
-        remote_walks_.shard(tags);
-        coalesced_.shard(tags);
-    }
-
     /**
      * Translate (pid, vpn) on behalf of @p requester; @p on_response
      * fires when the response is back at the requester.
@@ -98,15 +87,13 @@ class GmmuSystem : public SimObject
     void translate(ProcessId pid, Vpn vpn, ChipletId requester,
                    ResponseHandler on_response);
 
-    /** Requests routed to a local / remote GMMU (arrival accounting). */
-    std::uint64_t localRequests() const { return local_reqs_.value(); }
-    std::uint64_t remoteRequests() const { return remote_reqs_.value(); }
-    /** Walks actually performed (coalesced requests skip theirs). */
-    std::uint64_t localWalks() const { return local_walks_.value(); }
-    std::uint64_t remoteWalks() const { return remote_walks_.value(); }
-    std::uint64_t coalescedTranslations() const
+    void
+    regStats(StatRegistry &stats)
     {
-        return coalesced_.value();
+        // Walks actually performed; coalesced requests skip theirs.
+        stats.add(name() + ".local_walks", local_walks_);
+        stats.add(name() + ".remote_walks", remote_walks_);
+        stats.add(name() + ".pec_calculated", coalesced_);
     }
 
   private:
@@ -148,10 +135,8 @@ class GmmuSystem : public SimObject
     PecBuffer pec_buffer_;
     std::vector<Node> nodes_;
 
-    // Bumped from whichever chiplet context requests/serves a walk, so
-    // these shard per tag in partitioned mode.
-    TagCounter local_reqs_;
-    TagCounter remote_reqs_;
+    // Bumped from whichever chiplet context serves a walk, so these
+    // shard per tag in partitioned mode.
     TagCounter local_walks_;
     TagCounter remote_walks_;
     TagCounter coalesced_;

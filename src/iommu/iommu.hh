@@ -172,7 +172,6 @@ class Iommu : public SimObject, public DomainOwned
      */
     using FaultHandler = InlineFn<void(ProcessId, Vpn)>;
     void setFaultHandler(FaultHandler h) { fault_handler_ = std::move(h); }
-    std::uint64_t pageFaults() const { return page_faults_.value(); }
 
     /**
      * Entry point for a chiplet's ATS request. Models the full PCIe +
@@ -184,28 +183,20 @@ class Iommu : public SimObject, public DomainOwned
 
     /// @name Statistics (Fig 16 series)
     /// @{
-    std::uint64_t atsRequests() const { return ats_requests_.value(); }
-    std::uint64_t walks() const { return walks_.value(); }
-    std::uint64_t coalescedTranslations() const
+    void
+    regStats(StatRegistry &stats) const
     {
-        return coalesced_.value();
+        stats.add(name() + ".ats_requests", ats_requests_);
+        stats.add(name() + ".walks", walks_);
+        stats.add(name() + ".pec_calculated", coalesced_);
+        stats.add(name() + ".tlb_hits", tlb_hits_);
+        stats.add(name() + ".page_faults", page_faults_);
+        stats.add(name() + ".sched_deferrals", deferrals_);
+        stats.addMean(name() + ".avg_processing_cycles", processing_time_);
+        stats.addMean(name() + ".avg_pw_queue_depth", queue_depth_);
     }
-    std::uint64_t iommuTlbHits() const { return tlb_hits_.value(); }
     const Accumulator &processingTime() const { return processing_time_; }
-    const Accumulator &queueDepth() const { return queue_depth_; }
-    std::uint64_t schedulerDeferrals() const { return deferrals_.value(); }
     /// @}
-
-    /** Requests currently queued or walking (prefetch throttling). */
-    std::size_t
-    pendingTranslations() const
-    {
-        // Host-owned occupancy read synchronously by valkyrie's
-        // chiplet-side prefetch throttle — the domain audit flags
-        // exactly that (it is why valkyrie cannot partition yet).
-        domainCheck("pendingTranslations");
-        return pw_queue_.size() + overflow_.size() + busy_ptws_;
-    }
 
   private:
     struct Request

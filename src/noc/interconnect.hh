@@ -62,25 +62,24 @@ class Interconnect : public SimObject
                                     std::move(deliver));
     }
 
-    std::uint64_t
-    totalMessages() const
+    void
+    regStats(StatRegistry &stats) const
     {
-        std::uint64_t n = 0;
-        for (const auto &l : egress_)
-            n += l->messages();
-        return n;
-    }
-
-    std::uint64_t
-    totalBytes() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &l : egress_)
-            n += l->bytesSent();
-        return n;
+        stats.add(name() + ".bytes", [this] { return sum(&Link::bytesSent); });
+        stats.add(name() + ".messages",
+                  [this] { return sum(&Link::messages); });
     }
 
   private:
+    std::uint64_t
+    sum(const Counter &(Link::*stat)() const) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &l : egress_)
+            n += ((*l).*stat)().value();
+        return n;
+    }
+
     std::vector<std::unique_ptr<Link>> egress_;
 };
 

@@ -95,13 +95,11 @@ class Link : public SimObject, public ArbHook
         Tick start = std::max(send_tick, wire_free_);
         wire_free_ = start + ser;
         Tick arrive = wire_free_ + params_.latency;
-        queue_delay_.sample(static_cast<double>(start - send_tick));
         return arrive;
     }
 
-    std::uint64_t messages() const { return messages_.value(); }
-    std::uint64_t bytesSent() const { return bytes_sent_.value(); }
-    const Accumulator &queueDelay() const { return queue_delay_; }
+    const Counter &messages() const { return messages_; }
+    const Counter &bytesSent() const { return bytes_sent_; }
     const LinkParams &params() const { return params_; }
 
   private:
@@ -109,7 +107,6 @@ class Link : public SimObject, public ArbHook
     Tick wire_free_ = 0;
     Counter messages_;
     Counter bytes_sent_;
-    Accumulator queue_delay_;
 };
 
 } // namespace barre

@@ -63,6 +63,13 @@ class Pcie : public SimObject
         return downstream_.sendTo(dst, bytes, std::move(deliver));
     }
 
+    void
+    regStats(StatRegistry &stats) const
+    {
+        stats.add(name() + ".up_bytes", upstream_.bytesSent());
+        stats.add(name() + ".down_bytes", downstream_.bytesSent());
+    }
+
     const Link &upstream() const { return upstream_; }
     const Link &downstream() const { return downstream_; }
 

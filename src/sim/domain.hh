@@ -106,7 +106,7 @@ class TagCounter
   public:
     TagCounter() : slots_(1) {}
 
-    /** Size one shard per tag; called once by the System at build. */
+    /** Size one shard per tag; called by StatRegistry::shard(). */
     void
     shard(std::size_t tags)
     {
@@ -134,13 +134,6 @@ class TagCounter
         for (const Slot &s : slots_)
             sum += s.v;
         return sum;
-    }
-
-    void
-    reset()
-    {
-        for (Slot &s : slots_)
-            s.v = 0;
     }
 
   private:

@@ -3,16 +3,20 @@
  * Minimal statistics package, gem5-flavoured.
  *
  * Stats are plain counters/distributions owned by SimObjects and registered
- * with a StatRegistry so a whole system can be dumped uniformly. Formulas
- * (ratios) are computed at dump time.
+ * with a StatRegistry so a whole system can be dumped and harvested
+ * uniformly.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
+
+#include "sim/inline_fn.hh"
 
 namespace barre
 {
@@ -50,7 +54,6 @@ class Accumulator
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
-    void reset() { *this = Accumulator{}; }
 
   private:
     std::uint64_t count_ = 0;
@@ -158,32 +161,57 @@ class LogHistogram
     std::uint64_t max_ = 0;
 };
 
+class TagCounter;
+
 /**
- * Name -> stat map for a whole simulated system. Stats register by pointer;
- * the owning SimObject must outlive the registry dump.
+ * The one list of reported stats: components register their members
+ * once, at System build, under hierarchical names ("gpu0.l2tlb.misses").
+ * The dump, the RunMetrics harvest and the per-tag sharding of
+ * partitioned runs read it in registration order. Owners must outlive it.
  */
 class StatRegistry
 {
   public:
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerAccumulator(const std::string &name, const Accumulator *a);
+    /** A count kept across several members (e.g. one per link). */
+    using Formula = InlineFn<std::uint64_t()>;
 
-    /** Fetch a registered counter's value; 0 if absent. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    /** Dump all registered stats, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    void
-    clear()
+    void add(std::string_view name, const Counter &c) { insert(name, &c); }
+    /** A per-tag counter; shard() sizes it for partitioned runs. */
+    void add(std::string_view name, TagCounter &c) { insert(name, &c); }
+    void add(std::string_view name, Formula f) { insert(name, std::move(f)); }
+    /** An accumulator, reported as its sample mean. */
+    void addMean(std::string_view name, const Accumulator &a)
     {
-        counters_.clear();
-        accumulators_.clear();
+        insert(name, &a);
     }
 
+    /** Give every registered TagCounter one shard per tag. */
+    void shard(std::size_t tags);
+
+    /** Whether a stat matches @p pattern, whose '*' stands for one
+     *  decimal index ("gpu*.data.local"). */
+    bool contains(std::string_view pattern) const;
+    /** Sum of the counts matching @p pattern; panics if none does. */
+    std::uint64_t count(std::string_view pattern) const;
+    /** The mean registered as @p name; panics if there is none. */
+    double mean(std::string_view name) const;
+
+    /** One "name value" line per stat, in registration order. */
+    void dump(std::ostream &os) const;
+
   private:
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Accumulator *> accumulators_;
+    using Source = std::variant<const Counter *, TagCounter *, Formula,
+                                const Accumulator *>;
+    struct Stat
+    {
+        std::string name;
+        Source src;
+    };
+
+    void insert(std::string_view name, Source src);
+    static std::uint64_t valueOf(const Stat &s); ///< panics on a mean
+
+    std::vector<Stat> stats_;
 };
 
 } // namespace barre

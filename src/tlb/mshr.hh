@@ -68,7 +68,6 @@ class Mshr : public DomainOwned
             return Outcome::rejected;
         }
         entries_[key].push_back(std::move(cb));
-        ++primary_;
         return Outcome::primary;
     }
 
@@ -93,14 +92,12 @@ class Mshr : public DomainOwned
     std::size_t occupancy() const { return entries_.size(); }
     std::uint32_t capacity() const { return capacity_; }
 
-    std::uint64_t primaryMisses() const { return primary_.value(); }
     std::uint64_t secondaryMisses() const { return secondary_.value(); }
     std::uint64_t rejections() const { return rejected_.value(); }
 
   private:
     std::uint32_t capacity_;
     FlatMap<Key, std::vector<Callback>> entries_;
-    Counter primary_;
     Counter secondary_;
     Counter rejected_;
 };

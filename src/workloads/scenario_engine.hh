@@ -144,8 +144,12 @@ class ScenarioEngine : public SimObject, public DomainOwned
      */
     LogHistogram mergedLatency(ProcessId pid) const;
 
-    std::uint64_t launches() const { return launches_.value(); }
-    std::uint64_t retires() const { return retires_.value(); }
+    void
+    regStats(StatRegistry &stats) const
+    {
+        stats.add(name() + ".launches", launches_);
+        stats.add(name() + ".retires", retires_);
+    }
 
   private:
     /**

@@ -1,5 +1,6 @@
 #include "workloads/trace.hh"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -9,6 +10,28 @@
 
 namespace barre
 {
+
+namespace
+{
+
+/** All of @p tok as a number in @p base up to @p max, else fatal. */
+std::uint64_t
+parseField(std::string_view tok, int base, std::uint64_t max,
+           const char *what, std::size_t lineno)
+{
+    const std::string_view digits =
+        base == 16 && tok.rfind("0x", 0) == 0 ? tok.substr(2) : tok;
+    std::uint64_t v = 0;
+    const char *end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, v, base);
+    if (ec != std::errc{} || stop != end || v > max) {
+        barre_fatal("trace line %zu: bad %s '%s'", lineno, what,
+                    std::string(tok).c_str());
+    }
+    return v;
+}
+
+} // namespace
 
 Trace
 readTrace(std::istream &is)
@@ -24,15 +47,18 @@ readTrace(std::istream &is)
         if (hash != std::string::npos)
             line.erase(hash);
         std::istringstream ls(line);
-        std::string tok;
+        std::string tok, arg, extra;
         if (!(ls >> tok))
             continue;
+        if (ls >> arg >> extra)
+            barre_fatal("trace line %zu: trailing '%s'", lineno,
+                        extra.c_str());
         if (tok == "cta") {
-            std::size_t idx = 0;
-            if (!(ls >> idx))
-                barre_fatal("trace line %zu: bad cta index", lineno);
-            if (trace.ctas.size() <= idx)
-                trace.ctas.resize(idx + 1);
+            // CTAs are dense: reopen one or start the next.
+            const std::uint64_t idx = parseField(
+                arg, 10, trace.ctas.size(), "cta index", lineno);
+            if (idx == trace.ctas.size())
+                trace.ctas.emplace_back();
             current = &trace.ctas[idx];
             continue;
         }
@@ -40,11 +66,10 @@ readTrace(std::istream &is)
             barre_fatal("trace line %zu: access before any 'cta'",
                         lineno);
         AccessDesc a;
-        a.vaddr = std::strtoull(tok.c_str(), nullptr, 16);
-        a.pid = 1;
-        std::uint64_t pid = 0;
-        if (ls >> pid)
-            a.pid = static_cast<ProcessId>(pid);
+        a.vaddr = parseField(tok, 16, ~Addr{0}, "vaddr", lineno);
+        a.pid = arg.empty() ? 1
+                            : static_cast<ProcessId>(parseField(
+                                  arg, 10, ~ProcessId{0}, "pid", lineno));
         current->push_back(a);
     }
     return trace;

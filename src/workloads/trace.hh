@@ -9,6 +9,8 @@
  *   cta <index>            - start the stream of CTA <index>
  *   <hex vaddr>            - one warp-level access (pid defaults to 1)
  *   <hex vaddr> <pid>      - access with an explicit process id
+ * CTA indices are dense: a `cta` line reopens an earlier CTA or starts
+ * the next one.
  */
 
 #pragma once
@@ -38,7 +40,7 @@ struct Trace
     }
 };
 
-/** Parse a trace from a stream. Throws on malformed input. */
+/** Parse a trace from a stream; fatal naming any malformed line. */
 Trace readTrace(std::istream &is);
 
 /** Serialize a trace (readTrace's inverse). */

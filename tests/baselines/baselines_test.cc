@@ -9,6 +9,8 @@
 #include "baselines/valkyrie.hh"
 #include "driver/gpu_driver.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -72,7 +74,7 @@ TEST(Valkyrie, PrefetchesNextVpnOnSequentialStream)
     EXPECT_EQ(svc.prefetchFills(), 1u);
     EXPECT_TRUE(rig.tlbs[0]->peek(1, rig.alloc.start_vpn + 2)
                     .has_value());
-    EXPECT_EQ(rig.iommu.atsRequests(), 3u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 3u);
 }
 
 TEST(Valkyrie, NonSequentialMissDoesNotPrefetch)
@@ -124,7 +126,7 @@ TEST(Valkyrie, DisabledPrefetchIsPlainAts)
         svc.attachL2Tlb(c, rig.tlbs[c].get());
     svc.translate(1, rig.alloc.start_vpn, 0, [](const AtsResponse &) {});
     rig.eq.run();
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(Least, RemoteHitFetchesFromPeerTlb)
@@ -146,7 +148,7 @@ TEST(Least, RemoteHitFetchesFromPeerTlb)
     rig.eq.run();
     EXPECT_EQ(svc.remoteLookups(), 1u);
     EXPECT_EQ(svc.remoteHits(), 1u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 0u);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn)->pfn());
 }
@@ -165,7 +167,7 @@ TEST(Least, MissFallsBackToAts)
     EXPECT_EQ(done, 1);
     EXPECT_EQ(svc.remoteLookups(), 0u);
     EXPECT_EQ(svc.atsFallbacks(), 1u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(Least, RacedEvictionNacksToAts)
@@ -186,7 +188,7 @@ TEST(Least, RacedEvictionNacksToAts)
     rig.eq.run();
     EXPECT_EQ(done, 1);
     EXPECT_EQ(svc.remoteHits(), 0u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(Least, EvictionSpillsToNextChiplet)

@@ -12,6 +12,8 @@
 
 #include "driver/gpu_driver.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -106,7 +108,7 @@ TEST_P(DriverSweep, AllocationInvariantsHold)
 
     // 5. Merged groups only exist where legal.
     if (c.chiplets > 4 || c.merge == 1) {
-        EXPECT_EQ(drv.mergedGroupPages(), 0u);
+        EXPECT_EQ(statsOf(drv).count("driver.merged_pages"), 0u);
     }
 
     // 6. Frame accounting is conserved.

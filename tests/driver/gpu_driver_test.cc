@@ -10,6 +10,8 @@
 
 #include "driver/gpu_driver.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -119,7 +121,7 @@ TEST(GpuDriver, MergedGroupsUseContiguousFrames)
     GpuDriver drv(map, barreParams(2));
     auto a = drv.gpuMalloc(1, 16); // gran 4, width 2
     PageTable &pt = drv.pageTable(1);
-    EXPECT_GT(drv.mergedGroupPages(), 0u);
+    EXPECT_GT(statsOf(drv).count("driver.merged_pages"), 0u);
 
     for (std::uint64_t k = 0; k < 4; ++k) {
         for (std::uint64_t ob = 0; ob < 4; ob += 2) {
@@ -144,7 +146,7 @@ TEST(GpuDriver, MergeDisabledBeyondFourChiplets)
     DriverParams p = barreParams(2);
     GpuDriver drv(map, p);
     auto a = drv.gpuMalloc(1, 32);
-    EXPECT_EQ(drv.mergedGroupPages(), 0u);
+    EXPECT_EQ(statsOf(drv).count("driver.merged_pages"), 0u);
     EXPECT_GT(a.coalesced_pages, 0u); // plain coalescing still works
 }
 

@@ -9,6 +9,8 @@
 #include "driver/migration.hh"
 #include "sim/event_queue.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -52,8 +54,8 @@ TEST(AcudMigrator, DisabledDoesNothing)
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(mig.recordAccess(i, 1, a.start_vpn, 3, 0), 0u);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 0u);
-    EXPECT_EQ(mig.migrationRequests(), 0u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 0u);
+    EXPECT_EQ(statsOf(mig).count("migration.requests"), 0u);
 }
 
 TEST(AcudMigrator, LocalAccessesNeverTrigger)
@@ -64,7 +66,7 @@ TEST(AcudMigrator, LocalAccessesNeverTrigger)
     for (int i = 0; i < 100; ++i)
         mig.recordAccess(i, 1, a.start_vpn, 0, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 0u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 0u);
 }
 
 TEST(AcudMigrator, RemoteAccessesTriggerAtThreshold)
@@ -75,18 +77,19 @@ TEST(AcudMigrator, RemoteAccessesTriggerAtThreshold)
     Vpn v = a.start_vpn; // on chiplet 0
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(mig.recordAccess(i, 1, v, 2, 0), 0u);
-    EXPECT_EQ(mig.migrations(), 0u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 0u);
     // Crossing the threshold launches a request; the access itself is
     // not stalled — the cost lands when the shootdown broadcast
     // returns to this chiplet.
     EXPECT_EQ(mig.recordAccess(10, 1, v, 2, 0), 0u);
-    EXPECT_EQ(mig.migrations(), 0u); // request still in flight
+    // The request is still in flight.
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 0u);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
     EXPECT_EQ(rig.map.chipletOf(rig.drv.pageTable(1).walk(v)->pfn()),
               2u);
-    EXPECT_EQ(mig.migratedBytes(), 4096u);
-    EXPECT_EQ(mig.migrationRequests(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.bytes"), 4096u);
+    EXPECT_EQ(statsOf(mig).count("migration.requests"), 1u);
 }
 
 TEST(AcudMigrator, InvalidateHookReceivesStaleVpnsOnEveryChiplet)
@@ -114,7 +117,7 @@ TEST(AcudMigrator, AccessesDuringCopyStall)
     auto a = rig.drv.gpuMalloc(1, 12);
     EXPECT_EQ(mig.recordAccess(0, 1, a.start_vpn, 1, 0), 0u);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
     // Every chiplet froze for copy + shootdown_cost once its copy of
     // the broadcast arrived.
     Tick frozen = mig.frozenUntil(1);
@@ -135,13 +138,13 @@ TEST(AcudMigrator, CountersResetAfterMigration)
     for (int i = 0; i < 3; ++i)
         mig.recordAccess(i, 1, v, 1, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
     // Two more remote accesses from chiplet 2 are below threshold (the
     // shootdown wiped every shard's counter for the page).
     mig.recordAccess(1'000'000, 1, v, 2, 1);
     mig.recordAccess(1'000'001, 1, v, 2, 1);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
 }
 
 TEST(AcudMigrator, RequestsDedupWhileInFlight)
@@ -154,8 +157,8 @@ TEST(AcudMigrator, RequestsDedupWhileInFlight)
     for (int i = 0; i < 10; ++i)
         mig.recordAccess(i, 1, a.start_vpn, 1, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.migrationRequests(), 1u);
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.requests"), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
 }
 
 TEST(AcudMigrator, ShootdownRoundCollectsOneAckPerChiplet)
@@ -165,8 +168,8 @@ TEST(AcudMigrator, ShootdownRoundCollectsOneAckPerChiplet)
     auto a = rig.drv.gpuMalloc(1, 12);
     mig.recordAccess(0, 1, a.start_vpn, 1, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.shootdownRounds(), 1u);
-    EXPECT_EQ(mig.shootdownAcks(), 4u);
+    EXPECT_EQ(statsOf(mig).count("migration.shootdown_rounds"), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.shootdown_acks"), 4u);
     ASSERT_EQ(mig.roundLatency().count(), 1u);
     // The round is bounded below by the PCIe round trip: request up,
     // shootdown down, ack up.
@@ -184,9 +187,9 @@ TEST(AcudMigrator, QueuedRequestsRunSequentially)
     mig.recordAccess(0, 1, v0, 1, 0);
     mig.recordAccess(0, 1, v1, 3, 2);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 2u);
-    EXPECT_EQ(mig.shootdownRounds(), 2u);
-    EXPECT_EQ(mig.shootdownAcks(), 8u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 2u);
+    EXPECT_EQ(statsOf(mig).count("migration.shootdown_rounds"), 2u);
+    EXPECT_EQ(statsOf(mig).count("migration.shootdown_acks"), 8u);
 }
 
 TEST(AcudMigrator, CooldownDeniesImmediateReturn)
@@ -198,15 +201,15 @@ TEST(AcudMigrator, CooldownDeniesImmediateReturn)
     mig.recordAccess(0, 1, v, 1, 0);
     mig.recordAccess(1, 1, v, 1, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
     // The page just moved; pulling it back inside the cooldown window
     // is denied (the request still counts, the round never starts).
     Tick t = rig.eq.now();
     mig.recordAccess(t, 1, v, 0, 1);
     mig.recordAccess(t + 1, 1, v, 0, 1);
     rig.eq.run();
-    EXPECT_EQ(mig.migrationRequests(), 2u);
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.requests"), 2u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
 }
 
 TEST(AcudMigrator, PingPongPossibleWithoutCooldown)
@@ -220,10 +223,10 @@ TEST(AcudMigrator, PingPongPossibleWithoutCooldown)
     mig.recordAccess(0, 1, v, 1, 0);
     mig.recordAccess(1, 1, v, 1, 0);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 1u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 1u);
     Tick t = rig.eq.now();
     mig.recordAccess(t, 1, v, 0, 1);
     mig.recordAccess(t + 1, 1, v, 0, 1);
     rig.eq.run();
-    EXPECT_EQ(mig.migrations(), 2u);
+    EXPECT_EQ(statsOf(mig).count("migration.count"), 2u);
 }

@@ -10,6 +10,8 @@
 #include "gpu/chiplet.hh"
 #include "gpu/translation_service.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -67,8 +69,8 @@ TEST(Chiplet, ColdAccessWalksThenWarmHits)
     rig.eq.run();
     EXPECT_GT(cold, 800u); // IOMMU round trip dominates
     EXPECT_LT(warm, 200u); // L1 TLB hit; new line fills from local DRAM
-    EXPECT_EQ(rig.chip0->l2TlbMisses(), 1u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l2tlb.misses"), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(Chiplet, L1HitAvoidsL2)
@@ -93,7 +95,8 @@ TEST(Chiplet, MshrMergesSameVpn)
     rig.chip0->access(1, 1, rig.addrOfPage(1) + 64, [&] { ++done; });
     rig.eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u); // merged at the MSHR
+    // Merged at the MSHR.
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(Chiplet, MshrParkingWhenFull)
@@ -106,8 +109,8 @@ TEST(Chiplet, MshrParkingWhenFull)
         rig.chip0->access(0, 1, rig.addrOfPage(p), [&] { ++done; });
     rig.eq.run();
     EXPECT_EQ(done, 6);
-    EXPECT_GT(rig.chip0->mshrRetries(), 0u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 6u);
+    EXPECT_GT(statsOf(*rig.chip0).count("gpu0.l2tlb.mshr_retries"), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 6u);
 }
 
 TEST(Chiplet, LocalVsRemoteDataLatency)
@@ -130,8 +133,8 @@ TEST(Chiplet, LocalVsRemoteDataLatency)
     });
     rig.eq.run();
     EXPECT_GT(remote, local + 2 * 32); // two NoC hops
-    EXPECT_GT(rig.chip0->remoteDataAccesses(), 0u);
-    EXPECT_GT(rig.chip0->localDataAccesses(), 0u);
+    EXPECT_GT(statsOf(*rig.chip0).count("gpu0.data.remote"), 0u);
+    EXPECT_GT(statsOf(*rig.chip0).count("gpu0.data.local"), 0u);
 }
 
 TEST(Chiplet, SiblingL1ProbeServesPeerCu)
@@ -147,7 +150,7 @@ TEST(Chiplet, SiblingL1ProbeServesPeerCu)
     });
     rig.eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(rig.chip0->siblingProbeHits(), 1u);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l1tlb.sibling_hits"), 1u);
     EXPECT_EQ(rig.chip0->l2TlbAccesses(), 1u);
 }
 
@@ -162,7 +165,7 @@ TEST(Chiplet, ShootdownForcesRetranslation)
     });
     rig.eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(rig.iommu.atsRequests(), 2u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 2u);
 }
 
 TEST(Chiplet, ValidatorSeesEveryFill)
@@ -205,6 +208,6 @@ TEST(Chiplet, SharedL2TlbServesBothChiplets)
     });
     rig.eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
-    EXPECT_EQ(rig.chip1->l2TlbMisses(), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
+    EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.misses"), 0u);
 }

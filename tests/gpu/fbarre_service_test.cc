@@ -11,6 +11,8 @@
 #include "gpu/chiplet.hh"
 #include "gpu/fbarre_service.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -86,9 +88,9 @@ TEST(FBarre, FirstMissFallsBackToAts)
 {
     Rig rig;
     rig.fill(0, rig.alloc.start_vpn);
-    EXPECT_EQ(rig.fb->fallbacks(), 1u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
-    EXPECT_EQ(rig.fb->localCalcHits(), 0u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.fallbacks"), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.local_calc_hits"), 0u);
 }
 
 TEST(FBarre, LocalCalcWhenLocalTlbHasGroupMember)
@@ -106,11 +108,12 @@ TEST(FBarre, LocalCalcWhenLocalTlbHasGroupMember)
                           calculated = r.calculated;
                       });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->localCalcHits(), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.local_calc_hits"), 1u);
     EXPECT_TRUE(calculated);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn + 3)->pfn());
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u); // no new ATS
+    // No new ATS.
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(FBarre, RemotePeerCalculatesViaRcf)
@@ -123,11 +126,11 @@ TEST(FBarre, RemotePeerCalculatesViaRcf)
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [&](const AtsResponse &r) { pfn = r.pfn; });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteProbes(), 1u);
-    EXPECT_EQ(rig.fb->remoteHits(), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_probes"), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_hits"), 1u);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn + 6)->pfn());
-    EXPECT_EQ(rig.iommu.atsRequests(), 1u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
 }
 
 TEST(FBarre, RemotePeerServesExactVpn)
@@ -139,7 +142,7 @@ TEST(FBarre, RemotePeerServesExactVpn)
     rig.fb->translate(1, rig.alloc.start_vpn, 1,
                       [&](const AtsResponse &r) { pfn = r.pfn; });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteHits(), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_hits"), 1u);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn)->pfn());
 }
@@ -160,8 +163,8 @@ TEST(FBarre, EvictionWithdrawsFilterState)
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [](const AtsResponse &) {});
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteProbes(), 0u);
-    EXPECT_EQ(rig.fb->fallbacks(), 2u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_probes"), 0u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.fallbacks"), 2u);
 }
 
 TEST(FBarre, MispredictionNacksAndFallsBack)
@@ -179,9 +182,10 @@ TEST(FBarre, MispredictionNacksAndFallsBack)
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [&](const AtsResponse &r) { pfn = r.pfn; });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteProbes(), 1u);
-    EXPECT_EQ(rig.fb->remoteHits(), 0u);
-    EXPECT_EQ(rig.fb->fallbacks(), 2u); // initial fill + this NACK
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_probes"), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_hits"), 0u);
+    // The initial fill and this NACK.
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.fallbacks"), 2u);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn + 6)->pfn());
 }
@@ -191,7 +195,7 @@ TEST(FBarre, FilterUpdatesCountedPerPeerAndMember)
     Rig rig;
     rig.fill(0, rig.alloc.start_vpn);
     // 3 peers x 4 group members = 12 add-updates.
-    EXPECT_EQ(rig.fb->filterUpdates(), 12u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.filter_updates"), 12u);
 }
 
 TEST(FBarre, PeerSharingDisabledGoesStraightToAts)
@@ -204,9 +208,9 @@ TEST(FBarre, PeerSharingDisabledGoesStraightToAts)
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [&](const AtsResponse &r) { pfn = r.pfn; });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteProbes(), 0u);
-    EXPECT_EQ(rig.iommu.atsRequests(), 2u);
-    EXPECT_EQ(rig.fb->filterUpdates(), 0u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_probes"), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 2u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.filter_updates"), 0u);
 }
 
 TEST(FBarre, ShootdownResetsFilters)
@@ -217,7 +221,8 @@ TEST(FBarre, ShootdownResetsFilters)
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [](const AtsResponse &) {});
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteProbes(), 0u); // RCFs are clean
+    // The RCFs are clean.
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_probes"), 0u);
 }
 
 TEST(FBarre, OracleSharingAvoidsNoc)
@@ -225,14 +230,15 @@ TEST(FBarre, OracleSharingAvoidsNoc)
     FBarreParams fp;
     fp.oracle_sharing = true;
     Rig rig(fp);
-    std::uint64_t noc_before = rig.noc.totalMessages();
+    std::uint64_t noc_before = statsOf(rig.noc).count("noc.messages");
     rig.fill(0, rig.alloc.start_vpn);
     Pfn pfn = invalid_pfn;
     rig.fb->translate(1, rig.alloc.start_vpn + 6, 2,
                       [&](const AtsResponse &r) { pfn = r.pfn; });
     rig.eq.run();
-    EXPECT_EQ(rig.fb->remoteHits(), 1u);
-    EXPECT_EQ(rig.noc.totalMessages(), noc_before); // no NoC traffic
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.remote_hits"), 1u);
+    // No NoC traffic.
+    EXPECT_EQ(statsOf(rig.noc).count("noc.messages"), noc_before);
     EXPECT_EQ(pfn,
               rig.drv.pageTable(1).walk(rig.alloc.start_vpn + 6)->pfn());
 }
@@ -256,7 +262,7 @@ TEST(FBarre, MergedGroupsCalculateAcrossTheRun)
                       });
     rig.eq.run();
     EXPECT_TRUE(calculated);
-    EXPECT_EQ(rig.fb->localCalcHits(), 1u);
+    EXPECT_EQ(statsOf(*rig.fb).count("fb.local_calc_hits"), 1u);
     EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(big.start_vpn + 1)->pfn());
 }
 

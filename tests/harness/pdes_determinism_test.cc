@@ -315,10 +315,13 @@ TEST(PdesDeterminism, MigrationShootdownTrafficIsModeled)
 
     AcudMigrator *mig = sys.migrator();
     ASSERT_NE(mig, nullptr);
-    EXPECT_GT(mig->migrations(), 0u);
-    EXPECT_EQ(mig->shootdownRounds(), mig->migrations());
-    EXPECT_EQ(mig->shootdownAcks(),
-              mig->shootdownRounds() * sys.config().chiplets);
+    const StatRegistry &stats = sys.stats();
+    EXPECT_GT(stats.count("migration.count"), 0u);
+    EXPECT_EQ(stats.count("migration.shootdown_rounds"),
+              stats.count("migration.count"));
+    EXPECT_EQ(stats.count("migration.shootdown_acks"),
+              stats.count("migration.shootdown_rounds") *
+                  sys.config().chiplets);
     ASSERT_GT(mig->roundLatency().count(), 0u);
     // A round starts once the request has arrived host-side; shootdown
     // down + ack up can never beat two PCIe traversals.

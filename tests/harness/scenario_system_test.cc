@@ -178,8 +178,8 @@ TEST(ScenarioTeardown, ExitedTenantsLeaveNoResidue)
     ScenarioEngine *eng = sys.scenarioEngine();
     ASSERT_NE(eng, nullptr);
     EXPECT_TRUE(eng->allRetired());
-    EXPECT_EQ(eng->launches(), churn_n);
-    EXPECT_EQ(eng->retires(), churn_n);
+    EXPECT_EQ(sys.stats().count("scenario.launches"), churn_n);
+    EXPECT_EQ(sys.stats().count("scenario.retires"), churn_n);
 
     // Every tenant's page table is gone and the IOMMU dropped its
     // context — teardown ran once per process, not just the last.

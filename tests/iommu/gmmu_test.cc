@@ -8,6 +8,8 @@
 #include "driver/gpu_driver.hh"
 #include "iommu/gmmu.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -64,8 +66,8 @@ TEST(Gmmu, LocalWalkStaysOnChiplet)
         pfn = r.pfn;
     });
     rig.eq.run();
-    EXPECT_EQ(gmmu.localWalks(), 1u);
-    EXPECT_EQ(gmmu.remoteWalks(), 0u);
+    EXPECT_EQ(statsOf(gmmu).count("gmmu.local_walks"), 1u);
+    EXPECT_EQ(statsOf(gmmu).count("gmmu.remote_walks"), 0u);
     EXPECT_EQ(done, 502u); // walk + 2-cycle egress, no NoC
     EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(rig.alloc.start_vpn)->pfn());
 }
@@ -82,8 +84,8 @@ TEST(Gmmu, RemoteWalkCrossesTheNoc)
     gmmu.translate(1, rig.alloc.start_vpn + 3, 0,
                    [&](const AtsResponse &) { done = rig.eq.now(); });
     rig.eq.run();
-    EXPECT_EQ(gmmu.remoteWalks(), 1u);
-    EXPECT_EQ(gmmu.localWalks(), 0u);
+    EXPECT_EQ(statsOf(gmmu).count("gmmu.remote_walks"), 1u);
+    EXPECT_EQ(statsOf(gmmu).count("gmmu.local_walks"), 0u);
     // Two NoC hops (33 each) + 500 walk.
     EXPECT_EQ(done, 566u);
 }
@@ -129,10 +131,14 @@ TEST(Gmmu, BarreCoalescesQueuedGroupMembers)
     }
     rig.eq.run();
     ASSERT_EQ(results.size(), 4u);
-    EXPECT_EQ(gmmu.localRequests() + gmmu.remoteRequests(), 4u);
+    const StatRegistry stats = statsOf(gmmu);
+    const std::uint64_t walks =
+        stats.count("gmmu.local_walks") + stats.count("gmmu.remote_walks");
+    // Every request is served by a walk or by coalescing onto one.
+    EXPECT_EQ(walks + stats.count("gmmu.pec_calculated"), 4u);
     // One walk serves the whole group.
-    EXPECT_EQ(gmmu.localWalks() + gmmu.remoteWalks(), 1u);
-    EXPECT_EQ(gmmu.coalescedTranslations(), 3u);
+    EXPECT_EQ(walks, 1u);
+    EXPECT_EQ(stats.count("gmmu.pec_calculated"), 3u);
     for (auto [v, pfn] : results)
         EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(v)->pfn());
 }

@@ -10,6 +10,8 @@
 #include "driver/gpu_driver.hh"
 #include "iommu/iommu.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -133,8 +135,8 @@ TEST(IommuDemandPaging, FaultMapsWholeGroupOnce)
         });
     });
     rig.eq.run();
-    EXPECT_EQ(iommu.pageFaults(), 1u);
-    EXPECT_EQ(rig.drv.demandFaults(), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.page_faults"), 1u);
+    EXPECT_EQ(statsOf(rig.drv).count("driver.demand_faults"), 1u);
     EXPECT_GT(first, 5000u);
     EXPECT_LT(second - first, 2000u); // no second fault
     EXPECT_NE(pfn1, invalid_pfn);
@@ -179,7 +181,7 @@ TEST(DriverDemandPaging, NonBarreFaultsSinglePages)
     EXPECT_FALSE(drv.pageTable(1).walk(a.start_vpn + 3).has_value());
     // Second fault on the same page is a no-op.
     EXPECT_TRUE(drv.faultIn(1, a.start_vpn).empty());
-    EXPECT_EQ(drv.demandFaults(), 1u);
+    EXPECT_EQ(statsOf(drv).count("driver.demand_faults"), 1u);
 }
 
 TEST(DriverDemandPaging, BarreFaultsGroups)

@@ -10,6 +10,8 @@
 #include "driver/gpu_driver.hh"
 #include "iommu/iommu.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 namespace
@@ -59,8 +61,8 @@ TEST(Iommu, SingleRequestRoundTripTiming)
     // 151 up + 500 walk + 151 down.
     EXPECT_EQ(done, 802u);
     EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(a.start_vpn)->pfn());
-    EXPECT_EQ(iommu.atsRequests(), 1u);
-    EXPECT_EQ(iommu.walks(), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.ats_requests"), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 1u);
 }
 
 TEST(Iommu, SinglePtwSerializesWalks)
@@ -100,7 +102,7 @@ TEST(Iommu, InfinitePtwsWalkInParallel)
     ASSERT_EQ(done.size(), 32u);
     // All walks overlap; only PCIe serialization spreads completions.
     EXPECT_LT(done.back() - done.front(), 500u);
-    EXPECT_EQ(iommu.walks(), 32u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 32u);
 }
 
 TEST(Iommu, OverflowBeyondPwQueueStillServed)
@@ -119,7 +121,7 @@ TEST(Iommu, OverflowBeyondPwQueueStillServed)
     }
     rig.eq.run();
     EXPECT_EQ(completed, 20);
-    EXPECT_EQ(iommu.walks(), 20u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 20u);
 }
 
 TEST(Iommu, UnmappedVpnYieldsInvalidPfn)
@@ -157,8 +159,8 @@ TEST(Iommu, BarrePecCoalescesPendingGroupMembers)
     rig.eq.run();
     ASSERT_EQ(results.size(), 4u);
     // One walk serves the group; the rest are calculated.
-    EXPECT_EQ(iommu.walks(), 1u);
-    EXPECT_EQ(iommu.coalescedTranslations(), 3u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.pec_calculated"), 3u);
     for (auto [v, pfn] : results)
         EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(v)->pfn());
 }
@@ -179,8 +181,8 @@ TEST(Iommu, BarreServesExactDuplicateRequests)
     }
     rig.eq.run();
     EXPECT_EQ(completed, 3);
-    EXPECT_EQ(iommu.walks(), 1u);
-    EXPECT_EQ(iommu.coalescedTranslations(), 2u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.pec_calculated"), 2u);
 }
 
 TEST(Iommu, CoalescedResponsesCarryPecEntry)
@@ -223,9 +225,9 @@ TEST(Iommu, CoalAwareSchedulingDefersCoalescibleHeads)
     rig.eq.run();
     EXPECT_EQ(completed, 4);
     // With 4 PTWs but coalescing-aware scheduling, one walk suffices.
-    EXPECT_EQ(iommu.walks(), 1u);
-    EXPECT_EQ(iommu.coalescedTranslations(), 3u);
-    EXPECT_GT(iommu.schedulerDeferrals(), 0u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.pec_calculated"), 3u);
+    EXPECT_GT(statsOf(iommu).count("iommu.sched_deferrals"), 0u);
 }
 
 TEST(Iommu, WithoutCoalSchedulingParallelWalksWaste)
@@ -247,8 +249,8 @@ TEST(Iommu, WithoutCoalSchedulingParallelWalksWaste)
     EXPECT_EQ(completed, 4);
     // All four arrive within the PCIe pipeline spread, so all four
     // dispatch to distinct PTWs before any walk completes.
-    EXPECT_EQ(iommu.walks(), 4u);
-    EXPECT_EQ(iommu.coalescedTranslations(), 0u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 4u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.pec_calculated"), 0u);
 }
 
 TEST(Iommu, IommuTlbHitsSkipWalks)
@@ -269,8 +271,8 @@ TEST(Iommu, IommuTlbHitsSkipWalks)
         });
     });
     rig.eq.run();
-    EXPECT_EQ(iommu.walks(), 1u);
-    EXPECT_EQ(iommu.iommuTlbHits(), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.walks"), 1u);
+    EXPECT_EQ(statsOf(iommu).count("iommu.tlb_hits"), 1u);
     // Hit path: 151 + 200 + 151 ~ 502 < miss path ~ 1002.
     EXPECT_LT(second - first, first);
 }

@@ -9,6 +9,8 @@
 #include "noc/link.hh"
 #include "noc/pcie.hh"
 
+#include "stats_of.hh"
+
 using namespace barre;
 
 TEST(Link, DeliversAfterSerializationPlusLatency)
@@ -19,8 +21,8 @@ TEST(Link, DeliversAfterSerializationPlusLatency)
     link.send(64, [&] { at = eq.now(); });
     eq.run();
     EXPECT_EQ(at, 1u + 32u); // 1 cycle serialize + 32 latency
-    EXPECT_EQ(link.messages(), 1u);
-    EXPECT_EQ(link.bytesSent(), 64u);
+    EXPECT_EQ(link.messages().value(), 1u);
+    EXPECT_EQ(link.bytesSent().value(), 64u);
 }
 
 TEST(Link, BackToBackMessagesQueueOnTheWire)
@@ -66,8 +68,8 @@ TEST(Interconnect, RoutesBetweenChiplets)
     noc.send(0, 3, 64, [&] { at = eq.now(); });
     eq.run();
     EXPECT_EQ(at, 33u);
-    EXPECT_EQ(noc.totalMessages(), 1u);
-    EXPECT_EQ(noc.totalBytes(), 64u);
+    EXPECT_EQ(statsOf(noc).count("noc.messages"), 1u);
+    EXPECT_EQ(statsOf(noc).count("noc.bytes"), 64u);
 }
 
 TEST(Interconnect, SelfSendPanics)
@@ -108,8 +110,8 @@ TEST(Pcie, DirectionsAreIndependent)
     eq.run();
     EXPECT_EQ(up, 151u);
     EXPECT_EQ(down, 151u); // no cross-direction contention
-    EXPECT_EQ(pcie.upstream().bytesSent(), 32u);
-    EXPECT_EQ(pcie.downstream().bytesSent(), 32u);
+    EXPECT_EQ(pcie.upstream().bytesSent().value(), 32u);
+    EXPECT_EQ(pcie.downstream().bytesSent().value(), 32u);
 }
 
 TEST(Link, SerializationCyclesIsAnExactCeiling)

@@ -47,6 +47,68 @@ TEST(Trace, AccessBeforeCtaIsFatal)
     EXPECT_THROW(readTrace(ss), std::runtime_error);
 }
 
+namespace
+{
+
+/** readTrace(@p text) must fail naming @p line and @p token. */
+void
+expectFatalAt(const std::string &text, int line, const std::string &token)
+{
+    std::stringstream ss(text);
+    try {
+        readTrace(ss);
+        ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("trace line " + std::to_string(line) + ":"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(token), std::string::npos) << msg;
+    }
+}
+
+} // namespace
+
+TEST(Trace, NonHexVaddrIsFatal)
+{
+    expectFatalAt("cta 0\n1000\nzz\n", 3, "'zz'");
+}
+
+TEST(Trace, VaddrWithJunkIsFatal)
+{
+    expectFatalAt("cta 0\n12xyz\n", 2, "'12xyz'");
+}
+
+TEST(Trace, PidWithJunkIsFatal)
+{
+    expectFatalAt("cta 0\n1000 7junk\n", 2, "'7junk'");
+}
+
+TEST(Trace, PidOverflowIsFatal)
+{
+    expectFatalAt("cta 0\n1000 4294967297\n", 2, "'4294967297'");
+    // The largest 32-bit pid still parses.
+    std::stringstream ok("cta 0\n1000 4294967295\n");
+    EXPECT_EQ(readTrace(ok).ctas[0][0].pid, 4294967295u);
+}
+
+TEST(Trace, TrailingTokenIsFatal)
+{
+    expectFatalAt("cta 0\n1000 2 extra\n", 2, "'extra'");
+    expectFatalAt("cta 0 1\n", 1, "'1'");
+}
+
+TEST(Trace, CtaIndexGapIsFatal)
+{
+    expectFatalAt("cta 0\n1000\ncta 99999999999\n", 3, "'99999999999'");
+    expectFatalAt("cta 1\n", 1, "'1'");
+    // Reopening an earlier CTA appends to it.
+    std::stringstream ok("cta 0\n1000\ncta 1\n2000\ncta 0\n3000\n");
+    Trace t = readTrace(ok);
+    ASSERT_EQ(t.ctas.size(), 2u);
+    EXPECT_EQ(t.ctas[0].size(), 2u);
+}
+
 TEST(Trace, RecordMatchesGenerator)
 {
     MemoryMap map(4, 1 << 20);
