@@ -87,8 +87,9 @@ struct SystemConfig
      * the simulation into. 0 (default) keeps the legacy serial queue;
      * 1 runs the tagged engine on one domain (serial, but with the
      * partition-independent event ordering — the reference the
-     * multi-domain runs are proven bitwise-identical to); >= 2 gives
-     * the host its own domain and round-robins chiplets over the rest.
+     * multi-domain runs are proven bitwise-identical to; it drains in
+     * a single epoch of the same scheduler loop); >= 2 gives the host
+     * its own domain and round-robins chiplets over the rest.
      * Clamped to chiplets + 1. The two configurations with read-side
      * races across domain boundaries (migration's PTE surgery under
      * GMMU-side walks, and validated demand paging — see

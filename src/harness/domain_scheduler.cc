@@ -111,27 +111,14 @@ returnPool(std::unique_ptr<ThreadPool> p)
         g_idle_pools.push_back(std::move(p));
 }
 
-/** Epoch loop on the calling thread only (still epoch-structured, so
- *  the staging/drain machinery behaves exactly as in parallel mode). */
+/**
+ * The epoch loop, on @p workers workers: the calling thread plus, when
+ * @p workers > 1, the pinned workers of @p pool. One worker runs it on
+ * the calling thread alone; its barrier waits return at once.
+ */
 void
-serialEpochs(TaggedEngine &eng, Tick lookahead)
-{
-    const std::uint32_t domains = eng.domains();
-    for (;;) {
-        const Tick next = eng.nextEventTick();
-        if (next == max_tick)
-            break;
-        const Tick horizon = clampAdd(next, lookahead);
-        eng.beginEpoch(horizon);
-        for (std::uint32_t d = 0; d < domains; ++d)
-            eng.runEpoch(d, horizon);
-        eng.drainStaged();
-    }
-}
-
-void
-parallelEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool &pool,
-               unsigned workers)
+runEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool *pool,
+          unsigned workers)
 {
     struct Shared
     {
@@ -152,7 +139,7 @@ parallelEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool &pool,
     sh.horizon = clampAdd(first, lookahead);
     eng.beginEpoch(sh.horizon);
 
-    pool.runPinned(workers, [&sh](std::size_t w) {
+    auto worker = [&sh](std::size_t w) {
         try {
             for (;;) {
                 // Phase A: fire this worker's domains below the
@@ -187,7 +174,11 @@ parallelEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool &pool,
             sh.barrier.abort();
             throw;
         }
-    });
+    };
+    if (pool)
+        pool->runPinned(workers, worker);
+    else
+        worker(0);
 }
 
 } // namespace
@@ -215,36 +206,24 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
     if (want < 1)
         want = 1;
 
+    // A one-worker lease (asked for, or all the budget had left) runs
+    // the same epoch loop with no pool; results never depend on it.
+    const unsigned granted = budget().acquire(want);
+    std::unique_ptr<ThreadPool> pool =
+        granted > 1 ? checkoutPool(granted) : nullptr;
     eng->setRunning(true);
-    if (domains == 1) {
-        // One domain stages nothing; a single unbounded epoch drains
-        // the run without any scheduling overhead.
-        eng->beginEpoch(max_tick);
-        eng->runEpoch(0, max_tick);
-    } else if (want == 1) {
-        serialEpochs(*eng, lookahead);
-    } else {
-        const unsigned granted = budget().acquire(want);
-        if (granted == 1) {
-            // Budget exhausted by concurrent runs; results don't
-            // depend on the thread count, so run single-threaded
-            // rather than oversubscribing.
-            serialEpochs(*eng, lookahead);
-            budget().release(granted);
-        } else {
-            std::unique_ptr<ThreadPool> pool = checkoutPool(granted);
-            try {
-                parallelEpochs(*eng, lookahead, *pool, granted);
-            } catch (...) {
-                returnPool(std::move(pool));
-                budget().release(granted);
-                throw;
-            }
+    try {
+        runEpochs(*eng, lookahead, pool.get(), granted);
+    } catch (...) {
+        if (pool)
             returnPool(std::move(pool));
-            budget().release(granted);
-        }
+        budget().release(granted);
+        throw;
     }
     eng->setRunning(false);
+    if (pool)
+        returnPool(std::move(pool));
+    budget().release(granted);
     barre_assert(eng->empty(), "partitioned run left staged events");
     return eng->fired() - fired_before;
 }

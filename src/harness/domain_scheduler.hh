@@ -106,7 +106,8 @@ class DomainScheduler
      * @param eq        an EventQueue with enableTags() applied.
      * @param lookahead global conservative lookahead in ticks (>= 1);
      *                  must not exceed any cross-domain link's minimum
-     *                  delivery delay.
+     *                  delivery delay. With no cross-domain link (one
+     *                  domain) pass max_tick: the run is one epoch.
      * @param threads   worker threads to use (clamped to the domain
      *                  count; 0 = ThreadPool::defaultWorkers()).
      * @return events fired during this run.

@@ -1,42 +1,30 @@
 #include "harness/pool.hh"
 
-#include <cerrno>
 #include <cstdlib>
 
+#include "harness/sweep_io.hh"
 #include "sim/logging.hh"
 
 namespace barre
 {
 
 unsigned
-ThreadPool::parseJobs(const char *s)
-{
-    if (!s || !*s)
-        return 0;
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0')
-        return 0; // not a number, or trailing garbage ("4x")
-    if (errno == ERANGE || v > static_cast<long long>(kMaxJobs)) {
-        barre_warn("BARRE_JOBS='%s' exceeds the %u-worker cap; "
-                   "clamping",
-                   s, kMaxJobs);
-        return kMaxJobs;
-    }
-    if (v < 1)
-        return 0;
-    return static_cast<unsigned>(v);
-}
-
-unsigned
 ThreadPool::defaultWorkers()
 {
-    if (const char *s = std::getenv("BARRE_JOBS")) {
-        unsigned v = parseJobs(s);
-        if (v >= 1)
-            return v;
-        barre_warn("ignoring invalid BARRE_JOBS='%s'", s);
+    // Strict, like every other numeric knob: a typo must not quietly
+    // run on every core. Empty means unset.
+    const char *s = std::getenv("BARRE_JOBS");
+    if (s && *s) {
+        const unsigned v = parseUnsignedArg(s, "BARRE_JOBS");
+        if (v == 0)
+            barre_fatal("BARRE_JOBS: must be >= 1, got '%s'", s);
+        if (v > kMaxJobs) {
+            barre_warn("BARRE_JOBS='%s' exceeds the %u-worker cap; "
+                       "clamping",
+                       s, kMaxJobs);
+            return kMaxJobs;
+        }
+        return v;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -84,23 +84,15 @@ class ThreadPool
                    const std::function<void(std::size_t)> &fn);
 
     /**
-     * Worker count policy: $BARRE_JOBS if set (>= 1), else
-     * std::thread::hardware_concurrency(), else 1.
+     * Worker count policy: $BARRE_JOBS if set and non-empty, else
+     * std::thread::hardware_concurrency(), else 1. A malformed, zero,
+     * negative or out-of-range $BARRE_JOBS is fatal; values above
+     * kMaxJobs clamp to it with a warning.
      */
     static unsigned defaultWorkers();
 
-    /** Largest worker count parseJobs()/defaultWorkers() will accept;
-     *  bigger values are clamped with a warning. */
+    /** Largest worker count defaultWorkers() returns. */
     static constexpr unsigned kMaxJobs = 1024;
-
-    /**
-     * Strict worker-count parsing for $BARRE_JOBS: returns the value
-     * for a well-formed positive integer, clamps values above kMaxJobs
-     * to kMaxJobs (with a warning), and returns 0 for anything else —
-     * empty, trailing garbage ("4x"), negative, or zero. Callers treat
-     * 0 as "fall back to hardware concurrency".
-     */
-    static unsigned parseJobs(const char *s);
 
   private:
     struct WorkerQueue

@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 
+#include "harness/csv.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -133,10 +134,18 @@ readShardCsv(std::istream &is, const std::string &name)
     if (sf.header.rfind("config,app", 0) != 0)
         barre_fatal("%s: '%s' does not look like a sweep CSV header",
                     name.c_str(), sf.header.c_str());
+    const std::size_t fields = splitCsvRecord(sf.header).size();
     std::string line;
-    while (std::getline(is, line)) {
+    for (std::size_t row = 1; std::getline(is, line); ++row) {
         if (line.empty())
             continue;
+        // A shard cut off mid-write ends in a short row; catch it here
+        // rather than merging a corrupt CSV.
+        const std::size_t got = splitCsvRecord(line).size();
+        if (got != fields)
+            barre_fatal("%s: data row %zu has %zu fields, the header "
+                        "has %zu — truncated shard file?",
+                        name.c_str(), row, got, fields);
         sf.rows.push_back(line);
     }
     std::size_t expect =

@@ -20,6 +20,31 @@ geomean(const std::vector<double> &xs)
     return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
+namespace
+{
+
+/**
+ * @p app 's CTA count as @p cfg runs it: workload_scale applied and
+ * floored at four CTAs per chiplet, then @p tenant_scale applied and
+ * floored at one.
+ */
+AppParams
+scaleCtas(const SystemConfig &cfg, AppParams app, double tenant_scale)
+{
+    if (cfg.workload_scale != 1.0) {
+        app.ctas = std::max<std::uint32_t>(
+            cfg.chiplets * 4,
+            static_cast<std::uint32_t>(app.ctas * cfg.workload_scale));
+    }
+    if (tenant_scale != 1.0) {
+        app.ctas = std::max<std::uint32_t>(
+            1, static_cast<std::uint32_t>(app.ctas * tenant_scale));
+    }
+    return app;
+}
+
+} // namespace
+
 System::System(SystemConfig cfg) : System(freezeConfig(std::move(cfg)))
 {}
 
@@ -257,7 +282,9 @@ System::setupPartition()
     // can carry a cross-domain message of (1 serialization cycle +
     // latency). PCIe and the shared-TLB links cross whenever the host
     // is split off; the NoC and the oracle's cross-chiplet updates only
-    // cross once chiplets land in at least two distinct domains.
+    // cross once chiplets land in at least two distinct domains. With
+    // no crossing link (one domain) the lookahead stays max_tick and
+    // the run drains in one epoch.
     Tick lookahead = max_tick;
     if (domains >= 2) {
         lookahead = std::min<Tick>(lookahead, 1 + cfg_.pcie.latency);
@@ -277,9 +304,6 @@ System::setupPartition()
                                        cfg_.fbarre.oracle_latency);
         }
     }
-    if (lookahead == max_tick)
-        lookahead = 1; // one domain: the single epoch is unbounded
-
     pdes_.on = true;
     pdes_.domains = domains;
     pdes_.lookahead = lookahead;
@@ -377,17 +401,7 @@ System::loadWorkload(const AppParams &app,
                      const std::vector<DataAlloc> &allocs,
                      double tenant_scale)
 {
-    AppParams eff = app;
-    if (cfg_.workload_scale != 1.0) {
-        eff.ctas = std::max<std::uint32_t>(
-            cfg_.chiplets * 4,
-            static_cast<std::uint32_t>(app.ctas * cfg_.workload_scale));
-    }
-    if (tenant_scale != 1.0) {
-        eff.ctas = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(eff.ctas * tenant_scale));
-    }
-
+    const AppParams eff = scaleCtas(cfg_, app, tenant_scale);
     for (std::uint32_t t = 0; t < eff.ctas; ++t) {
         auto accesses = generateCta(eff, allocs, t, cfg_.page_size);
         ChipletId c = assignCta(cfg_.driver.policy, eff, allocs, t,
@@ -457,17 +471,7 @@ System::loadScenario(const ScenarioSpec &spec)
     for (const ResolvedTenant &t : tenants) {
         // The engine stores the tenant's app with its CTA count fully
         // scaled, so planTenant() at arrival time is scale-free.
-        AppParams eff = t.app;
-        if (cfg_.workload_scale != 1.0) {
-            eff.ctas = std::max<std::uint32_t>(
-                cfg_.chiplets * 4, static_cast<std::uint32_t>(
-                                       eff.ctas * cfg_.workload_scale));
-        }
-        if (t.scale != 1.0) {
-            eff.ctas = std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(eff.ctas * t.scale));
-        }
-        engine_->addTenant(std::move(eff), t.arrival);
+        engine_->addTenant(scaleCtas(cfg_, t.app, t.scale), t.arrival);
     }
 
     engine_->setHooks(
@@ -566,13 +570,8 @@ System::recordAppTrace(const AppParams &app)
 {
     // Record what this system would actually run: the same
     // workload_scale flooring as the preload path.
-    AppParams eff = app;
-    if (cfg_.workload_scale != 1.0) {
-        eff.ctas = std::max<std::uint32_t>(
-            cfg_.chiplets * 4,
-            static_cast<std::uint32_t>(app.ctas * cfg_.workload_scale));
-    }
-    return recordTrace(eff, allocate(app, 1), cfg_.page_size);
+    return recordTrace(scaleCtas(cfg_, app, 1.0), allocate(app, 1),
+                       cfg_.page_size);
 }
 
 void
@@ -600,12 +599,6 @@ System::run()
     // Dynamic scenarios count accesses lazily, at each arrival.
     barre_assert(engine_ || total_accesses_ > 0, "no workload loaded");
 
-    cus_with_work_ = 0;
-    for (auto &per_chip : cus_)
-        for (auto &cu : per_chip)
-            if (cu->streamLength() > 0)
-                ++cus_with_work_;
-
     // Checks only bite between here and the end of the drain: setup /
     // harvest code legitimately pokes components from the host context.
     guard_.setMode(DomainGuard::resolveMode(guard_.mode(), pdes_.on));
@@ -617,57 +610,43 @@ System::run()
         engine_->begin();
     }
 
-    std::uint64_t fired = 0;
-    if (pdes_.on) {
-        // Partitioned run: start each chiplet's CUs inside that
-        // chiplet's tag context, track completion per tag (each cell
-        // is single-writer), and drive the epochs. The global finish
-        // tick is the latest per-tag finish — the same tick at which
-        // the serial run's last CU completes.
-        tag_done_.assign(cfg_.chiplets + 1, TagDone{});
-        for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
-            const SeqTag t = chipletTag(c);
-            EventQueue::TagScope scope(eq_, t);
-            for (auto &cu : cus_[c]) {
-                if (cu->streamLength() == 0)
-                    continue;
-                ++tag_done_[t].with_work;
-                cu->start([this, t]() {
-                    TagDone &td = tag_done_[t];
-                    if (++td.done == td.with_work)
-                        td.finish = eq_.now();
-                });
-            }
+    // Start each chiplet's CUs inside that chiplet's tag context (the
+    // serial queue stamps tags too, for the domain audit) and track
+    // completion per tag, so each cell is single-writer in partitioned
+    // runs. The finish tick is the latest per-tag finish: the tick at
+    // which the last CU anywhere completes.
+    tag_done_.assign(cfg_.chiplets + 1, TagDone{});
+    for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
+        const SeqTag t = chipletTag(c);
+        EventQueue::TagScope scope(eq_, t);
+        for (auto &cu : cus_[c]) {
+            if (cu->streamLength() == 0)
+                continue;
+            ++tag_done_[t].with_work;
+            cu->start([this, t]() {
+                TagDone &td = tag_done_[t];
+                if (++td.done == td.with_work)
+                    td.finish = eq_.now();
+            });
         }
-        fired = DomainScheduler::run(eq_, pdes_.lookahead,
-                                     cfg_.sim_threads);
-        for (const TagDone &td : tag_done_) {
-            cus_done_ += td.done;
-            finish_tick_ = std::max(finish_tick_, td.finish);
-        }
-    } else {
-        // The serial queue still stamps ownership tags on events (for
-        // the domain audit), so seed each chiplet's CU-start events
-        // under that chiplet's tag, exactly like the partitioned path.
-        for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
-            EventQueue::TagScope scope(eq_, chipletTag(c));
-            for (auto &cu : cus_[c]) {
-                if (cu->streamLength() == 0)
-                    continue;
-                cu->start([this]() {
-                    if (++cus_done_ == cus_with_work_)
-                        finish_tick_ = eq_.now();
-                });
-            }
-        }
-        fired = eq_.run();
+    }
+    const std::uint64_t fired =
+        pdes_.on ? DomainScheduler::run(eq_, pdes_.lookahead,
+                                        cfg_.sim_threads)
+                 : eq_.run();
+    std::uint32_t with_work = 0;
+    std::uint32_t done = 0;
+    for (const TagDone &td : tag_done_) {
+        with_work += td.with_work;
+        done += td.done;
+        finish_tick_ = std::max(finish_tick_, td.finish);
     }
     // Post-run harvest reads every component from the host context;
     // stop checking.
     guard_.setMode(DomainAuditMode::off);
-    barre_assert(cus_done_ == cus_with_work_,
+    barre_assert(done == with_work,
                  "simulation drained with %u/%u CUs unfinished",
-                 cus_with_work_ - cus_done_, cus_with_work_);
+                 with_work - done, with_work);
     if (engine_) {
         barre_assert(engine_->allRetired(),
                      "scenario drained with tenants unretired");

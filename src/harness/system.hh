@@ -112,7 +112,9 @@ class System
     }
     /** Whether this run executes partitioned (tagged engine active). */
     bool partitioned() const { return pdes_.on; }
-    /** The epoch lookahead the partition plan computed (1 when off). */
+    /** The epoch lookahead the partition plan computed: max_tick when
+     *  no link crosses a domain boundary (one domain, or not
+     *  partitioned). */
     Tick pdesLookahead() const { return pdes_.lookahead; }
     /** Why @p cfg cannot be partitioned, or nullptr if it can. */
     static const char *partitionBlocker(const SystemConfig &cfg);
@@ -180,8 +182,6 @@ class System
 
     double total_instructions_ = 0;
     std::uint64_t total_accesses_ = 0;
-    std::uint32_t cus_with_work_ = 0;
-    std::uint32_t cus_done_ = 0;
     Tick finish_tick_ = 0;
     bool ran_ = false;
 
@@ -191,14 +191,14 @@ class System
     {
         bool on = false;
         std::uint32_t domains = 1;
-        Tick lookahead = 1;
+        Tick lookahead = max_tick;
     };
     Pdes pdes_;
 
     /**
-     * Per-tag CU completion tracking for partitioned runs. Each cell is
-     * only touched from its own tag's execution context (one worker at
-     * a time), so cache-line alignment is all the isolation needed.
+     * Per-tag CU completion tracking. Each cell is only touched from
+     * its own tag's execution context (one worker at a time), so
+     * cache-line alignment is all the isolation needed.
      */
     struct alignas(64) TagDone
     {

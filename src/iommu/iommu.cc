@@ -452,42 +452,25 @@ Iommu::respondTo(Request &req, AtsResponse resp, Cycles extra)
 {
     std::uint32_t bytes = resp.has_pec ? params_.ats_response_coal_bytes
                                        : params_.ats_response_bytes;
-    Tick arrival = req.arrival;
-    const SeqTag dst = chipletTag(req.src);
-    if (eventQueue().tagged()) {
-        // Partitioned mode: the delivery callback executes in the
-        // target chiplet's sequencing context, where host-side stats
-        // must not be touched. The downstream link is host-owned, so
-        // its arrival tick is already exact at send time — sample the
-        // identical value here, in deterministic host order.
-        auto send = [this, bytes, dst, arrival,
-                     respond = std::move(req.respond),
-                     resp = std::move(resp)]() mutable {
-            Tick at = pcie_.toDevice(
-                dst, bytes,
-                [respond = std::move(respond),
-                 resp = std::move(resp)]() { respond(resp); });
-            processing_time_.sample(static_cast<double>(at - arrival));
-        };
-        if (extra == 0)
-            send();
-        else
-            after(extra, std::move(send));
-        return;
-    }
-    auto deliver = [this, respond = std::move(req.respond),
-                    resp = std::move(resp), arrival]() {
-        processing_time_.sample(static_cast<double>(curTick() - arrival));
-        respond(resp);
+    // The delivery callback executes in the target chiplet's
+    // sequencing context, where host-side stats must not be touched
+    // in partitioned mode. The downstream link is host-owned, so its
+    // arrival tick is already exact at send time: sample processing
+    // time there, in deterministic host order.
+    auto send = [this, bytes, dst = chipletTag(req.src),
+                 arrival = req.arrival, respond = std::move(req.respond),
+                 resp = std::move(resp)]() mutable {
+        const Tick at = pcie_.toDevice(
+            dst, bytes,
+            [respond = std::move(respond), resp = std::move(resp)]() {
+                respond(resp);
+            });
+        processing_time_.sample(static_cast<double>(at - arrival));
     };
-    if (extra == 0) {
-        pcie_.toDevice(dst, bytes, std::move(deliver));
-    } else {
-        after(extra, [this, dst, bytes,
-                      deliver = std::move(deliver)]() mutable {
-            pcie_.toDevice(dst, bytes, std::move(deliver));
-        });
-    }
+    if (extra == 0)
+        send();
+    else
+        after(extra, std::move(send));
 }
 
 } // namespace barre

@@ -1,7 +1,7 @@
 /**
  * @file
- * TaggedEngine cold paths: the epoch-barrier staging drain, per-domain
- * heap maintenance, and the structural audit.
+ * TaggedEngine cold paths: the epoch-barrier staging drain and the
+ * structural audit.
  */
 
 #include "sim/domain.hh"
@@ -36,9 +36,8 @@ TaggedEngine::drainStaged()
             "epoch horizon %llu: lookahead is unsound",
             (unsigned long long)when, (unsigned long long)op.sent,
             (unsigned long long)horizon_));
-        heapPush(domains_[tag_domain_[op.owner]],
-                 Entry{when, op.sent, op.key, op.owner,
-                       std::move(op.deliver)});
+        domains_[tag_domain_[op.owner]].heap.push(Entry{
+            when, op.sent, op.key, op.owner, std::move(op.deliver)});
     }
     scratch_arb_.clear();
 
@@ -47,80 +46,26 @@ TaggedEngine::drainStaged()
     // deterministic.
     for (Domain &dom : domains_) {
         for (Entry &e : dom.out)
-            heapPush(domains_[tag_domain_[e.tag]], std::move(e));
+            domains_[tag_domain_[e.tag]].heap.push(std::move(e));
         dom.out.clear();
     }
-}
-
-void
-TaggedEngine::heapPush(Domain &dom, Entry e)
-{
-    std::vector<Entry> &h = dom.heap;
-    std::size_t i = h.size();
-    h.push_back(Entry{});
-    // Sift the hole up, moving parents down (no closure copies).
-    while (i > 0) {
-        std::size_t p = (i - 1) >> 2;
-        if (!entryBefore(e, h[p]))
-            break;
-        h[i] = std::move(h[p]);
-        i = p;
-    }
-    h[i] = std::move(e);
-}
-
-TaggedEngine::Entry
-TaggedEngine::heapPop(Domain &dom)
-{
-    std::vector<Entry> &h = dom.heap;
-    Entry out = std::move(h.front());
-    Entry tail = std::move(h.back());
-    h.pop_back();
-    const std::size_t n = h.size();
-    if (n > 0) {
-        std::size_t i = 0;
-        for (;;) {
-            std::size_t c = 4 * i + 1;
-            if (c >= n)
-                break;
-            std::size_t m = c;
-            const std::size_t end = c + 4 < n ? c + 4 : n;
-            for (++c; c < end; ++c) {
-                if (entryBefore(h[c], h[m]))
-                    m = c;
-            }
-            if (!entryBefore(h[m], tail))
-                break;
-            h[i] = std::move(h[m]);
-            i = m;
-        }
-        h[i] = std::move(tail);
-    }
-    return out;
 }
 
 void
 TaggedEngine::auditDomain(std::uint32_t d) const
 {
     const Domain &dom = domains_[d];
-    const std::size_t n = dom.heap.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Entry &e = dom.heap[i];
+    for (const Entry &e : dom.heap) {
         barre_assert(e.when >= dom.now,
-                     "domain %u heap entry %zu at tick %llu is in the "
-                     "past (now %llu)",
-                     d, i, (unsigned long long)e.when,
+                     "domain %u heap entry at tick %llu is in the past "
+                     "(now %llu)",
+                     d, (unsigned long long)e.when,
                      (unsigned long long)dom.now);
         barre_assert(tag_domain_[e.tag] == d,
                      "domain %u holds an event for tag %u (domain %u)",
                      d, unsigned(e.tag), tag_domain_[e.tag]);
-        if (i == 0)
-            continue;
-        const std::size_t p = (i - 1) >> 2;
-        barre_assert(!entryBefore(e, dom.heap[p]),
-                     "domain %u 4-ary heap order violated at index %zu",
-                     d, i);
     }
+    dom.heap.auditOrder("tagged domain");
 }
 
 } // namespace barre

@@ -44,6 +44,7 @@
 #include "sim/inline_fn.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/quad_heap.hh"
 #include "sim/types.hh"
 
 namespace barre
@@ -271,7 +272,7 @@ class TaggedEngine
                      "scheduling into the past (%llu < %llu)",
                      (unsigned long long)when,
                      (unsigned long long)dom.now);
-        heapPush(dom, Entry{when, dom.now, allocKey(ctx.tag), ctx.tag,
+        dom.heap.push(Entry{when, dom.now, allocKey(ctx.tag), ctx.tag,
                             std::move(cb)});
     }
 
@@ -283,8 +284,8 @@ class TaggedEngine
         barre_assert(ctx.engine == this,
                      "tagged schedule outside any execution context");
         Domain &dom = domains_[ctx.domain];
-        heapPush(dom, Entry{dom.now + delay, dom.now,
-                            allocKey(ctx.tag), ctx.tag, std::move(cb)});
+        dom.heap.push(Entry{dom.now + delay, dom.now, allocKey(ctx.tag),
+                            ctx.tag, std::move(cb)});
     }
 
     /**
@@ -307,7 +308,7 @@ class TaggedEngine
         if (!running_ || dd == ctx.domain) {
             barre_assert(when >= domains_[dd].now,
                          "cross schedule into the past");
-            heapPush(domains_[dd], std::move(e));
+            domains_[dd].heap.push(std::move(e));
             return;
         }
         // The lookahead must lower-bound every cross-domain delivery;
@@ -341,9 +342,9 @@ class TaggedEngine
         const Tick sent = src.now;
         if (!running_ || !multiDomain()) {
             const Tick arrive = hook.arbitrate(sent, bytes);
-            heapPush(domains_[tag_domain_[owner]],
-                     Entry{arrive, sent, allocKey(ctx.tag), owner,
-                           std::move(deliver)});
+            domains_[tag_domain_[owner]].heap.push(
+                Entry{arrive, sent, allocKey(ctx.tag), owner,
+                      std::move(deliver)});
             return arrive;
         }
         src.arb_out.push_back(StagedArb{sent, ctx.ev_birth, ctx.ev_key,
@@ -379,8 +380,8 @@ class TaggedEngine
         ctx.engine = this;
         ctx.domain = d;
         std::uint64_t fired = 0;
-        while (!dom.heap.empty() && dom.heap.front().when < horizon) {
-            Entry e = heapPop(dom);
+        while (!dom.heap.empty() && dom.heap.top().when < horizon) {
+            Entry e = dom.heap.pop();
             dom.now = e.when;
             ctx.tag = e.tag;
             ctx.ev_birth = e.birth;
@@ -412,7 +413,7 @@ class TaggedEngine
         Tick t = max_tick;
         for (const Domain &d : domains_)
             if (!d.heap.empty())
-                t = std::min(t, d.heap.front().when);
+                t = std::min(t, d.heap.top().when);
         return t;
     }
 
@@ -477,6 +478,20 @@ class TaggedEngine
         Callback cb;
     };
 
+    /** Firing order: lexicographic (when, birth, key). */
+    struct EntryBefore
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when < b.when;
+            if (a.birth != b.birth)
+                return a.birth < b.birth;
+            return a.key < b.key;
+        }
+    };
+
     /** A shared-resource send awaiting key-ordered arbitration. */
     struct StagedArb
     {
@@ -493,7 +508,7 @@ class TaggedEngine
 
     struct alignas(64) Domain
     {
-        std::vector<Entry> heap; ///< 4-ary min-heap on (when,birth,key)
+        QuadHeap<Entry, EntryBefore> heap;
         Tick now = 0;
         std::uint64_t fired = 0;
         std::uint64_t audit_tick = 0;
@@ -509,16 +524,6 @@ class TaggedEngine
     };
 
     static constexpr std::uint64_t kAuditPeriod = 4096;
-
-    static bool
-    entryBefore(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.birth != b.birth)
-            return a.birth < b.birth;
-        return a.key < b.key;
-    }
 
     static bool
     arbBefore(const StagedArb &a, const StagedArb &b)
@@ -555,9 +560,6 @@ class TaggedEngine
         h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
         return h;
     }
-
-    static void heapPush(Domain &dom, Entry e);
-    static Entry heapPop(Domain &dom);
 
     std::vector<std::uint32_t> tag_domain_;
     std::vector<Domain> domains_;

@@ -11,12 +11,13 @@
  * the sliding near-future window (now, now + kWindow): scheduling into
  * the window is an O(1) push into bucket `when & (kWindow-1)`, and
  * almost all simulator traffic — TLB probe hand-offs, IOMMU walk-queue
- * hops, link hops — lands there. A hand-rolled 4-ary min-heap remains
- * as the overflow backstop for far-future events (DRAM/PCIe completions
- * under congestion, coarse timeouts). A FIFO fast lane holds events
- * scheduled *at* the current tick; when time advances to a bucket's
- * tick, that bucket is swapped into the lane wholesale, recycling the
- * lane's storage, so bucket vectors are allocated once and reused.
+ * hops, link hops — lands there. The 4-ary min-heap both engines share
+ * (sim/quad_heap.hh) remains as the overflow backstop for far-future
+ * events (DRAM/PCIe completions under congestion, coarse timeouts).
+ * A FIFO fast lane holds events scheduled *at* the current tick; when
+ * time advances to a bucket's tick, that bucket is swapped into the
+ * lane wholesale, recycling the lane's storage, so bucket vectors are
+ * allocated once and reused.
  *
  * Determinism: firing order is the exact total order (when, seq) no
  * matter which structure holds an event. The key property is that for
@@ -45,6 +46,7 @@
 #include "sim/inline_fn.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/quad_heap.hh"
 #include "sim/types.hh"
 
 namespace barre
@@ -121,8 +123,8 @@ class EventQueue
      * Switch this queue into partitioned mode: events carry sequencing
      * tags grouped into domains and fire in composite-key order (see
      * sim/domain.hh). Must be called before anything is scheduled.
-     * run()/runUntil() become unavailable; the harness DomainScheduler
-     * drives the epochs instead.
+     * run() becomes unavailable; the harness DomainScheduler drives
+     * the epochs instead.
      */
     void
     enableTags(std::vector<std::uint32_t> tag_domain,
@@ -235,18 +237,18 @@ class EventQueue
     }
 
     /**
-     * Fire events until the queue drains or @p limit events have run.
+     * Fire events until the queue drains.
      * @return number of events executed.
      */
     std::uint64_t
-    run(std::uint64_t limit = ~std::uint64_t{0})
+    run()
     {
         barre_assert(!tagged_,
                      "run() on a partitioned queue; use the harness "
                      "DomainScheduler");
         FireScope tag_restore;
         std::uint64_t fired = 0;
-        while (fired < limit) {
+        for (;;) {
             if (nowLaneEmpty()) {
                 Tick next;
                 const Next from = peekNext(next);
@@ -257,7 +259,7 @@ class EventQueue
                     promoteBucket(next);
                     continue; // promotion fires nothing by itself
                 }
-                Entry e = heapPop();
+                Entry e = heap_.pop();
                 detail::tls_exec.tag = e.tag;
                 e.cb();
             } else {
@@ -267,48 +269,6 @@ class EventQueue
             BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
                               auditInvariants());
         }
-        fired_total_ += fired;
-        return fired;
-    }
-
-    /**
-     * Fire events with tick <= @p until, then stop.
-     * Time advances to @p until even if the queue drains earlier.
-     * @return number of events executed.
-     */
-    std::uint64_t
-    runUntil(Tick until)
-    {
-        barre_assert(!tagged_,
-                     "runUntil() on a partitioned queue; use the "
-                     "harness DomainScheduler");
-        FireScope tag_restore;
-        std::uint64_t fired = 0;
-        for (;;) {
-            if (nowLaneEmpty()) {
-                Tick next;
-                Next from = peekNext(next);
-                if (from == Next::none || next > until)
-                    break;
-                now_ = next;
-                if (from == Next::bucket) {
-                    promoteBucket(next);
-                    continue;
-                }
-                Entry e = heapPop();
-                detail::tls_exec.tag = e.tag;
-                e.cb();
-            } else if (now_ <= until) {
-                fireNowOrTiedHeapTop();
-            } else {
-                break;
-            }
-            ++fired;
-            BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
-                              auditInvariants());
-        }
-        if (now_ < until)
-            now_ = until;
         fired_total_ += fired;
         return fired;
     }
@@ -327,20 +287,14 @@ class EventQueue
     void
     auditInvariants() const
     {
-        const std::size_t n = heap_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            barre_assert(heap_[i].when >= now_,
-                         "heap entry %zu at tick %llu is in the past "
+        for (const Entry &e : heap_) {
+            barre_assert(e.when >= now_,
+                         "heap entry at tick %llu is in the past "
                          "(now %llu)",
-                         i, (unsigned long long)heap_[i].when,
+                         (unsigned long long)e.when,
                          (unsigned long long)now_);
-            if (i == 0)
-                continue;
-            const std::size_t p = (i - 1) >> 2;
-            barre_assert(!before(heap_[i].when, heap_[i].seq,
-                                 heap_[p].when, heap_[p].seq),
-                         "4-ary heap order violated at index %zu", i);
         }
+        heap_.auditOrder("event queue");
         barre_assert(now_head_ <= now_lane_.size(),
                      "fast-lane head past its end");
         for (std::size_t i = now_head_; i < now_lane_.size(); ++i) {
@@ -376,6 +330,16 @@ class EventQueue
         Callback cb;
     };
 
+    /** Firing order: the exact total order (when, seq). */
+    struct EntryBefore
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+        }
+    };
+
     /**
      * Route an entry carrying @p tag to the lane/ladder/heap. The tag
      * plays no part in firing order — (when, seq) stays the exact
@@ -391,7 +355,7 @@ class EventQueue
         else if (mode_ == QueueMode::ladder && when - now_ < kWindow)
             pushBucket(when, tag, std::move(cb));
         else
-            heapPush(Entry{when, seq_++, tag, std::move(cb)});
+            heap_.push(Entry{when, seq_++, tag, std::move(cb)});
     }
 
     /**
@@ -425,12 +389,6 @@ class EventQueue
     static constexpr Tick kWindow = 256;
     static constexpr Tick kSlotMask = kWindow - 1;
     static constexpr std::size_t kBitmapWords = kWindow / 64;
-
-    static bool
-    before(Tick wa, std::uint64_t sa, Tick wb, std::uint64_t sb)
-    {
-        return wa != wb ? wa < wb : sa < sb;
-    }
 
     bool nowLaneEmpty() const { return now_head_ == now_lane_.size(); }
 
@@ -502,9 +460,8 @@ class EventQueue
             out = bucket_tick;
             return from_bucket;
         }
-        if (from_bucket == Next::none ||
-            heap_.front().when < bucket_tick) {
-            out = heap_.front().when;
+        if (from_bucket == Next::none || heap_.top().when < bucket_tick) {
+            out = heap_.top().when;
             return Next::heap;
         }
         // Tie: promote the bucket; heap entries at the same tick have
@@ -537,9 +494,9 @@ class EventQueue
     void
     fireNowOrTiedHeapTop()
     {
-        if (!heap_.empty() && heap_.front().when == now_ &&
-            heap_.front().seq < now_lane_[now_head_].seq) {
-            Entry e = heapPop();
+        if (!heap_.empty() && heap_.top().when == now_ &&
+            heap_.top().seq < now_lane_[now_head_].seq) {
+            Entry e = heap_.pop();
             detail::tls_exec.tag = e.tag;
             e.cb();
             return;
@@ -551,54 +508,6 @@ class EventQueue
         }
         detail::tls_exec.tag = e.tag;
         e.cb();
-    }
-
-    void
-    heapPush(Entry e)
-    {
-        std::size_t i = heap_.size();
-        heap_.push_back(Entry{});
-        // Sift the hole up, moving parents down (no closure copies).
-        while (i > 0) {
-            std::size_t p = (i - 1) >> 2;
-            if (!before(e.when, e.seq, heap_[p].when, heap_[p].seq))
-                break;
-            heap_[i] = std::move(heap_[p]);
-            i = p;
-        }
-        heap_[i] = std::move(e);
-    }
-
-    /** Remove and return the minimum (when, seq) entry by move. */
-    Entry
-    heapPop()
-    {
-        Entry out = std::move(heap_.front());
-        Entry tail = std::move(heap_.back());
-        heap_.pop_back();
-        const std::size_t n = heap_.size();
-        if (n > 0) {
-            std::size_t i = 0;
-            for (;;) {
-                std::size_t c = 4 * i + 1;
-                if (c >= n)
-                    break;
-                std::size_t m = c;
-                const std::size_t end = c + 4 < n ? c + 4 : n;
-                for (++c; c < end; ++c) {
-                    if (before(heap_[c].when, heap_[c].seq,
-                               heap_[m].when, heap_[m].seq))
-                        m = c;
-                }
-                if (!before(heap_[m].when, heap_[m].seq, tail.when,
-                            tail.seq))
-                    break;
-                heap_[i] = std::move(heap_[m]);
-                i = m;
-            }
-            heap_[i] = std::move(tail);
-        }
-        return out;
     }
 
     /** Ladder-specific half of auditInvariants(). */
@@ -657,7 +566,7 @@ class EventQueue
         }
     }
 
-    std::vector<Entry> heap_;     ///< 4-ary min-heap on (when, seq)
+    QuadHeap<Entry, EntryBefore> heap_; ///< far-future overflow
     std::vector<Entry> now_lane_; ///< FIFO of events at tick now_
     std::size_t now_head_ = 0;    ///< first unfired fast-lane entry
     /** Per-tick FIFO buckets for the (now, now + kWindow) window. */

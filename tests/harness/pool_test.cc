@@ -76,49 +76,58 @@ TEST(ThreadPool, MoreWorkersThanTasks)
         EXPECT_EQ(h.load(), 1);
 }
 
+/** defaultWorkers() under BARRE_JOBS=@p value; leaves it unset. */
+static unsigned
+workersWithJobs(const char *value)
+{
+    setenv("BARRE_JOBS", value, 1);
+    struct Unset
+    {
+        ~Unset() { unsetenv("BARRE_JOBS"); }
+    } unset;
+    return ThreadPool::defaultWorkers();
+}
+
 TEST(ThreadPool, DefaultWorkersHonorsBarreJobs)
 {
-    setenv("BARRE_JOBS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultWorkers(), 3u);
-    setenv("BARRE_JOBS", "0", 1); // invalid, falls back to hardware
-    EXPECT_GE(ThreadPool::defaultWorkers(), 1u);
-    unsetenv("BARRE_JOBS");
-    EXPECT_GE(ThreadPool::defaultWorkers(), 1u);
+    EXPECT_EQ(workersWithJobs("3"), 3u);
+    EXPECT_EQ(workersWithJobs("1"), 1u);
+    unsigned hw = std::thread::hardware_concurrency();
+    unsigned fallback = hw > 0 ? hw : 1;
+    // Unset and empty both mean "every core".
+    EXPECT_EQ(workersWithJobs(""), fallback);
+    EXPECT_EQ(ThreadPool::defaultWorkers(), fallback);
 }
 
 TEST(ThreadPool, ParseJobsStrictness)
 {
-    EXPECT_EQ(ThreadPool::parseJobs("3"), 3u);
-    EXPECT_EQ(ThreadPool::parseJobs("1"), 1u);
-    // Regression: strtol without an end-pointer check accepted "4x"
-    // as 4.
-    EXPECT_EQ(ThreadPool::parseJobs("4x"), 0u);
-    EXPECT_EQ(ThreadPool::parseJobs("x"), 0u);
-    EXPECT_EQ(ThreadPool::parseJobs(""), 0u);
-    EXPECT_EQ(ThreadPool::parseJobs(nullptr), 0u);
-    EXPECT_EQ(ThreadPool::parseJobs("0"), 0u);
-    EXPECT_EQ(ThreadPool::parseJobs("-2"), 0u);
+    // A bad BARRE_JOBS is fatal, never a silent fall-back to every
+    // core. Regression: strtol without an end-pointer check accepted
+    // "4x" as 4.
+    for (const char *bad : {"4x", "x", " ", "0", "-2", "2.5"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(workersWithJobs(bad), std::runtime_error);
+    }
 }
 
 TEST(ThreadPool, ParseJobsClampsOverflowInsteadOfWrapping)
 {
-    // Regression: 2^32+1 used to wrap to 1 on the unsigned cast.
-    EXPECT_EQ(ThreadPool::parseJobs("4294967297"),
-              ThreadPool::kMaxJobs);
-    EXPECT_EQ(ThreadPool::parseJobs("99999999999999999999"),
-              ThreadPool::kMaxJobs);
-    EXPECT_EQ(ThreadPool::parseJobs("2000"), ThreadPool::kMaxJobs);
+    // In range but above the cap: clamp with a warning.
+    EXPECT_EQ(workersWithJobs("2000"), ThreadPool::kMaxJobs);
+    EXPECT_EQ(workersWithJobs("1025"), ThreadPool::kMaxJobs);
+    EXPECT_EQ(workersWithJobs("1024"), ThreadPool::kMaxJobs);
+    // Regression: 2^32+1 used to wrap to 1 on the unsigned cast. Past
+    // the unsigned range the value is now fatal.
+    EXPECT_THROW(workersWithJobs("4294967297"), std::runtime_error);
+    EXPECT_THROW(workersWithJobs("99999999999999999999"),
+                 std::runtime_error);
 }
 
 TEST(ThreadPool, DefaultWorkersRejectsTrailingGarbage)
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    unsigned fallback = hw > 0 ? hw : 1;
-    setenv("BARRE_JOBS", "4x", 1);
-    EXPECT_EQ(ThreadPool::defaultWorkers(), fallback);
-    setenv("BARRE_JOBS", "-7", 1);
-    EXPECT_EQ(ThreadPool::defaultWorkers(), fallback);
-    unsetenv("BARRE_JOBS");
+    EXPECT_THROW(workersWithJobs("4x"), std::runtime_error);
+    EXPECT_THROW(workersWithJobs("-7"), std::runtime_error);
+    EXPECT_THROW(workersWithJobs("3 "), std::runtime_error);
 }
 
 TEST(ThreadPool, OrderedBatchRunsEveryIndexOnce)

@@ -160,6 +160,24 @@ TEST(ShardCsv, ReadRejectsRowCountMismatch)
     EXPECT_THROW(readShardCsv(ss, "short"), std::runtime_error);
 }
 
+TEST(ShardCsv, ReadRejectsTruncatedLastRow)
+{
+    // A shard cut off mid-write: the row count still matches, but the
+    // last row lost its final field. It must not merge silently.
+    ShardFile sf = makeShards()[1];
+    sf.rows.back() = "fbarre,gups,4";
+    std::stringstream ss;
+    writeShardCsv(ss, sf);
+    try {
+        readShardCsv(ss, "cut.csv");
+        FAIL() << "truncated row was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("cut.csv"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("row 2"), std::string::npos) << msg;
+    }
+}
+
 TEST(MergeShards, ReassemblesCanonicalOrderIncludingQuotedFields)
 {
     std::string merged = mergeShards(makeShards());

@@ -1,10 +1,13 @@
 /**
  * @file
- * Differential proof that the calendar-front EventQueue (QueueMode::
- * ladder) is observationally identical to the pure-heap queue: the same
- * randomized schedule fires in the same order at the same ticks under
- * every delay mix (general, IOMMU-shaped, uniform-horizon), and a
- * full-system run produces bitwise-identical RunMetrics either way.
+ * Differential proofs over the event engines. The calendar-front
+ * EventQueue (QueueMode::ladder) is observationally identical to the
+ * pure-heap queue: the same randomized schedule fires in the same order
+ * at the same ticks under every delay mix (general, IOMMU-shaped,
+ * uniform-horizon), and a full-system run produces bitwise-identical
+ * RunMetrics either way. A one-tag, one-domain TaggedEngine fires the
+ * same schedule in the same order too: with a single tag its
+ * (when, birth, key) order reduces to the legacy (when, seq).
  */
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/domain_scheduler.hh"
 #include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -92,11 +96,13 @@ struct Driver
     std::uint64_t target;
 
     Driver(QueueMode mode, std::uint64_t seed, std::uint64_t events,
-           Tick (*delay)(Rng &))
+           Tick (*delay)(Rng &), bool tagged = false)
         : eq(mode), rng(seed), delay(delay), target(events)
     {
         order.reserve(events);
         fire_ticks.reserve(events);
+        if (tagged)
+            eq.enableTags({0}, 1); // one tag in one domain
     }
 
     void
@@ -117,41 +123,76 @@ struct Driver
     void
     run()
     {
-        for (int i = 0; i < 64; ++i)
-            spawn();
-        eq.run();
+        if (!eq.tagged()) {
+            for (int i = 0; i < 64; ++i)
+                spawn();
+            eq.run();
+            return;
+        }
+        {
+            EventQueue::TagScope scope(eq, kHostTag);
+            for (int i = 0; i < 64; ++i)
+                spawn();
+        }
+        DomainScheduler::run(eq, max_tick, 1);
     }
 };
+
+/** Assert @p a and @p b fired the same ids at the same ticks. */
+void
+expectSameFiring(const Driver &a, const Driver &b, std::uint64_t events)
+{
+    ASSERT_EQ(a.order.size(), events);
+    EXPECT_EQ(a.eq.fired(), b.eq.fired());
+    EXPECT_EQ(a.eq.now(), b.eq.now());
+    ASSERT_EQ(a.order.size(), b.order.size());
+    // operator== over the whole vectors would print nothing useful
+    // on failure; report the first divergence point instead.
+    for (std::size_t i = 0; i < events; ++i) {
+        ASSERT_EQ(a.order[i], b.order[i])
+            << "first divergence at firing #" << i;
+        ASSERT_EQ(a.fire_ticks[i], b.fire_ticks[i])
+            << "tick divergence at firing #" << i;
+    }
+}
+
+using DelayFn = Tick (*)(Rng &);
+
+const struct
+{
+    const char *name;
+    DelayFn delay;
+} kMixes[] = {{"mixed", mixedDelay},
+              {"iommu-burst", iommuBurstDelay},
+              {"uniform-horizon", uniformHorizonDelay}};
 
 TEST(EventQueueDiff, MillionEventRandomScheduleFiresIdentically)
 {
     constexpr std::uint64_t events = 1'200'000;
-    const struct
-    {
-        const char *name;
-        Tick (*delay)(Rng &);
-    } mixes[] = {{"mixed", mixedDelay},
-                 {"iommu-burst", iommuBurstDelay},
-                 {"uniform-horizon", uniformHorizonDelay}};
-    for (const auto &mix : mixes) {
+    for (const auto &mix : kMixes) {
         SCOPED_TRACE(mix.name);
         Driver ladder(QueueMode::ladder, 0xbadc0ffe, events, mix.delay);
         Driver heap(QueueMode::heap_only, 0xbadc0ffe, events, mix.delay);
         ladder.run();
         heap.run();
+        expectSameFiring(ladder, heap, events);
+    }
+}
 
-        ASSERT_EQ(ladder.order.size(), events);
-        EXPECT_EQ(ladder.eq.fired(), heap.eq.fired());
-        EXPECT_EQ(ladder.eq.now(), heap.eq.now());
-        ASSERT_EQ(ladder.order.size(), heap.order.size());
-        // operator== over the whole vectors would print nothing useful
-        // on failure; report the first divergence point instead.
-        for (std::size_t i = 0; i < events; ++i) {
-            ASSERT_EQ(ladder.order[i], heap.order[i])
-                << "first divergence at firing #" << i;
-            ASSERT_EQ(ladder.fire_ticks[i], heap.fire_ticks[i])
-                << "tick divergence at firing #" << i;
-        }
+TEST(EventQueueDiff, OneTagTaggedEngineFiresInLegacyOrder)
+{
+    // Both users of the shared 4-ary heap must agree: the legacy queue
+    // on (when, seq) and a single-tag TaggedEngine on (when, birth,
+    // key), where birth and key both grow in scheduling order.
+    constexpr std::uint64_t events = 300'000;
+    for (const auto &mix : kMixes) {
+        SCOPED_TRACE(mix.name);
+        Driver legacy(QueueMode::ladder, 0x5eed, events, mix.delay);
+        Driver tagged(QueueMode::ladder, 0x5eed, events, mix.delay,
+                      /*tagged=*/true);
+        legacy.run();
+        tagged.run();
+        expectSameFiring(legacy, tagged, events);
     }
 }
 
@@ -175,25 +216,28 @@ TEST(EventQueueDiff, PreloadedMixedDelaysFireInIdenticalOrder)
     EXPECT_EQ(ladder.now(), heap.now());
 }
 
-TEST(EventQueueDiff, RunUntilWindowsAgreeAcrossModes)
+TEST(EventQueueDiff, RepeatedDrainsAgreeAcrossModes)
 {
+    // Schedule a batch relative to the current clock, drain, repeat:
+    // the clock, the fired count and the order must agree after every
+    // drain, including same-tick events added at the old now().
     EventQueue ladder(QueueMode::ladder);
     EventQueue heap(QueueMode::heap_only);
     std::vector<std::uint32_t> order_a, order_b;
     Rng rng(99);
-    for (std::uint32_t i = 0; i < 20000; ++i) {
-        const Tick when = rng.below(10000);
-        ladder.schedule(when, [&order_a, i]() { order_a.push_back(i); });
-        heap.schedule(when, [&order_b, i]() { order_b.push_back(i); });
-    }
-    // Drain in uneven runUntil() slices; the clamped clock and partial
-    // drains must agree at every step.
-    for (Tick until = 137; until < 11000; until += 997) {
-        ladder.runUntil(until);
-        heap.runUntil(until);
-        ASSERT_EQ(ladder.now(), heap.now()) << "until=" << until;
-        ASSERT_EQ(ladder.fired(), heap.fired()) << "until=" << until;
-        ASSERT_EQ(order_a.size(), order_b.size()) << "until=" << until;
+    std::uint32_t id = 0;
+    for (int round = 0; round < 12; ++round) {
+        const Tick base = ladder.now();
+        for (int i = 0; i < 2000; ++i, ++id) {
+            const Tick when = base + rng.below(1000);
+            ladder.schedule(when, [&order_a, id]() { order_a.push_back(id); });
+            heap.schedule(when, [&order_b, id]() { order_b.push_back(id); });
+        }
+        ladder.run();
+        heap.run();
+        ASSERT_EQ(ladder.now(), heap.now()) << "round " << round;
+        ASSERT_EQ(ladder.fired(), heap.fired()) << "round " << round;
+        ASSERT_EQ(order_a.size(), order_b.size()) << "round " << round;
     }
     EXPECT_TRUE(order_a == order_b);
     EXPECT_EQ(ladder.pending(), 0u);

@@ -67,35 +67,15 @@ TEST(EventQueue, ScheduleAfterIsRelative)
     EXPECT_EQ(seen, 107u);
 }
 
-TEST(EventQueue, RunUntilStopsAndAdvancesTime)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(50, [&] { ++fired; });
-    eq.runUntil(20);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 20u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RunUntilAdvancesTimeWhenIdle)
-{
-    EventQueue eq;
-    eq.runUntil(123);
-    EXPECT_EQ(eq.now(), 123u);
-}
-
-TEST(EventQueue, RunWithLimitCountsEvents)
+TEST(EventQueue, RunReturnsEventsFired)
 {
     EventQueue eq;
     for (int i = 0; i < 5; ++i)
         eq.schedule(i, [] {});
-    EXPECT_EQ(eq.run(3), 3u);
-    EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(eq.pending(), 5u);
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.run(), 0u);
 }
 
 TEST(EventQueue, SchedulingInThePastPanics)
@@ -197,31 +177,12 @@ TEST(EventQueueOrdering, GlobalWhenSeqOrderUnderStress)
     }
 }
 
-TEST(EventQueueOrdering, RunUntilBoundaryIsInclusive)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(9, [&] { order.push_back(1); });
-    eq.schedule(10, [&] {
-        order.push_back(2);
-        // Zero-delay at the boundary tick still runs in this pass.
-        eq.scheduleAfter(0, [&] { order.push_back(3); });
-    });
-    eq.schedule(11, [&] { order.push_back(4); });
-    EXPECT_EQ(eq.runUntil(10), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(EventQueueOrdering, RunUntilThenRunPreservesFifoAcrossCalls)
+TEST(EventQueueOrdering, RunThenRunPreservesFifoAcrossCalls)
 {
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&] { order.push_back(1); });
-    eq.runUntil(10);
+    eq.run();
     // now() == 10; same-tick events scheduled now fire on the next run.
     eq.schedule(10, [&] { order.push_back(2); });
     eq.scheduleAfter(0, [&] { order.push_back(3); });
@@ -242,21 +203,6 @@ TEST(EventQueueOrdering, SchedulingIntoThePastAsserts)
     eq.run();
 }
 
-TEST(EventQueueOrdering, RunWithLimitStopsInsideFastLane)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(3, [&] {
-        for (int i = 0; i < 4; ++i)
-            eq.scheduleAfter(0, [&order, i] { order.push_back(i); });
-    });
-    EXPECT_EQ(eq.run(3), 3u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-    EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_EQ(eq.run(), 2u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(EventQueueOrdering, FiredCounterAccumulates)
 {
     EventQueue eq;
@@ -264,6 +210,6 @@ TEST(EventQueueOrdering, FiredCounterAccumulates)
         eq.schedule(i, [] {});
     eq.run();
     eq.schedule(10, [] {});
-    eq.runUntil(10);
+    eq.run();
     EXPECT_EQ(eq.fired(), 4u);
 }

@@ -3,7 +3,8 @@
 # the last blank line of the output) is one "name value" pair per line
 # with unique names and sim.ticks first, and a serial-tagged run
 # (--domains 1) dumps byte-identical stats to a partitioned one
-# (--domains 5).
+# (--domains 5), whether the partitioned epochs run on the worker pool
+# or on the calling thread alone (--sim-threads 1).
 #
 # Usage: stats_cli_test.sh <barre_sim>
 set -u -o pipefail
@@ -22,15 +23,17 @@ check() {
     fi
 }
 
-# The dump section of one run's output.
+# The dump section of one run's output; extra arguments pass through.
 dump_of() {
-    "$sim" --app cov --mode fbarre --scale 0.05 --domains "$1" --stats |
+    "$sim" --app cov --mode fbarre --scale 0.05 --domains "$@" --stats |
         awk 'NF == 0 { block = ""; next } { block = block $0 "\n" }
              END { printf "%s", block }'
 }
 
 d1="$(dump_of 1)" || { echo "FAIL --domains 1 run"; exit 1; }
 d5="$(dump_of 5)" || { echo "FAIL --domains 5 run"; exit 1; }
+d5t1="$(dump_of 5 --sim-threads 1)" ||
+    { echo "FAIL --domains 5 --sim-threads 1 run"; exit 1; }
 
 for d in 1 5; do
     dump="$d1"
@@ -45,5 +48,6 @@ for d in 1 5; do
         grep -q '^sim\.ticks [0-9][0-9]*$' <<< "$(head -n1 <<< "$dump")"
 done
 check "domains 1 and 5 dump identical stats" test "$d1" = "$d5"
+check "domains 5 on one worker dumps identical stats" test "$d5t1" = "$d5"
 
 exit "$fail"
