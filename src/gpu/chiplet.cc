@@ -106,55 +106,59 @@ Chiplet::translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
     after(l2_tlb_->params().lookup_latency,
           [this, cu, pid, vaddr, vpn, t0,
            done = std::move(done)]() mutable {
-              if (auto te = l2_tlb_->lookup(pid, vpn)) {
-                  l1_tlbs_[cu]->insert(*te);
-                  dataAccess(cu, pid, vaddr, *te, t0, std::move(done));
-                  return;
-              }
-              auto key = Mshr<TlbEntry>::keyOf(pid, vpn);
-
-              // Back-pressure: a full MSHR file (with no in-flight entry
-              // to merge onto) parks the request; it re-runs the L2
-              // stage when an MSHR frees up (Fig 4's bottleneck). The
-              // demand miss is counted when the request finally
-              // proceeds, so parked retries are not double counted.
-              if (!l2_mshr_->inFlight(key) && l2_mshr_->full()) {
-                  ++mshr_retries_;
-                  parked_.push_back(Parked{cu, pid, vaddr, vpn, t0,
-                                           std::move(done)});
-                  return;
-              }
-              ++l2_demand_misses_;
-
-              auto outcome = l2_mshr_->allocate(
-                  key, [this, cu, pid, vaddr, t0,
-                        done = std::move(done)](const TlbEntry &te) mutable {
-                      l1_tlbs_[cu]->insert(te);
-                      dataAccess(cu, pid, vaddr, te, t0, std::move(done));
-                  });
-              if (outcome != Mshr<TlbEntry>::Outcome::primary)
-                  return; // merged onto the in-flight miss
-
-              barre_assert(service_ != nullptr,
-                           "no translation service wired");
-              service_->translate(
-                  pid, vpn, id_,
-                  [this, pid, vpn, key](const AtsResponse &resp) {
-                      if (validator_)
-                          validator_(pid, vpn, resp.pfn, resp.calculated);
-                      service_->onResponse(id_, resp);
-                      TlbEntry te;
-                      te.pid = pid;
-                      te.vpn = vpn;
-                      te.pfn = resp.pfn;
-                      te.coal = resp.coal;
-                      te.valid = true;
-                      l2_tlb_->insert(te);
-                      service_->onL2Insert(id_, te);
-                      l2_mshr_->complete(key, te);
-                      unparkWaiters();
-                  });
+              l2Stage(cu, pid, vaddr, vpn, t0, std::move(done));
           });
+}
+
+void
+Chiplet::l2Stage(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn, Tick t0,
+                 EventQueue::Callback done)
+{
+    if (auto te = l2_tlb_->lookup(pid, vpn)) {
+        l1_tlbs_[cu]->insert(*te);
+        dataAccess(cu, pid, vaddr, *te, t0, std::move(done));
+        return;
+    }
+    auto key = Mshr<TlbEntry>::keyOf(pid, vpn);
+
+    // Back-pressure: a full MSHR file (with no in-flight entry to merge
+    // onto) parks the request; it re-runs the L2 stage when an MSHR
+    // frees up (Fig 4's bottleneck). The demand miss is counted when the
+    // request finally proceeds, so parked retries are not double
+    // counted.
+    if (!l2_mshr_->inFlight(key) && l2_mshr_->full()) {
+        ++mshr_retries_;
+        parked_.push_back(Parked{cu, pid, vaddr, vpn, t0, std::move(done)});
+        return;
+    }
+    ++l2_demand_misses_;
+
+    auto outcome = l2_mshr_->allocate(
+        key, [this, cu, pid, vaddr, t0,
+              done = std::move(done)](const TlbEntry &te) mutable {
+            l1_tlbs_[cu]->insert(te);
+            dataAccess(cu, pid, vaddr, te, t0, std::move(done));
+        });
+    if (outcome == Mshr<TlbEntry>::Outcome::secondary)
+        return; // merged onto the in-flight miss
+
+    barre_assert(service_ != nullptr, "no translation service wired");
+    service_->translate(
+        pid, vpn, id_, [this, pid, vpn, key](const AtsResponse &resp) {
+            if (validator_)
+                validator_(pid, vpn, resp.pfn, resp.calculated);
+            service_->onResponse(id_, resp);
+            TlbEntry te;
+            te.pid = pid;
+            te.vpn = vpn;
+            te.pfn = resp.pfn;
+            te.coal = resp.coal;
+            te.valid = true;
+            l2_tlb_->insert(te);
+            service_->onL2Insert(id_, te);
+            l2_mshr_->complete(key, te);
+            unparkWaiters();
+        });
 }
 
 void
@@ -212,17 +216,27 @@ Chiplet::dataAccess(CuId cu, ProcessId pid, Addr vaddr, const TlbEntry &te,
 void
 Chiplet::unparkWaiters()
 {
-    // An MSHR completion freed a slot; release parked requests. They
-    // re-run the L2 stage (and may hit now, merge, or re-park).
-    while (!parked_.empty() && !l2_mshr_->full()) {
-        Parked p = std::move(parked_.front());
-        parked_.pop_front();
-        after(params_.retry_interval,
-              [this, p = std::move(p)]() mutable {
-                  translateAtL2(p.cu, p.pid, p.vaddr, p.vpn, p.t0,
-                                std::move(p.done));
-              });
-    }
+    // An MSHR completion freed a slot, and full() stays false until the
+    // retries run, so every parked request is released; each re-runs the
+    // L2 stage (and may hit now, merge, or re-park). They travel as one
+    // batch over the same two hops a lone retry takes. Released one by
+    // one, their events would be scheduled back to back and so fire as
+    // an uninterrupted block; the batch event takes that block's place
+    // in the firing order and runs the stages in the same FIFO order.
+    if (parked_.empty())
+        return;
+    barre_assert(!l2_mshr_->full(), "unparking with no free MSHR");
+    std::vector<Parked> batch;
+    batch.swap(parked_);
+    after(params_.retry_interval,
+          [this, batch = std::move(batch)]() mutable {
+              after(l2_tlb_->params().lookup_latency,
+                    [this, batch = std::move(batch)]() mutable {
+                        for (Parked &p : batch)
+                            l2Stage(p.cu, p.pid, p.vaddr, p.vpn, p.t0,
+                                    std::move(p.done));
+                    });
+          });
 }
 
 void

@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -220,6 +219,12 @@ class Chiplet : public SimObject
 
     void translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
                        Tick t0, EventQueue::Callback done);
+    /**
+     * The owned L2 stage, after the lookup latency: hit, park on a full
+     * MSHR file, merge, or launch the translation.
+     */
+    void l2Stage(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn, Tick t0,
+                 EventQueue::Callback done);
     /** Release requests parked on this chiplet's full MSHR file. */
     void unparkWaiters();
     void dataAccess(CuId cu, ProcessId pid, Addr vaddr,
@@ -255,7 +260,7 @@ class Chiplet : public SimObject
     std::unique_ptr<Cache> l2_cache_;
     std::unique_ptr<Dram> dram_;
 
-    std::deque<Parked> parked_;
+    std::vector<Parked> parked_;
 
     Counter sibling_hits_;
     Counter remote_data_;

@@ -66,7 +66,7 @@ SharedTlbService::serveAtHost(ChipletId src, ProcessId pid, Vpn vpn,
                  const TlbEntry &te) mutable {
             respond(src, te, std::move(cont));
         });
-    if (outcome != Mshr<TlbEntry>::Outcome::primary)
+    if (outcome == Mshr<TlbEntry>::Outcome::secondary)
         return; // merged onto the in-flight miss
 
     barre_assert(service_ != nullptr, "no translation service wired");
@@ -126,16 +126,21 @@ SharedTlbService::completeAtHost(ChipletId src, std::uint64_t key,
 void
 SharedTlbService::unpark()
 {
-    // A completion freed a slot; release parked requests. They re-run
-    // the lookup stage (and may hit now, merge, or re-park).
-    while (!parked_.empty() && !mshr_->full()) {
-        Parked p = std::move(parked_.front());
-        parked_.pop_front();
-        after(retry_interval_ + tlb_->params().lookup_latency,
-              [this, p = std::move(p)]() mutable {
+    // A completion freed a slot, and full() stays false until the
+    // retries run, so every parked request is released; each re-runs
+    // the lookup stage (and may hit now, merge, or re-park). One batch
+    // event stands in for the per-request events, which would fire as
+    // an uninterrupted block, and serves them in FIFO order.
+    if (parked_.empty())
+        return;
+    barre_assert(!mshr_->full(), "unparking with no free MSHR");
+    std::vector<Parked> batch;
+    batch.swap(parked_);
+    after(retry_interval_ + tlb_->params().lookup_latency,
+          [this, batch = std::move(batch)]() mutable {
+              for (Parked &p : batch)
                   serveAtHost(p.src, p.pid, p.vpn, std::move(p.cont));
-              });
-    }
+          });
 }
 
 void

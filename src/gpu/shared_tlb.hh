@@ -28,7 +28,6 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -128,6 +127,7 @@ class SharedTlbService : public SimObject, public DomainOwned
     /** A forwarded translation response: insert, complete, unpark. */
     void completeAtHost(ChipletId src, std::uint64_t key,
                         const AtsResponse &resp);
+    /** Release every parked request as one retry batch. */
     void unpark();
 
     SharedTlbParams params_;
@@ -140,7 +140,7 @@ class SharedTlbService : public SimObject, public DomainOwned
     std::vector<std::unique_ptr<Link>> req_links_;
     /** Response wires, host-owned, deliver at the target chiplet. */
     std::vector<std::unique_ptr<Link>> resp_links_;
-    std::deque<Parked> parked_;
+    std::vector<Parked> parked_;
     std::vector<Counter> misses_;
     std::vector<Counter> retries_;
 };

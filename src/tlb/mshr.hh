@@ -3,9 +3,11 @@
  * Miss-status holding registers shared by TLBs and caches.
  *
  * Tracks outstanding misses keyed by (process, address-ish key). Requests
- * to a key already in flight merge onto that entry; a full MSHR file
- * rejects new keys, which the requester must retry (modeling the
- * back-pressure examined in paper Fig 4).
+ * to a key already in flight merge onto that entry. A full MSHR file has
+ * no room for a new key: the requester checks inFlight()/full() first and
+ * parks until a completion frees a slot (modeling the back-pressure
+ * examined in paper Fig 4). Allocating a new key into a full file is a
+ * caller bug and panics.
  */
 
 #pragma once
@@ -51,7 +53,6 @@ class Mshr : public DomainOwned
     {
         primary,   ///< new entry allocated; caller must launch the fill
         secondary, ///< merged onto an in-flight entry
-        rejected,  ///< MSHR file full; caller must retry later
     };
 
     Outcome
@@ -63,10 +64,8 @@ class Mshr : public DomainOwned
             ++secondary_;
             return Outcome::secondary;
         }
-        if (entries_.size() >= capacity_) {
-            ++rejected_;
-            return Outcome::rejected;
-        }
+        barre_assert(entries_.size() < capacity_,
+                     "new MSHR entry in a full file (park first)");
         entries_[key].push_back(std::move(cb));
         return Outcome::primary;
     }
@@ -93,13 +92,11 @@ class Mshr : public DomainOwned
     std::uint32_t capacity() const { return capacity_; }
 
     std::uint64_t secondaryMisses() const { return secondary_.value(); }
-    std::uint64_t rejections() const { return rejected_.value(); }
 
   private:
     std::uint32_t capacity_;
     FlatMap<Key, std::vector<Callback>> entries_;
     Counter secondary_;
-    Counter rejected_;
 };
 
 } // namespace barre

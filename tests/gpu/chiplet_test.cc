@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the chiplet pipeline: TLB hierarchy, MSHR merging and
- * parking, data path (local/remote), sibling-L1 probing, shootdowns.
+ * parking (and the batched wake of a parked herd), data path
+ * (local/remote), sibling-L1 probing, shootdowns.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,7 @@ using namespace barre;
 namespace
 {
 
-/** A rig with 2 chiplets and a plain ATS service. */
+/** A rig with 2 chiplets, a plain ATS service and @p pages of data. */
 struct Rig
 {
     EventQueue eq;
@@ -30,7 +31,7 @@ struct Rig
     AtsService svc;
     DataAlloc alloc;
 
-    explicit Rig(ChipletParams cp = {})
+    explicit Rig(ChipletParams cp = {}, std::uint64_t pages = 8)
         : noc(eq, "noc", 2), pcie(eq, "pcie"),
           iommu(eq, "iommu", IommuParams{}, pcie, map),
           drv(map, DriverParams{MappingPolicyKind::lasp, false, 1, 0.0, 7}),
@@ -43,7 +44,7 @@ struct Rig
         chip1->setPeers({chip0.get(), chip1.get()});
         chip0->setService(&svc);
         chip1->setService(&svc);
-        alloc = drv.gpuMalloc(1, 8); // 4 pages per chiplet
+        alloc = drv.gpuMalloc(1, pages); // striped over both chiplets
         iommu.attachPageTable(drv.pageTable(1));
     }
 
@@ -53,6 +54,50 @@ struct Rig
         return (alloc.start_vpn + page) << 12;
     }
 };
+
+/** Completions of a herd, in order, folded into an FNV-1a digest. */
+struct HerdTrace
+{
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t done = 0;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (v >> (8 * i)) & 0xff;
+            digest *= 0x100000001b3ull;
+        }
+    }
+};
+
+constexpr std::uint64_t kHerdPages = 16;
+constexpr std::uint64_t kHerdAccesses = 64;
+
+/**
+ * Start kHerdAccesses accesses at tick 0, round-robin over @p chips and
+ * both CUs of each, stepping through kHerdPages pages so each page is
+ * asked for four times. With a 2-entry MSHR file most of them park;
+ * released herds re-run the L2 stage and hit, merge onto a same-VPN
+ * miss, or park again. Every completion records (index, tick).
+ */
+HerdTrace
+runHerd(Rig &rig, const std::vector<Chiplet *> &chips)
+{
+    HerdTrace t;
+    for (std::uint64_t i = 0; i < kHerdAccesses; ++i) {
+        Chiplet *chip = chips[i % chips.size()];
+        const CuId cu = (i / chips.size()) % 2;
+        const Addr va = rig.addrOfPage((i * 7) % kHerdPages) + 64 * (i % 4);
+        chip->access(cu, 1, va, [&t, &rig, i] {
+            t.add(i);
+            t.add(rig.eq.now());
+            ++t.done;
+        });
+    }
+    rig.eq.run();
+    return t;
+}
 
 } // namespace
 
@@ -210,4 +255,44 @@ TEST(Chiplet, SharedL2TlbServesBothChiplets)
     EXPECT_EQ(done, 2);
     EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 1u);
     EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.misses"), 0u);
+}
+
+// The completion order and ticks of a parked herd match the values the
+// per-request retry code (one retry event and one lookup event per
+// parked request) produced, with fewer events fired.
+TEST(Chiplet, ParkedHerdMatchesPerRequestReference)
+{
+    ChipletParams cp;
+    cp.l2_tlb.mshrs = 2;
+    Rig rig(cp, kHerdPages);
+    const HerdTrace t = runHerd(rig, {rig.chip0.get()});
+    EXPECT_EQ(t.done, kHerdAccesses);
+    EXPECT_EQ(t.digest, 0xc7cb39677d209fc7ull);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l2tlb.mshr_retries"), 224u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 16u);
+    EXPECT_LT(rig.eq.fired(), 728u); // per-request retries fired 728
+}
+
+// The same for the package-shared L2 TLB, whose parked requests come
+// from both chiplets and are released by one host-side batch.
+TEST(Chiplet, SharedParkedHerdMatchesPerRequestReference)
+{
+    Rig rig(ChipletParams{}, kHerdPages);
+    TlbParams tp;
+    tp.entries = 2048;
+    tp.ways = 16;
+    tp.mshrs = 2;
+    SharedTlbService shared(rig.eq, "shared", SharedTlbParams{}, tp, 2,
+                            ChipletParams{}.retry_interval);
+    shared.setService(&rig.svc);
+    rig.chip0->connectSharedTlb(&shared);
+    rig.chip1->connectSharedTlb(&shared);
+
+    const HerdTrace t = runHerd(rig, {rig.chip0.get(), rig.chip1.get()});
+    EXPECT_EQ(t.done, kHerdAccesses);
+    EXPECT_EQ(t.digest, 0x7e69e9751e51329full);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l2tlb.mshr_retries"), 112u);
+    EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.mshr_retries"), 112u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 16u);
+    EXPECT_LT(rig.eq.fired(), 648u); // per-request retries fired 648
 }

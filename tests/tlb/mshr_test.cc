@@ -38,15 +38,14 @@ TEST(Mshr, SecondAllocationMerges)
     EXPECT_EQ(mshr.secondaryMisses(), 1u);
 }
 
-TEST(Mshr, RejectsWhenFull)
+TEST(Mshr, NewKeyWhenFullPanics)
 {
     IntMshr mshr(2);
     mshr.allocate(1, [](const int &) {});
     mshr.allocate(2, [](const int &) {});
     EXPECT_TRUE(mshr.full());
-    auto o = mshr.allocate(3, [](const int &) {});
-    EXPECT_EQ(o, IntMshr::Outcome::rejected);
-    EXPECT_EQ(mshr.rejections(), 1u);
+    // No room for a new key: the caller must park instead.
+    EXPECT_THROW(mshr.allocate(3, [](const int &) {}), std::logic_error);
     // Merging onto an existing key still works when full.
     auto o2 = mshr.allocate(1, [](const int &) {});
     EXPECT_EQ(o2, IntMshr::Outcome::secondary);

@@ -4,7 +4,9 @@
 # with unique names and sim.ticks first, and a serial-tagged run
 # (--domains 1) dumps byte-identical stats to a partitioned one
 # (--domains 5), whether the partitioned epochs run on the worker pool
-# or on the calling thread alone (--sim-threads 1).
+# or on the calling thread alone (--sim-threads 1). A gups run, which
+# parks tens of thousands of requests on full L2-TLB MSHR files, repeats
+# the identity check over the batched retry path.
 #
 # Usage: stats_cli_test.sh <barre_sim>
 set -u -o pipefail
@@ -23,16 +25,19 @@ check() {
     fi
 }
 
-# The dump section of one run's output; extra arguments pass through.
+# The dump section of one F-Barre run of app $1; the remaining
+# arguments pass through after --domains.
 dump_of() {
-    "$sim" --app cov --mode fbarre --scale 0.05 --domains "$@" --stats |
+    local app="$1"
+    shift
+    "$sim" --app "$app" --mode fbarre --scale 0.05 --domains "$@" --stats |
         awk 'NF == 0 { block = ""; next } { block = block $0 "\n" }
              END { printf "%s", block }'
 }
 
-d1="$(dump_of 1)" || { echo "FAIL --domains 1 run"; exit 1; }
-d5="$(dump_of 5)" || { echo "FAIL --domains 5 run"; exit 1; }
-d5t1="$(dump_of 5 --sim-threads 1)" ||
+d1="$(dump_of cov 1)" || { echo "FAIL --domains 1 run"; exit 1; }
+d5="$(dump_of cov 5)" || { echo "FAIL --domains 5 run"; exit 1; }
+d5t1="$(dump_of cov 5 --sim-threads 1)" ||
     { echo "FAIL --domains 5 --sim-threads 1 run"; exit 1; }
 
 for d in 1 5; do
@@ -49,5 +54,17 @@ for d in 1 5; do
 done
 check "domains 1 and 5 dump identical stats" test "$d1" = "$d5"
 check "domains 5 on one worker dumps identical stats" test "$d5t1" = "$d5"
+
+g1="$(dump_of gups 1)" || { echo "FAIL gups --domains 1 run"; exit 1; }
+g5="$(dump_of gups 5)" || { echo "FAIL gups --domains 5 run"; exit 1; }
+g5t1="$(dump_of gups 5 --sim-threads 1)" ||
+    { echo "FAIL gups --domains 5 --sim-threads 1 run"; exit 1; }
+retries="$(awk '$1 ~ /^gpu[0-9]+\.l2tlb\.mshr_retries$/ { s += $2 }
+                END { print s + 0 }' <<< "$g1")"
+check "gups: requests parked on full MSHRs ($retries)" \
+    test "$retries" -gt 0
+check "gups: domains 1 and 5 dump identical stats" test "$g1" = "$g5"
+check "gups: domains 5 on one worker dumps identical stats" \
+    test "$g5t1" = "$g5"
 
 exit "$fail"
