@@ -8,7 +8,7 @@
  * (scattered spikes), defeating stride prefetchers.
  *
  * Cells need a per-run IOMMU probe (setVpnProbe), so this bench builds
- * its Systems directly and fans the cells out over a ThreadPool — each
+ * its Systems directly and fans the cells out with parallelFor() — each
  * cell samples into its own histogram slot, keeping the results
  * deterministic and independent of the worker count.
  */
@@ -74,8 +74,7 @@ main(int argc, char **argv)
 
     // Cell layout: app-major, [private, shared] per app.
     std::vector<std::array<GapHist, 2>> hists(apps.size());
-    ThreadPool pool;
-    pool.parallelFor(apps.size() * 2, [&](std::size_t i) {
+    parallelFor(0, apps.size() * 2, [&](std::size_t i) {
         const std::size_t a = i / 2;
         if (i % 2 == 0) {
             hists[a][0] = runWithHist(SystemConfig::baselineAts(),

@@ -194,7 +194,7 @@ main(int argc, char **argv)
     for (const NamedConfig &nc : benchConfigs()) {
         const std::uint32_t domains = nc.cfg.chiplets + 1;
         const std::uint32_t threads = std::min<std::uint32_t>(
-            ThreadPool::defaultWorkers(), domains);
+            defaultWorkers(), domains);
 
         // Union of apps the deterministic schedules draw -> solo refs.
         std::set<std::string> apps;

@@ -76,13 +76,6 @@ struct SystemConfig
     bool validate_translations = false;
 
     /**
-     * Debug/diff knob: run the EventQueue without its calendar front
-     * (pure-heap mode). The schedule is identical either way; the flag
-     * exists so tests can prove it.
-     */
-    bool heap_only_queue = false;
-
-    /**
      * Conservative-PDES partitioning: number of event domains to split
      * the simulation into. 0 (default) keeps the legacy serial queue;
      * 1 runs the tagged engine on one domain (serial, but with the
@@ -100,9 +93,9 @@ struct SystemConfig
     std::uint32_t sim_domains = 0;
 
     /**
-     * Worker threads advancing the domains (0 = ThreadPool::
-     * defaultWorkers()); clamped to the domain count. The thread count
-     * never affects results, only wall time.
+     * Worker threads advancing the domains (0 = defaultWorkers());
+     * clamped to the domain count. The thread count never affects
+     * results, only wall time.
      */
     std::uint32_t sim_threads = 0;
 

@@ -1,10 +1,7 @@
 #include "harness/domain_scheduler.hh"
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 #include "harness/pool.hh"
 #include "sim/logging.hh"
@@ -67,58 +64,12 @@ clampAdd(Tick a, Tick b)
 }
 
 /**
- * Idle scheduler pools, checked out for the duration of one run and
- * returned afterwards. Keeping a small cache amortizes thread spawns
- * across the frequent short runs of sweeps and benches; concurrent
- * runs each check out (or create) their own pool, so none of them
- * degrades to serial execution just because another run is active.
- */
-std::mutex g_pools_mu;
-std::vector<std::unique_ptr<ThreadPool>> g_idle_pools;
-
-std::unique_ptr<ThreadPool>
-checkoutPool(unsigned workers)
-{
-    {
-        std::lock_guard<std::mutex> lk(g_pools_mu);
-        std::size_t best = g_idle_pools.size();
-        for (std::size_t i = 0; i < g_idle_pools.size(); ++i) {
-            if (g_idle_pools[i]->workers() < workers)
-                continue;
-            if (best == g_idle_pools.size() ||
-                g_idle_pools[i]->workers() <
-                    g_idle_pools[best]->workers()) {
-                best = i;
-            }
-        }
-        if (best != g_idle_pools.size()) {
-            std::unique_ptr<ThreadPool> p =
-                std::move(g_idle_pools[best]);
-            g_idle_pools.erase(g_idle_pools.begin() +
-                               std::ptrdiff_t(best));
-            return p;
-        }
-    }
-    return std::make_unique<ThreadPool>(workers);
-}
-
-void
-returnPool(std::unique_ptr<ThreadPool> p)
-{
-    std::lock_guard<std::mutex> lk(g_pools_mu);
-    // Cap the cache; an excess pool joins its threads on destruction.
-    if (g_idle_pools.size() < 4)
-        g_idle_pools.push_back(std::move(p));
-}
-
-/**
- * The epoch loop, on @p workers workers: the calling thread plus, when
- * @p workers > 1, the pinned workers of @p pool. One worker runs it on
- * the calling thread alone; its barrier waits return at once.
+ * The epoch loop, on @p workers threads of its own (runOnThreads): the
+ * calling thread plus @p workers - 1 spawned ones. One worker runs it
+ * on the calling thread alone; its barrier waits return at once.
  */
 void
-runEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool *pool,
-          unsigned workers)
+runEpochs(TaggedEngine &eng, Tick lookahead, unsigned workers)
 {
     struct Shared
     {
@@ -169,16 +120,13 @@ runEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool *pool,
             }
         } catch (...) {
             // Release the peers spinning at (or heading for) the
-            // barrier this worker will never reach; the pool rethrows
-            // the first error once every worker has returned.
+            // barrier this worker will never reach; runOnThreads
+            // rethrows the error once every worker has returned.
             sh.barrier.abort();
             throw;
         }
     };
-    if (pool)
-        pool->runPinned(workers, worker);
-    else
-        worker(0);
+    runOnThreads(workers, worker);
 }
 
 } // namespace
@@ -186,7 +134,7 @@ runEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool *pool,
 WorkerBudget &
 DomainScheduler::budget()
 {
-    static WorkerBudget b(ThreadPool::defaultWorkers());
+    static WorkerBudget b(defaultWorkers());
     return b;
 }
 
@@ -200,29 +148,24 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
     const std::uint64_t fired_before = eng->fired();
     const std::uint32_t domains = eng->domains();
 
-    unsigned want = threads != 0 ? threads : ThreadPool::defaultWorkers();
+    unsigned want = threads != 0 ? threads : defaultWorkers();
     if (want > domains)
         want = domains;
     if (want < 1)
         want = 1;
 
     // A one-worker lease (asked for, or all the budget had left) runs
-    // the same epoch loop with no pool; results never depend on it.
+    // the same epoch loop on the calling thread alone; results never
+    // depend on it.
     const unsigned granted = budget().acquire(want);
-    std::unique_ptr<ThreadPool> pool =
-        granted > 1 ? checkoutPool(granted) : nullptr;
     eng->setRunning(true);
     try {
-        runEpochs(*eng, lookahead, pool.get(), granted);
+        runEpochs(*eng, lookahead, granted);
     } catch (...) {
-        if (pool)
-            returnPool(std::move(pool));
         budget().release(granted);
         throw;
     }
     eng->setRunning(false);
-    if (pool)
-        returnPool(std::move(pool));
     budget().release(granted);
     barre_assert(eng->empty(), "partitioned run left staged events");
     return eng->fired() - fired_before;

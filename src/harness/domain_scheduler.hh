@@ -22,8 +22,10 @@
  * Worker threads come from a process-wide budget: concurrent
  * partitioned runs (e.g. cells inside runMany) each lease a share of
  * the host's cores instead of one run taking a global lock and the
- * rest degrading to fully serial execution. Results never depend on
- * the lease outcome.
+ * rest degrading to fully serial execution. Each run spawns the
+ * threads of its lease for itself (runOnThreads, harness/pool.hh), so
+ * every domain worker has a thread of its own. Results never depend
+ * on the lease outcome.
  */
 
 #pragma once
@@ -38,7 +40,7 @@ namespace barre
 
 /**
  * Process-wide lease accounting for scheduler worker threads. The
- * capacity is the host's worker budget (ThreadPool::defaultWorkers());
+ * capacity is the host's worker budget (defaultWorkers());
  * each concurrent partitioned run leases the extra threads it wants
  * (its calling thread is free — it always participates), clamped to
  * what is still unleased. A run that arrives when the budget is
@@ -109,7 +111,7 @@ class DomainScheduler
      *                  delivery delay. With no cross-domain link (one
      *                  domain) pass max_tick: the run is one epoch.
      * @param threads   worker threads to use (clamped to the domain
-     *                  count; 0 = ThreadPool::defaultWorkers()).
+     *                  count; 0 = defaultWorkers()).
      * @return events fired during this run.
      */
     static std::uint64_t run(EventQueue &eq, Tick lookahead,

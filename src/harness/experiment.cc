@@ -90,13 +90,13 @@ runManyJobs(const std::vector<std::function<RunMetrics()>> &sims,
                  "runManyJobs: %zu hints for %zu sims",
                  cost_hints.size(), sims.size());
     if (jobs == 0)
-        jobs = ThreadPool::defaultWorkers();
+        jobs = defaultWorkers();
 
     std::vector<RunMetrics> results(sims.size());
     if (jobs == 1 || sims.size() <= 1) {
-        // Serial reference path ($BARRE_JOBS=1): no pool, no threads,
-        // no log buffering — output appears as each cell runs, in
-        // argument order.
+        // Serial reference path ($BARRE_JOBS=1): no threads, no log
+        // buffering — output appears as each cell runs, in argument
+        // order.
         for (std::size_t i = 0; i < sims.size(); ++i)
             results[i] = sims[i]();
         return results;
@@ -121,21 +121,20 @@ runManyJobs(const std::vector<std::function<RunMetrics()>> &sims,
         blocks[i] = endLogBuffer();
     };
 
-    ThreadPool pool(jobs);
+    // Start order only — results are still collected by argument
+    // index: longest-expected-first with hints, else last index first.
+    std::vector<std::size_t> order(sims.size());
+    if (cost_hints.empty()) {
+        std::iota(order.rbegin(), order.rend(), std::size_t{0});
+    } else {
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return cost_hints[a] > cost_hints[b];
+                         });
+    }
     try {
-        if (cost_hints.empty()) {
-            pool.parallelFor(sims.size(), cell);
-        } else {
-            // Longest-expected-first: start order only — results are
-            // still collected by argument index.
-            std::vector<std::size_t> order(sims.size());
-            std::iota(order.begin(), order.end(), 0);
-            std::stable_sort(order.begin(), order.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return cost_hints[a] > cost_hints[b];
-                             });
-            pool.parallelForOrdered(order, cell);
-        }
+        parallelFor(jobs, order, cell);
     } catch (...) {
         for (const auto &b : blocks)
             replayLog(b);
@@ -187,7 +186,7 @@ runMany(const std::vector<NamedConfig> &cfgs,
     // sweep stays bitwise identical to the serial path. Explicit
     // sim_threads requests are left alone.
     const unsigned eff_jobs =
-        jobs != 0 ? jobs : ThreadPool::defaultWorkers();
+        jobs != 0 ? jobs : defaultWorkers();
     const unsigned spare_threads =
         n > 0 && eff_jobs > n ? static_cast<unsigned>(eff_jobs / n) : 1;
 

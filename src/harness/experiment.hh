@@ -4,10 +4,10 @@
  * benchmark harness (one bench binary per paper figure/table).
  *
  * runMany() is the sweep workhorse: it fans independent simulations out
- * across host cores (work-stealing pool, $BARRE_JOBS workers) while
- * keeping results bitwise identical to the serial loop — every
- * simulation owns its EventQueue/Rng/StatRegistry, and results are
- * collected by index, never by completion order.
+ * across host cores (harness/pool.hh parallelFor(), $BARRE_JOBS threads
+ * spawned per call) while keeping results bitwise identical to the
+ * serial loop — every simulation owns its EventQueue/Rng/StatRegistry,
+ * and results are collected by index, never by completion order.
  */
 
 #pragma once
@@ -50,8 +50,8 @@ struct NamedConfig
 /**
  * Run the full (config x scenario) grid — config-major, i.e. result
  * index c * specs.size() + s — across @p jobs workers (0 =
- * $BARRE_JOBS, else hardware concurrency; 1 = plain serial loop, no
- * threads spawned). Each cell is runScenario() with
+ * $BARRE_JOBS, else the CPUs this thread may run on; 1 = plain serial
+ * loop, no threads spawned). Each cell is runScenario() with
  * RunMetrics::config set to the config name. Results are
  * deterministic and independent of the worker count.
  *
@@ -69,10 +69,11 @@ std::vector<RunMetrics> runMany(const std::vector<NamedConfig> &cfgs,
  * in argument order. Thunks must be independent (no shared mutable
  * state); each should build and run its own System.
  *
- * In the parallel path each thunk's warn()/inform() output is
- * buffered per cell and replayed in argument order once the batch
- * finishes (sim/logging.hh LogBlock), so log output is byte-identical
- * to the serial run instead of interleaving across cells.
+ * In the parallel path thunks start from the last one, and each
+ * thunk's warn()/inform() output is buffered per cell and replayed in
+ * argument order once the batch finishes (sim/logging.hh LogBlock), so
+ * log output is byte-identical to the serial run instead of
+ * interleaving across cells.
  */
 std::vector<RunMetrics>
 runManyJobs(const std::vector<std::function<RunMetrics()>> &sims,
@@ -81,8 +82,8 @@ runManyJobs(const std::vector<std::function<RunMetrics()>> &sims,
 /**
  * Like runManyJobs(sims, jobs), but starts thunks in descending
  * @p cost_hints order (longest-expected-first) so expensive cells do
- * not tail the batch. @p cost_hints must be empty (= argument order)
- * or one hint per thunk; any monotone estimate works — only the
+ * not tail the batch. @p cost_hints must be empty (= the unhinted
+ * form) or one hint per thunk; any monotone estimate works — only the
  * relative order matters. Results are identical to the unhinted form.
  */
 std::vector<RunMetrics>

@@ -1,6 +1,14 @@
 #include "harness/pool.hh"
 
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <future>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "harness/sweep_io.hh"
 #include "sim/logging.hh"
@@ -8,8 +16,27 @@
 namespace barre
 {
 
+namespace
+{
+
+/** CPUs this thread may run on; 0 when unknown. */
 unsigned
-ThreadPool::defaultWorkers()
+usableCpus()
+{
+#ifdef __linux__
+    // hardware_concurrency() counts every online CPU, even those a
+    // cpuset or `taskset` rules out.
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return unsigned(CPU_COUNT(&set));
+#endif
+    return std::thread::hardware_concurrency();
+}
+
+} // namespace
+
+unsigned
+defaultWorkers()
 {
     // Strict, like every other numeric knob: a typo must not quietly
     // run on every core. Empty means unset.
@@ -26,184 +53,80 @@ ThreadPool::defaultWorkers()
         }
         return v;
     }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    const unsigned cpus = usableCpus();
+    return cpus > 0 ? cpus : 1;
 }
 
-ThreadPool::ThreadPool(unsigned workers)
-    : concurrency_(workers > 0 ? workers : defaultWorkers())
+void
+runOnThreads(std::size_t k, const std::function<void(std::size_t)> &fn)
 {
-    queues_.reserve(concurrency_);
-    for (unsigned i = 0; i < concurrency_; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    // Slot 0 is the calling thread; spawn the rest.
-    threads_.reserve(concurrency_ - 1);
-    for (unsigned i = 1; i < concurrency_; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(state_m_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (auto &t : threads_)
-        t.join();
-}
-
-bool
-ThreadPool::popOwn(std::size_t self, std::size_t &out)
-{
-    WorkerQueue &wq = *queues_[self];
-    std::lock_guard<std::mutex> lk(wq.m);
-    if (wq.q.empty())
-        return false;
-    if (fifo_.load(std::memory_order_relaxed)) {
-        // Priority-ordered batch: always take the highest-priority
-        // (earliest-dealt) task still waiting.
-        out = wq.q.front();
-        wq.q.pop_front();
-    } else {
-        out = wq.q.back();
-        wq.q.pop_back();
-    }
-    return true;
-}
-
-bool
-ThreadPool::stealFrom(std::size_t self, std::size_t &out)
-{
-    if (pinned_.load(std::memory_order_relaxed))
-        return false;
-    const std::size_t n = queues_.size();
-    for (std::size_t off = 1; off < n; ++off) {
-        WorkerQueue &wq = *queues_[(self + off) % n];
-        std::lock_guard<std::mutex> lk(wq.m);
-        // Re-check under the victim's lock: a worker still draining
-        // the previous batch may race the flag write above, but a
-        // task pushed for a pinned batch is only visible together
-        // with pinned_ = true (both precede the push's unlock).
-        if (pinned_.load(std::memory_order_relaxed))
-            return false;
-        if (wq.q.empty())
-            continue;
-        out = wq.q.front();
-        wq.q.pop_front();
-        return true;
-    }
-    return false;
-}
-
-bool
-ThreadPool::runOneTask(std::size_t self)
-{
-    std::size_t idx;
-    if (!popOwn(self, idx) && !stealFrom(self, idx))
-        return false;
-
+    std::vector<std::exception_ptr> errors(k);
+    // No task starts until every thread exists: if a spawn fails, the
+    // spawned threads skip their task (which could wait forever for the
+    // missing peer) and are joined before the error leaves. Each thread
+    // reads the go signal through its own copy of the shared future.
+    std::promise<bool> go;
+    auto task = [&, started = go.get_future().share()](std::size_t i) {
+        if (!started.get())
+            return;
+        try {
+            fn(i);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> threads;
     try {
-        (*fn_)(idx);
+        for (std::size_t i = 1; i < k; ++i)
+            threads.emplace_back(task, i);
     } catch (...) {
-        std::lock_guard<std::mutex> lk(state_m_);
-        if (!first_error_)
-            first_error_ = std::current_exception();
+        go.set_value(false);
+        for (std::thread &t : threads)
+            t.join();
+        throw;
     }
-
-    std::lock_guard<std::mutex> lk(state_m_);
-    if (--remaining_ == 0)
-        done_.notify_all();
-    return true;
+    go.set_value(true);
+    if (k > 0)
+        task(0);
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 void
-ThreadPool::workerLoop(std::size_t self)
+parallelFor(unsigned workers, const std::vector<std::size_t> &order,
+            const std::function<void(std::size_t)> &fn)
 {
-    std::uint64_t seen = 0;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lk(state_m_);
-            wake_.wait(lk,
-                       [&] { return stopping_ || batch_ != seen; });
-            if (stopping_)
-                return;
-            seen = batch_;
+    if (workers == 0)
+        workers = defaultWorkers();
+    const std::size_t threads =
+        workers < order.size() ? workers : order.size();
+    std::atomic<std::size_t> next{0};
+    runOnThreads(threads, [&](std::size_t) {
+        std::exception_ptr err;
+        for (std::size_t i; (i = next.fetch_add(1)) < order.size();) {
+            try {
+                fn(order[i]);
+            } catch (...) {
+                if (!err)
+                    err = std::current_exception();
+            }
         }
-        while (runOneTask(self)) {
-        }
-    }
+        if (err)
+            std::rethrow_exception(err);
+    });
 }
 
 void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn)
+parallelFor(unsigned workers, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
 {
-    runBatch(n, nullptr, fn);
-}
-
-void
-ThreadPool::parallelForOrdered(const std::vector<std::size_t> &order,
-                               const std::function<void(std::size_t)> &fn)
-{
-    runBatch(order.size(), &order, fn);
-}
-
-void
-ThreadPool::runPinned(std::size_t k,
-                      const std::function<void(std::size_t)> &fn)
-{
-    barre_assert(k <= concurrency_,
-                 "runPinned(%zu) on a %u-worker pool", k, concurrency_);
-    runBatch(k, nullptr, fn, /*pinned=*/true);
-}
-
-void
-ThreadPool::runBatch(std::size_t n,
-                     const std::vector<std::size_t> *order,
-                     const std::function<void(std::size_t)> &fn,
-                     bool pinned)
-{
-    if (n == 0)
-        return;
-
-    {
-        std::lock_guard<std::mutex> lk(state_m_);
-        barre_assert(fn_ == nullptr, "parallelFor is not reentrant");
-        fn_ = &fn;
-        fifo_ = order != nullptr;
-        pinned_ = pinned;
-        remaining_ = n;
-        first_error_ = nullptr;
-        // Deal tasks round-robin (a pinned batch has n <= workers, so
-        // task i lands on worker i's queue); an ordered batch deals in
-        // priority order so FIFO pops start the most expensive work
-        // first.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::size_t task = order ? (*order)[i] : i;
-            WorkerQueue &wq = *queues_[i % queues_.size()];
-            std::lock_guard<std::mutex> qlk(wq.m);
-            wq.q.push_back(task);
-        }
-        ++batch_;
-    }
-    wake_.notify_all();
-
-    // The caller is worker 0.
-    while (runOneTask(0)) {
-    }
-
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lk(state_m_);
-        done_.wait(lk, [&] { return remaining_ == 0; });
-        fn_ = nullptr;
-        pinned_ = false;
-        err = first_error_;
-        first_error_ = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = n - 1 - i;
+    parallelFor(workers, order, fn);
 }
 
 } // namespace barre

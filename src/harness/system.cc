@@ -49,8 +49,7 @@ System::System(SystemConfig cfg) : System(freezeConfig(std::move(cfg)))
 {}
 
 System::System(SystemConfigHandle cfg)
-    : cfg_handle_(std::move(cfg)), cfg_(*cfg_handle_),
-      eq_(cfg_.heap_only_queue ? QueueMode::heap_only : QueueMode::ladder)
+    : cfg_handle_(std::move(cfg)), cfg_(*cfg_handle_)
 {
     std::uint64_t frames =
         cfg_.mem_bytes_per_chiplet >> pageShift(cfg_.page_size);

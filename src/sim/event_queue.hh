@@ -53,18 +53,6 @@ namespace barre
 {
 
 /**
- * Queue implementation selector. `heap_only` disables the ladder front
- * (every future event goes through the 4-ary heap); it exists so tests
- * and benches can prove the ladder is performance-only — firing order
- * and RunMetrics are bitwise identical between the two modes.
- */
-enum class QueueMode
-{
-    ladder,
-    heap_only,
-};
-
-/**
  * Central event queue; one per simulated system.
  *
  * Usage:
@@ -79,19 +67,13 @@ class EventQueue
   public:
     using Callback = InlineFn<void()>;
 
-    explicit EventQueue(QueueMode mode = QueueMode::ladder) : mode_(mode)
-    {
-        heap_.reserve(kReserve);
-    }
+    EventQueue() { heap_.reserve(kReserve); }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return tagged_ ? tagged_->now() : now_; }
-
-    /** Implementation mode chosen at construction. */
-    QueueMode mode() const { return mode_; }
 
     /** Number of events not yet fired. */
     std::size_t
@@ -352,7 +334,7 @@ class EventQueue
     {
         if (when == now_)
             pushNowLane(tag, std::move(cb));
-        else if (mode_ == QueueMode::ladder && when - now_ < kWindow)
+        else if (when - now_ < kWindow)
             pushBucket(when, tag, std::move(cb));
         else
             heap_.push(Entry{when, seq_++, tag, std::move(cb)});
@@ -523,8 +505,6 @@ class EventQueue
                          "ladder bitmap disagrees with bucket %zu", slot);
             if (b.empty())
                 continue;
-            barre_assert(mode_ == QueueMode::ladder,
-                         "heap-only queue has an occupied bucket");
             counted += b.size();
             const Tick when = b.front().when;
             barre_assert((when & kSlotMask) == slot,
@@ -574,7 +554,6 @@ class EventQueue
     /** One bit per bucket: occupied? Drives the next-tick scan. */
     std::array<std::uint64_t, kBitmapWords> bucket_bits_{};
     std::size_t bucket_count_ = 0; ///< entries across all buckets
-    QueueMode mode_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t fired_total_ = 0;

@@ -3,12 +3,10 @@
  * End-to-end bitwise-identity proof for partitioned simulation: a full
  * F-Barre run produces byte-identical metrics (csvRow), stats dumps,
  * and per-tag firing digests across the whole partition matrix —
- * sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8} — with the
- * heap-only queue kept as a differential reference. Also covers the
- * PDES-compatible feature
- * set (GMMU platform, multicast, validation) and the documented
- * fallback: non-partitionable configurations run the legacy serial
- * queue and match sim_domains=0 exactly.
+ * sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8}. Also covers the
+ * PDES-compatible feature set (GMMU platform, multicast, validation)
+ * and the documented fallback: non-partitionable configurations run
+ * the legacy serial queue and match sim_domains=0 exactly.
  */
 
 #include <gtest/gtest.h>
@@ -95,14 +93,6 @@ TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossDomainsThreads)
                                 .c_str());
         }
     }
-
-    // Differential reference: the pure-heap queue must not change the
-    // schedule either (heap vs calendar front).
-    SystemConfig heap = fbarreSmall();
-    heap.heap_only_queue = true;
-    heap.sim_domains = 4;
-    heap.sim_threads = 8;
-    expectIdentical(ref, runCfg(heap), "heap_only domains=4 threads=8");
 }
 
 TEST(PdesDeterminism, GmmuPlatformIsIdenticalAcrossDomains)

@@ -62,7 +62,7 @@ TEST(SharedConfig, DeepEqualityCoversNestedParams)
     b.chiplet.l2_tlb.entries += 1; // deep: nested param of a param
     EXPECT_FALSE(a == b);
     b = a;
-    b.heap_only_queue = true;
+    b.validate_translations = true;
     EXPECT_FALSE(a == b);
     b = a;
     EXPECT_TRUE(a == b);

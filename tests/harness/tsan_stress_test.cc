@@ -4,11 +4,11 @@
  * ThreadSanitizer something to chew on (-DBARRE_SANITIZE=thread).
  *
  * Hammers the three places host threads actually share state:
- * ThreadPool's work-stealing deques and batch lifecycle, runMany()'s
- * fan-out/collect path, and the line-atomic logging mutex. Each test
- * also asserts the functional contract (deterministic results, every
- * task ran exactly once), so the suite is meaningful in plain builds
- * too.
+ * parallelFor()'s start-order cursor and per-call thread lifecycle,
+ * runMany()'s fan-out/collect path, and the line-atomic logging mutex.
+ * Each test also asserts the functional contract (deterministic
+ * results, every task ran exactly once), so the suite is meaningful in
+ * plain builds too.
  */
 
 #include <gtest/gtest.h>
@@ -38,22 +38,29 @@ tinyCfg(TranslationMode mode)
     return cfg;
 }
 
+/**
+ * Busy work of @p units: uneven task weights keep the threads racing
+ * for the start-order cursor at different rates.
+ */
+void
+spin(std::size_t units)
+{
+    volatile std::uint64_t sink = 0;
+    for (std::size_t k = 0; k < units * 100; ++k)
+        sink = sink + k;
+}
+
 } // namespace
 
 TEST(ThreadPoolStress, ManyBatchesRunEveryTaskOnce)
 {
-    ThreadPool pool(kWorkers);
-    ASSERT_EQ(pool.workers(), kWorkers);
     constexpr std::size_t tasks = 512;
     std::vector<std::atomic<std::uint32_t>> ran(tasks);
     for (int batch = 0; batch < 32; ++batch) {
         for (auto &r : ran)
             r.store(0, std::memory_order_relaxed);
-        pool.parallelFor(tasks, [&](std::size_t i) {
-            // Uneven task weights force real stealing.
-            volatile std::uint64_t sink = 0;
-            for (std::size_t k = 0; k < (i % 7) * 100; ++k)
-                sink = sink + k;
+        parallelFor(kWorkers, tasks, [&](std::size_t i) {
+            spin(i % 7);
             ran[i].fetch_add(1, std::memory_order_relaxed);
         });
         for (std::size_t i = 0; i < tasks; ++i)
@@ -63,27 +70,24 @@ TEST(ThreadPoolStress, ManyBatchesRunEveryTaskOnce)
 
 TEST(ThreadPoolStress, ExceptionsPropagateUnderContention)
 {
-    ThreadPool pool(kWorkers);
     std::atomic<std::size_t> ran{0};
-    EXPECT_THROW(pool.parallelFor(256,
-                                  [&](std::size_t i) {
-                                      ran.fetch_add(1);
-                                      if (i == 100)
-                                          throw std::runtime_error("boom");
-                                  }),
+    EXPECT_THROW(parallelFor(kWorkers, 256,
+                             [&](std::size_t i) {
+                                 spin(i % 5);
+                                 ran.fetch_add(1);
+                                 if (i % 50 == 0)
+                                     throw std::runtime_error("boom");
+                             }),
                  std::runtime_error);
-    // Remaining tasks still ran; the pool stays usable afterwards.
+    // Every task still ran, including those after each thread's
+    // first throw.
     EXPECT_EQ(ran.load(), 256u);
-    std::atomic<std::size_t> again{0};
-    pool.parallelFor(64, [&](std::size_t) { again.fetch_add(1); });
-    EXPECT_EQ(again.load(), 64u);
 }
 
 TEST(LoggingStress, ConcurrentWarnAndPanicStayLineAtomic)
 {
-    ThreadPool pool(kWorkers);
     std::atomic<std::size_t> panics{0};
-    pool.parallelFor(kWorkers * 8, [&](std::size_t i) {
+    parallelFor(kWorkers, kWorkers * 8, [&](std::size_t i) {
         if (i % 8 == 0) {
             try {
                 barre_panic("stress panic from task %zu", i);
@@ -125,8 +129,8 @@ TEST(RunManyStress, EightWorkersMatchSerial)
 TEST(RunManyStress, OversubscribedPoolSurvivesRepeatedSweeps)
 {
     // More workers than cells and more workers than host cores: the
-    // batch wake/sleep path and deque teardown get exercised with idle
-    // workers present.
+    // per-call spawn/join path gets exercised on an oversubscribed
+    // host.
     std::vector<NamedConfig> cfgs = {
         {"barre", tinyCfg(TranslationMode::barre)}};
     std::vector<ScenarioSpec> specs = {ScenarioSpec::solo("cov")};

@@ -4,10 +4,11 @@
  * regression being pinned: concurrent partitioned runs used to contend
  * on a global scheduler lock, so every run but the first degraded to
  * fully serial execution. Now each run leases its share of the host's
- * cores (WorkerBudget) and checks out its own pool — leases can never
- * oversubscribe the capacity, always leave the caller at least its own
- * thread, and concurrent partitioned runs both complete multi-threaded
- * and stay bitwise identical to the serial reference.
+ * cores (WorkerBudget) and spawns the threads of its lease for itself
+ * (runOnThreads) — leases can never oversubscribe the capacity, always
+ * leave the caller at least its own thread, and concurrent partitioned
+ * runs both complete multi-threaded and stay bitwise identical to the
+ * serial reference.
  */
 
 #include <gtest/gtest.h>
@@ -112,7 +113,7 @@ struct SmallDriver
     std::vector<std::uint64_t> budget;
 
     explicit SmallDriver(std::uint64_t per_tag)
-        : eq(QueueMode::ladder), budget(kTags, per_tag)
+        : budget(kTags, per_tag)
     {
         for (std::size_t t = 0; t < kTags; ++t)
             rngs.emplace_back(0xb06e7 + t);
@@ -161,9 +162,9 @@ TEST(WorkerBudget, ConcurrentPartitionedRunsStayIdentical)
     SmallDriver ref(per_tag);
     const std::vector<std::uint64_t> want = ref.run(1);
 
-    // Two partitioned runs racing for the same budget and pool cache:
-    // whatever lease each one ends up with, both must complete (no
-    // deadlock on a shared pool) and match the serial schedule.
+    // Two partitioned runs racing for the same budget: whatever lease
+    // each one ends up with, both must complete (no deadlock between
+    // their epoch barriers) and match the serial schedule.
     constexpr int kRuns = 2;
     std::vector<std::vector<std::uint64_t>> got(kRuns);
     std::vector<std::thread> threads;

@@ -55,7 +55,7 @@ struct DiffDriver
 
     DiffDriver(const std::vector<std::uint32_t> &tag_domain,
                std::uint32_t domains, std::uint64_t per_tag)
-        : eq(QueueMode::ladder), rec(kTags), budget(kTags, per_tag)
+        : rec(kTags), budget(kTags, per_tag)
     {
         for (std::size_t t = 0; t < kTags; ++t)
             rngs.emplace_back(0xb0ba + t);
@@ -177,7 +177,6 @@ struct ArbDriver
 
     ArbDriver(const std::vector<std::uint32_t> &tag_domain,
               std::uint32_t domains)
-        : eq(QueueMode::ladder)
     {
         for (std::size_t t = 0; t < 3; ++t)
             rngs.emplace_back(0xcafe + t);
@@ -234,7 +233,7 @@ TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
 {
     if (!invariants_enabled)
         GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
-    EventQueue eq(QueueMode::ladder);
+    EventQueue eq;
     eq.enableTags({0, 1}, 2);
     TaggedEngine *eng = eq.taggedEngine();
     eng->setRunning(true);
@@ -252,7 +251,7 @@ TEST(DomainQueueAudit, ArbitratedDeliveryInsideHorizonFires)
 {
     if (!invariants_enabled)
         GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
-    EventQueue eq(QueueMode::ladder);
+    EventQueue eq;
     eq.enableTags({0, 1}, 2);
     TaggedEngine *eng = eq.taggedEngine();
     FakeWire wire;
@@ -270,14 +269,14 @@ TEST(DomainQueueAudit, ArbitratedDeliveryInsideHorizonFires)
 
 TEST(DomainQueueAudit, TaggedScheduleOutsideAnyContextFires)
 {
-    EventQueue eq(QueueMode::ladder);
+    EventQueue eq;
     eq.enableTags({0, 1}, 2);
     EXPECT_THROW(eq.schedule(5, []() {}), std::logic_error);
 }
 
 TEST(DomainQueue, RunIsUnavailableInTaggedMode)
 {
-    EventQueue eq(QueueMode::ladder);
+    EventQueue eq;
     eq.enableTags({0}, 1);
     EXPECT_THROW(eq.run(), std::logic_error);
 }

@@ -1,25 +1,24 @@
 /**
  * @file
  * Differential proofs over the event engines. The calendar-front
- * EventQueue (QueueMode::ladder) is observationally identical to the
- * pure-heap queue: the same randomized schedule fires in the same order
- * at the same ticks under every delay mix (general, IOMMU-shaped,
- * uniform-horizon), and a full-system run produces bitwise-identical
- * RunMetrics either way. A one-tag, one-domain TaggedEngine fires the
- * same schedule in the same order too: with a single tag its
- * (when, birth, key) order reduces to the legacy (when, seq).
+ * EventQueue fires in exact (when, seq) order, checked against two
+ * references: a one-tag, one-domain TaggedEngine — a plain 4-ary heap
+ * whose (when, birth, key) order reduces to (when, seq) with a single
+ * tag — fires the same randomized self-scheduling workload in the same
+ * order at the same ticks under every delay mix (general,
+ * IOMMU-shaped, uniform-horizon); and preloaded schedules fire in the
+ * order of a stable sort of (tick, schedule index).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/domain_scheduler.hh"
-#include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "workloads/suite.hh"
 
 using namespace barre;
 
@@ -95,9 +94,9 @@ struct Driver
     std::uint64_t scheduled = 0;
     std::uint64_t target;
 
-    Driver(QueueMode mode, std::uint64_t seed, std::uint64_t events,
-           Tick (*delay)(Rng &), bool tagged = false)
-        : eq(mode), rng(seed), delay(delay), target(events)
+    Driver(std::uint64_t seed, std::uint64_t events, Tick (*delay)(Rng &),
+           bool tagged = false)
+        : rng(seed), delay(delay), target(events)
     {
         order.reserve(events);
         fire_ticks.reserve(events);
@@ -168,14 +167,16 @@ const struct
 
 TEST(EventQueueDiff, MillionEventRandomScheduleFiresIdentically)
 {
+    // The ladder's buckets, lane and heap backstop against the one-tag
+    // engine's single heap.
     constexpr std::uint64_t events = 1'200'000;
     for (const auto &mix : kMixes) {
         SCOPED_TRACE(mix.name);
-        Driver ladder(QueueMode::ladder, 0xbadc0ffe, events, mix.delay);
-        Driver heap(QueueMode::heap_only, 0xbadc0ffe, events, mix.delay);
+        Driver ladder(0xbadc0ffe, events, mix.delay);
+        Driver tagged(0xbadc0ffe, events, mix.delay, /*tagged=*/true);
         ladder.run();
-        heap.run();
-        expectSameFiring(ladder, heap, events);
+        tagged.run();
+        expectSameFiring(ladder, tagged, events);
     }
 }
 
@@ -187,86 +188,78 @@ TEST(EventQueueDiff, OneTagTaggedEngineFiresInLegacyOrder)
     constexpr std::uint64_t events = 300'000;
     for (const auto &mix : kMixes) {
         SCOPED_TRACE(mix.name);
-        Driver legacy(QueueMode::ladder, 0x5eed, events, mix.delay);
-        Driver tagged(QueueMode::ladder, 0x5eed, events, mix.delay,
-                      /*tagged=*/true);
+        Driver legacy(0x5eed, events, mix.delay);
+        Driver tagged(0x5eed, events, mix.delay, /*tagged=*/true);
         legacy.run();
         tagged.run();
         expectSameFiring(legacy, tagged, events);
     }
 }
 
+/**
+ * Schedule one event per entry of @p ticks on @p eq, in order; each
+ * appends its schedule index to @p fired. @return the reference order:
+ * schedule indices stably sorted by tick.
+ */
+std::vector<std::uint32_t>
+schedulePreloaded(EventQueue &eq, const std::vector<Tick> &ticks,
+                  std::vector<std::uint32_t> &fired)
+{
+    std::vector<std::uint32_t> ref(ticks.size());
+    for (std::uint32_t i = 0; i < ticks.size(); ++i) {
+        eq.schedule(ticks[i], [&fired, i]() { fired.push_back(i); });
+        ref[i] = i;
+    }
+    std::stable_sort(ref.begin(), ref.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return ticks[a] < ticks[b];
+                     });
+    return ref;
+}
+
 TEST(EventQueueDiff, PreloadedMixedDelaysFireInIdenticalOrder)
 {
     // All events scheduled up front (no feedback loop), including
-    // heavy same-tick ties: FIFO-within-tick must match across modes.
-    EventQueue ladder(QueueMode::ladder);
-    EventQueue heap(QueueMode::heap_only);
-    std::vector<std::uint32_t> order_a, order_b;
+    // heavy same-tick ties: FIFO-within-tick must hold.
+    EventQueue eq;
+    std::vector<std::uint32_t> fired;
+    std::vector<Tick> ticks;
     Rng rng(7);
-    for (std::uint32_t i = 0; i < 50000; ++i) {
-        const Tick when = rng.below(2048); // dense → many ties
-        ladder.schedule(when, [&order_a, i]() { order_a.push_back(i); });
-        heap.schedule(when, [&order_b, i]() { order_b.push_back(i); });
-    }
-    ladder.run();
-    heap.run();
-    ASSERT_EQ(order_a.size(), order_b.size());
-    EXPECT_TRUE(order_a == order_b);
-    EXPECT_EQ(ladder.now(), heap.now());
+    for (std::uint32_t i = 0; i < 50000; ++i)
+        ticks.push_back(rng.below(2048)); // dense → many ties
+    const std::vector<std::uint32_t> ref =
+        schedulePreloaded(eq, ticks, fired);
+    eq.run();
+    EXPECT_TRUE(fired == ref);
+    EXPECT_EQ(eq.now(), *std::max_element(ticks.begin(), ticks.end()));
 }
 
 TEST(EventQueueDiff, RepeatedDrainsAgreeAcrossModes)
 {
     // Schedule a batch relative to the current clock, drain, repeat:
-    // the clock, the fired count and the order must agree after every
-    // drain, including same-tick events added at the old now().
-    EventQueue ladder(QueueMode::ladder);
-    EventQueue heap(QueueMode::heap_only);
-    std::vector<std::uint32_t> order_a, order_b;
+    // the clock, the fired count and the order must match the sorted
+    // reference after every drain, including same-tick events added
+    // at the old now().
+    EventQueue eq;
+    std::vector<std::uint32_t> fired;
     Rng rng(99);
-    std::uint32_t id = 0;
+    std::uint64_t total = 0;
     for (int round = 0; round < 12; ++round) {
-        const Tick base = ladder.now();
-        for (int i = 0; i < 2000; ++i, ++id) {
-            const Tick when = base + rng.below(1000);
-            ladder.schedule(when, [&order_a, id]() { order_a.push_back(id); });
-            heap.schedule(when, [&order_b, id]() { order_b.push_back(id); });
-        }
-        ladder.run();
-        heap.run();
-        ASSERT_EQ(ladder.now(), heap.now()) << "round " << round;
-        ASSERT_EQ(ladder.fired(), heap.fired()) << "round " << round;
-        ASSERT_EQ(order_a.size(), order_b.size()) << "round " << round;
+        const Tick base = eq.now();
+        std::vector<Tick> ticks;
+        for (int i = 0; i < 2000; ++i)
+            ticks.push_back(base + rng.below(1000));
+        fired.clear();
+        const std::vector<std::uint32_t> ref =
+            schedulePreloaded(eq, ticks, fired);
+        total += ticks.size();
+        eq.run();
+        ASSERT_EQ(eq.now(), *std::max_element(ticks.begin(), ticks.end()))
+            << "round " << round;
+        ASSERT_EQ(eq.fired(), total) << "round " << round;
+        ASSERT_TRUE(fired == ref) << "round " << round;
     }
-    EXPECT_TRUE(order_a == order_b);
-    EXPECT_EQ(ladder.pending(), 0u);
-    EXPECT_EQ(heap.pending(), 0u);
-}
-
-TEST(EventQueueDiff, FullSystemRunMetricsAreBitwiseIdentical)
-{
-    // End-to-end: an F-Barre system (the config exercising the most
-    // event machinery — NoC probes, filters, PEC calc, IOMMU walks)
-    // must produce the exact same RunMetrics with the calendar front
-    // on and off.
-    SystemConfig cfg;
-    cfg.mode = TranslationMode::fbarre;
-    cfg.driver.merge_limit = 2;
-    cfg.iommu.coal_aware_sched = true;
-    cfg.workload_scale = 0.04;
-
-    SystemConfig heap_cfg = cfg;
-    heap_cfg.heap_only_queue = true;
-
-    const ScenarioSpec spec = ScenarioSpec::solo("cov");
-    RunMetrics ladder = runScenario(cfg, spec);
-    RunMetrics heap = runScenario(heap_cfg, spec);
-    // The config label differs only through fields that don't reach
-    // RunMetrics; everything measured must match exactly.
-    EXPECT_TRUE(ladder == heap);
-    EXPECT_EQ(ladder.runtime, heap.runtime);
-    EXPECT_EQ(ladder.sim_events, heap.sim_events);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
 } // namespace

@@ -247,20 +247,6 @@ TEST(EventQueueAudit, LadderBucketsPassUnderMixedDelays)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(EventQueueAudit, HeapOnlyModeNeverPopulatesBuckets)
-{
-    EventQueue eq(QueueMode::heap_only);
-    int fired = 0;
-    for (int i = 0; i < 100; ++i)
-        eq.scheduleAfter(static_cast<Cycles>(i % 200), [&] {
-            ++fired;
-            // The audit asserts heap-only queues own no bucket entries.
-            eq.auditInvariants();
-        });
-    eq.run();
-    EXPECT_EQ(fired, 100);
-}
-
 TEST(EventQueueAudit, CorruptedLadderBitmapFires)
 {
     EventQueue eq;

@@ -102,8 +102,8 @@ struct HeteroDriver
     HeteroDriver(const LinkMatrix &lm,
                  const std::vector<std::uint32_t> &tag_domain,
                  std::uint32_t domains, std::uint64_t per_tag)
-        : eq(QueueMode::ladder), links(lm), rec(kTags),
-          budget(kTags, per_tag), lookahead(lm.lookahead(tag_domain))
+        : links(lm), rec(kTags), budget(kTags, per_tag),
+          lookahead(lm.lookahead(tag_domain))
     {
         for (std::size_t t = 0; t < kTags; ++t)
             rngs.emplace_back(0x5eed + t);
@@ -225,8 +225,7 @@ struct PanicDriver
     std::vector<std::uint64_t> budget;
 
     PanicDriver()
-        : eq(QueueMode::ladder), tlb(TlbParams{}),
-          budget(kTags, 2000)
+        : tlb(TlbParams{}), budget(kTags, 2000)
     {
         for (std::size_t t = 0; t < kTags; ++t)
             rngs.emplace_back(0xdead + t);

@@ -22,6 +22,11 @@ correctness story depends on:
                    sim/inline_fn.hh InlineFn so the per-event schedule
                    path never heap-allocates. std::function remains
                    fine in the host-side runner/pool infrastructure.
+  host-threads     std::thread, std::jthread and hardware_concurrency
+                   appear in src/, bench/ and tools/ only in
+                   src/harness/pool.cc, so the pool (runOnThreads,
+                   parallelFor, defaultWorkers) stays the one place
+                   that spawns host threads or sizes worker counts.
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
@@ -213,6 +218,26 @@ class Linter:
                         "sim/inline_fn.hh InlineFn so scheduling "
                         "stays allocation-free")
 
+    def check_host_threads(self):
+        thread_re = re.compile(
+            r"\bstd\s*::\s*j?thread\b|\bhardware_concurrency\b")
+        home = "src/harness/pool.cc"
+        for path in self.files(["src/**/*.hh", "src/**/*.cc",
+                                "bench/**/*.hh", "bench/**/*.cc",
+                                "tools/**/*.hh", "tools/**/*.cc"]):
+            if path.relative_to(self.root).as_posix() == home:
+                continue
+            raw_lines = path.read_text().splitlines()
+            text = strip_comments_and_strings("\n".join(raw_lines))
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if thread_re.search(line) and "host-threads" not in \
+                        allowed_rules(raw_lines[lineno - 1]):
+                    self.report(
+                        path, lineno, "host-threads",
+                        f"host threads are spawned and sized only in "
+                        f"{home}; use runOnThreads/parallelFor/"
+                        f"defaultWorkers")
+
     def check_domain_ownership(self):
         lint = self.root / "tools" / "domain_lint.py"
         if not lint.is_file():
@@ -254,6 +279,7 @@ class Linter:
         self.check_iostream()
         self.check_naked_new()
         self.check_event_path_function()
+        self.check_host_threads()
         self.check_domain_ownership()
         if format_check:
             self.check_format()
