@@ -170,8 +170,8 @@ soloRuntimes(const NamedConfig &nc, const std::set<std::string> &apps,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+tenantsMain(int argc, char **argv)
 {
     const bool smoke = argc == 2 && std::strcmp(argv[1], "--smoke") == 0;
     if (argc > 1 && !smoke) {
@@ -269,4 +269,10 @@ main(int argc, char **argv)
     }
     table.print("Multi-tenant churn (slowdown vs solo, tail latency)");
     return all_identical ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(tenantsMain, argc, argv);
 }

@@ -1,6 +1,9 @@
 #include "bench/common.hh"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "harness/sweep_io.hh"
 #include "sim/logging.hh"
@@ -21,6 +24,38 @@ envScale(double def)
 
 namespace
 {
+
+/** Index of @p v in @p pool, appending it first if absent. */
+template <typename T>
+std::size_t
+intern(std::vector<T> &pool, const T &v)
+{
+    const std::size_t i = std::find(pool.begin(), pool.end(), v) -
+                          pool.begin();
+    if (i == pool.size())
+        pool.push_back(v);
+    return i;
+}
+
+/** One row per label, one column per series, plus a geomean row. */
+void
+printColumns(const std::string &title, std::vector<std::string> headers,
+             const std::vector<std::string> &rows,
+             const std::vector<std::vector<double>> &cols)
+{
+    TextTable table(std::move(headers));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::vector<std::string> row{rows[i]};
+        for (const auto &col : cols)
+            row.push_back(fmt(col[i]));
+        table.addRow(std::move(row));
+    }
+    std::vector<std::string> gm{"geomean"};
+    for (const auto &col : cols)
+        gm.push_back(fmt(geomean(col)));
+    table.addRow(std::move(gm));
+    table.print(title);
+}
 
 std::string
 keyOf(const std::string &cfg, const std::string &app)
@@ -68,46 +103,77 @@ ResultStore::printSpeedupTable(const std::string &title,
                                const std::vector<ScenarioSpec> &specs)
     const
 {
-    std::vector<std::string> headers{"app"};
-    for (const auto &c : configs)
+    std::vector<std::string> headers{"app"}, rows;
+    std::vector<std::vector<double>> cols;
+    for (const auto &c : configs) {
         headers.push_back(c);
-    TextTable table(headers);
-
-    std::map<std::string, std::vector<double>> per_cfg;
-    for (const auto &c : configs)
-        per_cfg[c] = speedups(base, c, specs);
-
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        std::vector<std::string> row{specs[i].label()};
-        for (const auto &c : configs)
-            row.push_back(fmt(per_cfg[c][i]));
-        table.addRow(std::move(row));
+        cols.push_back(speedups(base, c, specs));
     }
-    std::vector<std::string> gm{"geomean"};
-    for (const auto &c : configs)
-        gm.push_back(fmt(geomean(per_cfg[c])));
-    table.addRow(std::move(gm));
-    table.print(title + " (speedup over " + base + ")");
+    for (const auto &spec : specs)
+        rows.push_back(spec.label());
+    printColumns(title + " (speedup over " + base + ")",
+                 std::move(headers), rows, cols);
 }
 
 void
-runAll(ResultStore &store, const std::vector<NamedConfig> &configs,
-       const std::vector<ScenarioSpec> &specs, double scale)
+ResultStore::printPairTable(const std::string &title,
+                            std::vector<std::string> headers,
+                            const std::vector<std::string> &tags,
+                            const std::vector<AppParams> &apps,
+                            const std::string &suffix) const
 {
-    std::vector<NamedConfig> scaled = configs;
-    for (auto &nc : scaled)
-        nc.cfg.workload_scale *= scale;
+    std::vector<std::string> rows;
+    std::vector<ScenarioSpec> specs;
+    for (const auto &app : apps) {
+        rows.push_back(app.name);
+        specs.push_back(ScenarioSpec::solo(app.name + suffix));
+    }
+    std::vector<std::vector<double>> cols;
+    for (const auto &tag : tags)
+        cols.push_back(speedups("base-" + tag + suffix,
+                                "fbarre-" + tag + suffix, specs));
+    printColumns(title, std::move(headers), rows, cols);
+}
 
-    std::vector<RunMetrics> results = runMany(scaled, specs);
-
-    for (std::size_t c = 0; c < scaled.size(); ++c) {
-        for (std::size_t s = 0; s < specs.size(); ++s) {
-            const RunMetrics &m = results[c * specs.size() + s];
-            store.put(scaled[c].name, m.app, m);
-            std::fprintf(stderr, "%-18s %-8s %14llu cycles\n",
-                         scaled[c].name.c_str(), m.app.c_str(),
-                         (unsigned long long)m.runtime);
+void
+runFigures(const std::vector<Figure> &figs)
+{
+    // Each distinct config, scenario and cell once; a config keeps the
+    // name it was first used under.
+    std::vector<SystemConfig> cfg_values;
+    std::vector<NamedConfig> cfgs;
+    std::vector<ScenarioSpec> specs;
+    std::vector<CellRef> cells;
+    // Per figure: the (config name, cell) of every cell it reads.
+    std::vector<std::vector<std::pair<std::string, std::size_t>>> uses(
+        figs.size());
+    for (std::size_t f = 0; f < figs.size(); ++f) {
+        for (const Grid &grid : figs[f].grids) {
+            for (const NamedConfig &nc : grid.configs) {
+                SystemConfig cfg = nc.cfg;
+                cfg.workload_scale *= grid.scale;
+                const std::size_t c = intern(cfg_values, cfg);
+                if (c == cfgs.size())
+                    cfgs.push_back({nc.name, cfg});
+                for (const ScenarioSpec &spec : grid.specs)
+                    uses[f].emplace_back(
+                        nc.name,
+                        intern(cells, CellRef{c, intern(specs, spec)}));
+            }
         }
+    }
+
+    const std::vector<RunMetrics> results = runMany(cfgs, specs, cells);
+    for (const RunMetrics &m : results)
+        std::fprintf(stderr, "%-18s %-8s %14llu cycles\n",
+                     m.config.c_str(), m.app.c_str(),
+                     (unsigned long long)m.runtime);
+
+    for (std::size_t f = 0; f < figs.size(); ++f) {
+        ResultStore store;
+        for (const auto &[config, cell] : uses[f])
+            store.put(config, results[cell].app, results[cell]);
+        figs[f].print(store);
     }
 }
 

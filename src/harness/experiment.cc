@@ -1,62 +1,14 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <numeric>
 
 #include "harness/pool.hh"
-#include "harness/sweep_io.hh"
 #include "sim/logging.hh"
 
 namespace barre
 {
-
-namespace
-{
-
-/**
- * Optional persisted cost hints: $BARRE_COST_CACHE names a text file
- * of "config/app<TAB>wall_seconds" lines. runMany() prefers a cell's
- * last measured wall time over the MPKI model and rewrites the file
- * after each sweep, so repeated sweeps converge on true costs. A
- * missing file is an empty cache; a malformed line is fatal.
- */
-std::map<std::string, double>
-loadCostCache(const char *path)
-{
-    std::map<std::string, double> cache;
-    std::ifstream is(path);
-    std::string line;
-    for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
-        const std::string where = csprintf("%s:%zu", path, lineno);
-        const std::size_t tab = line.find('\t');
-        if (tab == std::string::npos || tab == 0)
-            barre_fatal("%s: expected 'config/app<TAB>seconds'",
-                        where.c_str());
-        cache[line.substr(0, tab)] =
-            parseScaleArg(line.substr(tab + 1), where.c_str());
-    }
-    return cache;
-}
-
-void
-saveCostCache(const char *path,
-              const std::map<std::string, double> &cache)
-{
-    std::ofstream os(path);
-    if (!os) {
-        barre_warn("cannot write cost cache '%s'", path);
-        return;
-    }
-    for (const auto &[key, secs] : cache)
-        os << key << '\t' << secs << '\n';
-}
-
-} // namespace
 
 RunMetrics
 runScenario(const SystemConfig &cfg, const ScenarioSpec &spec)
@@ -160,24 +112,20 @@ cellCostHint(const AppParams &app)
 }
 
 double
-cellCostHint(const ScenarioSpec &spec)
+cellCostHint(const SystemConfig &cfg, const ScenarioSpec &spec)
 {
     double hint = 0.0;
     for (const ResolvedTenant &t : spec.resolve())
         hint += cellCostHint(t.app) * t.scale;
-    return hint;
+    return hint * cfg.workload_scale;
 }
 
 std::vector<RunMetrics>
 runMany(const std::vector<NamedConfig> &cfgs,
-        const std::vector<ScenarioSpec> &specs, unsigned jobs)
+        const std::vector<ScenarioSpec> &specs,
+        const std::vector<CellRef> &cells, unsigned jobs)
 {
-    const char *cache_path = std::getenv("BARRE_COST_CACHE");
-    std::map<std::string, double> cache;
-    if (cache_path)
-        cache = loadCostCache(cache_path);
-
-    const std::size_t n = cfgs.size() * specs.size();
+    const std::size_t n = cells.size();
 
     // A sweep with fewer cells than workers leaves cores idle; hand
     // each cell's partitioned scheduler an equal share of the
@@ -190,49 +138,45 @@ runMany(const std::vector<NamedConfig> &cfgs,
     const unsigned spare_threads =
         n > 0 && eff_jobs > n ? static_cast<unsigned>(eff_jobs / n) : 1;
 
+    // One frozen handle per config; all of its cells share it.
+    std::vector<SystemConfigHandle> frozen;
+    frozen.reserve(cfgs.size());
+    for (const auto &nc : cfgs) {
+        SystemConfig cfg = nc.cfg;
+        if (spare_threads > 1 && cfg.sim_domains > 0 &&
+            cfg.sim_threads == 0) {
+            cfg.sim_threads = spare_threads;
+        }
+        frozen.push_back(freezeConfig(std::move(cfg)));
+    }
+
     std::vector<std::function<RunMetrics()>> sims;
     std::vector<double> hints;
-    std::vector<double> walls(n, 0.0);
     sims.reserve(n);
     hints.reserve(n);
-    for (const auto &nc : cfgs) {
-        // One frozen handle per column; all of its cells share it.
-        SystemConfig col_cfg = nc.cfg;
-        if (spare_threads > 1 && col_cfg.sim_domains > 0 &&
-            col_cfg.sim_threads == 0) {
-            col_cfg.sim_threads = spare_threads;
-        }
-        SystemConfigHandle frozen = freezeConfig(std::move(col_cfg));
-        for (const auto &spec : specs) {
-            std::size_t i = sims.size();
-            bool timed = cache_path != nullptr;
-            sims.push_back([frozen, &nc, &spec, &walls, i, timed] {
-                auto t0 = std::chrono::steady_clock::now();
-                RunMetrics m = runScenario(frozen, spec);
-                m.config = nc.name;
-                if (timed)
-                    walls[i] = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   t0)
-                                   .count();
-                return m;
-            });
-            auto it = cache.find(nc.name + "/" + spec.label());
-            hints.push_back(it != cache.end()
-                                ? it->second
-                                : cellCostHint(spec));
-        }
+    for (const CellRef &cell : cells) {
+        const NamedConfig &nc = cfgs.at(cell.config);
+        const ScenarioSpec &spec = specs.at(cell.spec);
+        sims.push_back([cfg = frozen[cell.config], &nc, &spec] {
+            RunMetrics m = runScenario(cfg, spec);
+            m.config = nc.name;
+            return m;
+        });
+        hints.push_back(cellCostHint(nc.cfg, spec));
     }
-    std::vector<RunMetrics> results = runManyJobs(sims, hints, jobs);
+    return runManyJobs(sims, hints, jobs);
+}
 
-    if (cache_path) {
-        for (std::size_t i = 0; i < n; ++i)
-            if (walls[i] > 0)
-                cache[results[i].config + "/" + results[i].app] =
-                    walls[i];
-        saveCostCache(cache_path, cache);
-    }
-    return results;
+std::vector<RunMetrics>
+runMany(const std::vector<NamedConfig> &cfgs,
+        const std::vector<ScenarioSpec> &specs, unsigned jobs)
+{
+    std::vector<CellRef> cells;
+    cells.reserve(cfgs.size() * specs.size());
+    for (std::size_t c = 0; c < cfgs.size(); ++c)
+        for (std::size_t s = 0; s < specs.size(); ++s)
+            cells.push_back({c, s});
+    return runMany(cfgs, specs, cells, jobs);
 }
 
 std::string

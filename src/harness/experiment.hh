@@ -1,7 +1,7 @@
 /**
  * @file
  * One-call experiment helpers and plain-text table output used by the
- * benchmark harness (one bench binary per paper figure/table).
+ * benchmark harness (bench/figures, bench_tenants) and tools/sweep.
  *
  * runMany() is the sweep workhorse: it fans independent simulations out
  * across host cores (harness/pool.hh parallelFor(), $BARRE_JOBS threads
@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -47,18 +48,35 @@ struct NamedConfig
     SystemConfig cfg;
 };
 
+/** One cell of a flat batch: indices into runMany()'s two lists. */
+struct CellRef
+{
+    std::size_t config;
+    std::size_t spec;
+
+    friend bool operator==(const CellRef &, const CellRef &) = default;
+};
+
 /**
- * Run the full (config x scenario) grid — config-major, i.e. result
- * index c * specs.size() + s — across @p jobs workers (0 =
- * $BARRE_JOBS, else the CPUs this thread may run on; 1 = plain serial
- * loop, no threads spawned). Each cell is runScenario() with
- * RunMetrics::config set to the config name. Results are
- * deterministic and independent of the worker count.
+ * Run an arbitrary list of (config, scenario) cells across @p jobs
+ * workers (0 = $BARRE_JOBS, else the CPUs this thread may run on; 1 =
+ * plain serial loop, no threads spawned); result k is cell k. Each
+ * cell is runScenario() with RunMetrics::config set to the config
+ * name, and every cell of one config shares one frozen handle.
+ * Results are deterministic and independent of the worker count.
  *
- * Cells are scheduled longest-expected-first (cellCostHint(), or the
- * cell's last measured wall time when $BARRE_COST_CACHE names a cache
- * file) so a long `gups` cell never tails the batch; results are still
- * collected by grid index, so output is unaffected by the ordering.
+ * Cells start longest-expected-first (cellCostHint()) so a long
+ * `gups` cell never tails the batch; results are still collected by
+ * cell index, so output is unaffected by the ordering.
+ */
+std::vector<RunMetrics> runMany(const std::vector<NamedConfig> &cfgs,
+                                const std::vector<ScenarioSpec> &specs,
+                                const std::vector<CellRef> &cells,
+                                unsigned jobs = 0);
+
+/**
+ * Grid form: the full (config x scenario) grid, config-major — result
+ * index c * specs.size() + s.
  */
 std::vector<RunMetrics> runMany(const std::vector<NamedConfig> &cfgs,
                                 const std::vector<ScenarioSpec> &specs,
@@ -91,15 +109,18 @@ runManyJobs(const std::vector<std::function<RunMetrics()>> &sims,
             const std::vector<double> &cost_hints, unsigned jobs = 0);
 
 /**
- * Expected relative wall cost of one cell, from the app's Table I
- * MPKI and access count: high-MPKI apps fire far more walk/IOMMU
- * events per access, so they dominate a batch. Used by runMany() to
- * order cells longest-expected-first.
+ * Expected relative wall cost of one app run, from its Table I MPKI
+ * and access count: high-MPKI apps fire far more walk/IOMMU events
+ * per access, so they dominate a batch.
  */
 double cellCostHint(const AppParams &app);
 
-/** Scenario form: the sum of its resolved tenants' hints x scale. */
-double cellCostHint(const ScenarioSpec &spec);
+/**
+ * Cell form, used by runMany() to order cells longest-expected-first:
+ * the sum of the scenario's resolved tenants' hints x tenant scale,
+ * times the config's workload_scale.
+ */
+double cellCostHint(const SystemConfig &cfg, const ScenarioSpec &spec);
 
 /**
  * Fixed-width text table, printed in the shape of the paper's figures

@@ -107,7 +107,17 @@ fatalImpl(const char *file, int line, const std::string &msg)
         std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file,
                      line);
     }
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
+}
+
+int
+runMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &) {
+        return 1;
+    }
 }
 
 void

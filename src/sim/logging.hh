@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,20 @@ std::string csprintf(const char *fmt, ...)
                             const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
+
+/** What fatal() throws, after printing its message to stderr. */
+struct FatalError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Run a program's main body: a fatal() escaping @p body becomes exit
+ * code 1 (the message is already on stderr) instead of
+ * std::terminate's SIGABRT. Every CLI main is `return runMain(body,
+ * argc, argv);`.
+ */
+int runMain(int (*body)(int, char **), int argc, char **argv);
 
 /**
  * A deferred block of log lines captured from one simulation cell.

@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -92,6 +88,24 @@ TEST(RunMany, ConfigAndAppLabelsFollowGridOrder)
     }
 }
 
+TEST(RunMany, FlatCellsMatchTheirGridCells)
+{
+    auto cfgs = testConfigs();
+    auto specs = testSpecs();
+    std::vector<RunMetrics> grid = runMany(cfgs, specs, 1);
+
+    // Any subset, in any order, with repeats: cell k is its grid cell.
+    std::vector<CellRef> cells{{1, 2}, {0, 0}, {1, 2}, {0, 1}};
+    for (unsigned jobs : {1u, 4u}) {
+        std::vector<RunMetrics> got = runMany(cfgs, specs, cells, jobs);
+        ASSERT_EQ(got.size(), cells.size());
+        for (std::size_t k = 0; k < cells.size(); ++k)
+            EXPECT_EQ(got[k],
+                      grid[cells[k].config * specs.size() + cells[k].spec])
+                << "cell " << k << " with " << jobs << " jobs";
+    }
+}
+
 TEST(RunManyJobs, ArbitraryThunksKeepArgumentOrder)
 {
     SystemConfig cfg = SystemConfig::baselineAts();
@@ -154,6 +168,17 @@ TEST(CellCostHint, HighMpkiAppsCostMore)
               cellCostHint(appByName("fft")));
     EXPECT_GT(cellCostHint(appByName("matr")),
               cellCostHint(appByName("gemv")));
+
+    // The cell form scales with the config's workload_scale, so a
+    // weak-scaled or enlarged cell starts ahead of its scale-1 twin.
+    SystemConfig one = SystemConfig::baselineAts();
+    SystemConfig four = one;
+    four.workload_scale = 4.0;
+    const ScenarioSpec gups = ScenarioSpec::solo("gups");
+    EXPECT_DOUBLE_EQ(cellCostHint(four, gups),
+                     4.0 * cellCostHint(one, gups));
+    EXPECT_GT(cellCostHint(one, gups),
+              cellCostHint(one, ScenarioSpec::solo("fft")));
 }
 
 TEST(RunMany, SpareWorkersHandedToPartitionedCellsStayBitwise)
@@ -183,123 +208,4 @@ TEST(RunMany, SpareWorkersHandedToPartitionedCellsStayBitwise)
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expect[i]) << "cell " << i;
-}
-
-TEST(RunMany, CostCachePersistsWallTimesAndStaysDeterministic)
-{
-    std::string path = testing::TempDir() + "barre_cost_cache_test";
-    std::remove(path.c_str());
-    setenv("BARRE_COST_CACHE", path.c_str(), 1);
-
-    auto cfgs = testConfigs();
-    auto specs = testSpecs();
-    std::vector<RunMetrics> first = runMany(cfgs, specs, 2);
-
-    // The cache file now holds one "config/app  seconds" line per cell.
-    std::ifstream is(path);
-    ASSERT_TRUE(is.good());
-    std::map<std::string, double> cache;
-    std::string key;
-    double secs;
-    while (is >> key >> secs)
-        cache[key] = secs;
-    EXPECT_EQ(cache.size(), cfgs.size() * specs.size());
-    EXPECT_TRUE(cache.count("baseline/gups"));
-    for (const auto &[k, v] : cache)
-        EXPECT_GT(v, 0.0) << k;
-
-    // A second sweep consumes the cached costs as scheduling hints;
-    // results must be unaffected.
-    std::vector<RunMetrics> second = runMany(cfgs, specs, 2);
-    unsetenv("BARRE_COST_CACHE");
-    std::remove(path.c_str());
-    EXPECT_EQ(first, second);
-}
-
-namespace
-{
-
-/** Point $BARRE_COST_CACHE at a fresh file holding @p text. */
-std::string
-writeCostCache(const char *name, const std::string &text)
-{
-    std::string path = testing::TempDir() + name;
-    std::ofstream(path) << text;
-    setenv("BARRE_COST_CACHE", path.c_str(), 1);
-    return path;
-}
-
-/** runMany's fatal message for a malformed cache, or "" if none. */
-std::string
-costCacheError(const char *name, const std::string &text)
-{
-    const std::string path = writeCostCache(name, text);
-    std::string msg;
-    try {
-        (void)runMany(testConfigs(), {ScenarioSpec::solo("fft")}, 1);
-    } catch (const std::runtime_error &e) {
-        msg = e.what();
-    }
-    unsetenv("BARRE_COST_CACHE");
-    std::remove(path.c_str());
-    return msg;
-}
-
-} // namespace
-
-TEST(RunMany, CostCacheRejectsTrailingGarbage)
-{
-    const std::string msg = costCacheError(
-        "cost_cache_garbage", "baseline/fft\t0.5\nfbarre/gups\t1.5junk\n");
-    EXPECT_NE(msg.find("cost_cache_garbage:2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("1.5junk"), std::string::npos) << msg;
-}
-
-TEST(RunMany, CostCacheRejectsNonNumericValue)
-{
-    const std::string msg =
-        costCacheError("cost_cache_word", "baseline/fft\tfast\n");
-    EXPECT_NE(msg.find("cost_cache_word:1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("not a number"), std::string::npos) << msg;
-
-    // A space instead of the tab leaves no value to parse at all.
-    EXPECT_NE(costCacheError("cost_cache_space", "baseline/fft 0.5\n")
-                  .find("cost_cache_space:1"),
-              std::string::npos);
-}
-
-TEST(RunMany, CostCacheRejectsZeroValue)
-{
-    const std::string msg =
-        costCacheError("cost_cache_zero", "baseline/fft\t0\n");
-    EXPECT_NE(msg.find("cost_cache_zero:1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("must be > 0"), std::string::npos) << msg;
-}
-
-TEST(RunMany, CostCacheRoundTripsCleanFile)
-{
-    // Entries for cells outside the sweep are loaded and written back
-    // unchanged; the rewritten file loads again without complaint.
-    const std::string path = writeCostCache(
-        "cost_cache_clean", "other/gups\t1.5\nother/matr\t2.5e-05\n");
-    const std::vector<ScenarioSpec> specs = {ScenarioSpec::solo("fft")};
-    const std::vector<RunMetrics> first = runMany(testConfigs(), specs, 1);
-    const std::vector<RunMetrics> second = runMany(testConfigs(), specs, 1);
-    unsetenv("BARRE_COST_CACHE");
-    EXPECT_EQ(first, second);
-
-    std::ifstream is(path);
-    std::map<std::string, std::string> lines;
-    std::string line;
-    while (std::getline(is, line)) {
-        const std::size_t tab = line.find('\t');
-        ASSERT_NE(tab, std::string::npos) << line;
-        lines[line.substr(0, tab)] = line.substr(tab + 1);
-    }
-    std::remove(path.c_str());
-    EXPECT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines["other/gups"], "1.5");
-    EXPECT_EQ(lines["other/matr"], "2.5e-05");
-    EXPECT_TRUE(lines.count("baseline/fft"));
-    EXPECT_TRUE(lines.count("fbarre/fft"));
 }

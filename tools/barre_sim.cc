@@ -107,8 +107,8 @@ parsePageSize(const std::string &s)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+barreSimMain(int argc, char **argv)
 {
     std::string app_name = "atax";
     bool app_given = false;
@@ -286,4 +286,10 @@ main(int argc, char **argv)
         sys.dumpStats(std::cout);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(barreSimMain, argc, argv);
 }

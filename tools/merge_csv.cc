@@ -26,8 +26,8 @@
 
 using namespace barre;
 
-int
-main(int argc, char **argv)
+static int
+mergeCsvMain(int argc, char **argv)
 {
     std::string out_file;
     std::vector<std::string> shard_files;
@@ -73,4 +73,10 @@ main(int argc, char **argv)
                     out_file.c_str());
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(mergeCsvMain, argc, argv);
 }

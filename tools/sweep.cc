@@ -78,8 +78,8 @@ join(const std::vector<std::string> &xs)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+sweepMain(int argc, char **argv)
 {
     std::vector<std::string> modes{"baseline", "fbarre"};
     std::vector<std::string> apps;
@@ -134,46 +134,13 @@ main(int argc, char **argv)
         specs.push_back(ScenarioSpec::solo(name));
     }
 
+    // The whole config-major grid, or with --shard i/N its slice.
     const std::size_t total = cfgs.size() * specs.size();
-
-    if (!sharded) {
-        std::vector<RunMetrics> rows = runMany(cfgs, specs, jobs);
-        for (std::size_t m = 0; m < modes.size(); ++m) {
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                const RunMetrics &r = rows[m * apps.size() + a];
-                std::fprintf(stderr, "%-9s %-6s %12llu cycles\n",
-                             modes[m].c_str(), apps[a].c_str(),
-                             (unsigned long long)r.runtime);
-            }
-        }
-        if (out_file.empty()) {
-            writeCsv(std::cout, rows);
-        } else {
-            std::ofstream os(out_file);
-            if (!os)
-                barre_fatal("cannot write %s", out_file.c_str());
-            writeCsv(os, rows);
-            std::printf("wrote %zu rows to %s\n", rows.size(),
-                        out_file.c_str());
-        }
-        return 0;
-    }
-
-    // Sharded run: only this shard's slice of the config-major grid.
-    std::vector<std::size_t> cells = shardCells(total, shard);
-    std::vector<std::function<RunMetrics()>> sims;
-    std::vector<double> hints;
-    for (std::size_t cell : cells) {
-        const NamedConfig &nc = cfgs[cell / specs.size()];
-        const ScenarioSpec &spec = specs[cell % specs.size()];
-        sims.push_back([&nc, &spec] {
-            RunMetrics m = runScenario(nc.cfg, spec);
-            m.config = nc.name;
-            return m;
-        });
-        hints.push_back(cellCostHint(spec));
-    }
-    std::vector<RunMetrics> results = runManyJobs(sims, hints, jobs);
+    const std::vector<std::size_t> cells = shardCells(total, shard);
+    std::vector<CellRef> refs;
+    for (std::size_t cell : cells)
+        refs.push_back({cell / specs.size(), cell % specs.size()});
+    const std::vector<RunMetrics> rows = runMany(cfgs, specs, refs, jobs);
 
     ShardFile sf;
     sf.shard = shard;
@@ -181,24 +148,41 @@ main(int argc, char **argv)
               ";scale=" + csprintf("%g", scale);
     sf.total_cells = total;
     sf.header = csvHeader();
-    for (std::size_t k = 0; k < results.size(); ++k) {
-        const RunMetrics &r = results[k];
-        std::fprintf(stderr, "[%zu/%zu] %-9s %-6s %12llu cycles\n",
-                     cells[k], total, r.config.c_str(),
-                     r.app.c_str(), (unsigned long long)r.runtime);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const RunMetrics &r = rows[k];
+        if (sharded)
+            std::fprintf(stderr, "[%zu/%zu] ", cells[k], total);
+        std::fprintf(stderr, "%-9s %-6s %12llu cycles\n",
+                     r.config.c_str(), r.app.c_str(),
+                     (unsigned long long)r.runtime);
         sf.rows.push_back(csvRow(r));
     }
 
-    if (out_file.empty()) {
-        writeShardCsv(std::cout, sf);
-    } else {
-        std::ofstream os(out_file);
-        if (!os)
+    std::ofstream file;
+    if (!out_file.empty()) {
+        file.open(out_file);
+        if (!file)
             barre_fatal("cannot write %s", out_file.c_str());
+    }
+    std::ostream &os = out_file.empty() ? std::cout : file;
+    if (sharded)
         writeShardCsv(os, sf);
+    else
+        writeCsv(os, rows);
+    if (out_file.empty())
+        return 0;
+    if (sharded)
         std::printf("wrote shard %u/%u (%zu of %zu cells) to %s\n",
                     shard.index, shard.count, sf.rows.size(), total,
                     out_file.c_str());
-    }
+    else
+        std::printf("wrote %zu rows to %s\n", rows.size(),
+                    out_file.c_str());
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return runMain(sweepMain, argc, argv);
 }
