@@ -19,7 +19,20 @@ CuckooFilter::CuckooFilter(const CuckooFilterParams &p)
                  params_.fingerprint_bits <= 16,
                  "fingerprint must be 1..16 bits");
     row_mask_ = params_.rows - 1;
-    slots_.assign(std::size_t{params_.rows} * params_.ways, empty_slot);
+    // (next() * 2^k) >> 64 == next() >> (64 - k): Rng::below's draw
+    // without the wide multiply. ways == 1 keeps below() (shift 64).
+    if (params_.ways > 1 && std::has_single_bit(params_.ways))
+        victim_shift_ = 64 - std::countr_zero(params_.ways);
+    // Buckets sit a power-of-two number of slots apart, so a kick finds
+    // its bucket with a shift; ways past `ways` are never used.
+    stride_bits_ = std::countr_zero(std::bit_ceil(params_.ways));
+    alt_xor_.resize(std::size_t{1} << params_.fingerprint_bits);
+    for (std::size_t fp = 1; fp < alt_xor_.size(); ++fp)
+        alt_xor_[fp] =
+            static_cast<std::uint32_t>(mixHash(fp, params_.salt)) &
+            row_mask_;
+    slots_.assign(std::size_t{params_.rows} << stride_bits_, Slot{});
+    free_ways_.assign(params_.rows, params_.ways);
 }
 
 CuckooFilter::Fingerprint
@@ -29,7 +42,7 @@ CuckooFilter::fingerprintOf(std::uint64_t item) const
     auto fp = static_cast<Fingerprint>(
         h & ((std::uint64_t{1} << params_.fingerprint_bits) - 1));
     // Zero is the empty marker; remap to 1 (slightly skews fp 1; fine).
-    return fp == empty_slot ? Fingerprint{1} : fp;
+    return fp == empty_fp ? Fingerprint{1} : fp;
 }
 
 std::uint32_t
@@ -40,30 +53,44 @@ CuckooFilter::bucketOf(std::uint64_t item) const
 }
 
 std::uint32_t
-CuckooFilter::altBucket(std::uint32_t bucket, Fingerprint fp) const
+CuckooFilter::victimWay(Rng &rng) const
 {
-    return (bucket ^ static_cast<std::uint32_t>(mixHash(fp, params_.salt)))
-           & row_mask_;
+    if (victim_shift_ != 0)
+        return static_cast<std::uint32_t>(rng.next() >> victim_shift_);
+    return static_cast<std::uint32_t>(rng.below(params_.ways));
 }
 
-CuckooFilter::Fingerprint &
+CuckooFilter::Slot &
 CuckooFilter::slot(std::uint32_t bucket, std::uint32_t way)
 {
-    return slots_[std::size_t{bucket} * params_.ways + way];
+    return slots_[(std::size_t{bucket} << stride_bits_) + way];
 }
 
-const CuckooFilter::Fingerprint &
+const CuckooFilter::Slot &
 CuckooFilter::slot(std::uint32_t bucket, std::uint32_t way) const
 {
-    return slots_[std::size_t{bucket} * params_.ways + way];
+    return slots_[(std::size_t{bucket} << stride_bits_) + way];
+}
+
+void
+CuckooFilter::debugCorruptSlot(std::uint32_t bucket, std::uint32_t way,
+                               std::uint16_t fp)
+{
+    Slot &s = slot(bucket, way);
+    s.fp = fp;
+    if (fp == empty_fp)
+        s.alt = 0;
 }
 
 bool
-CuckooFilter::tryPlace(std::uint32_t bucket, Fingerprint fp)
+CuckooFilter::tryPlace(std::uint32_t bucket, const Slot &s)
 {
+    if (free_ways_[bucket] == 0)
+        return false;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (slot(bucket, w) == empty_slot) {
-            slot(bucket, w) = fp;
+        if (slot(bucket, w).fp == empty_fp) {
+            slot(bucket, w) = s;
+            --free_ways_[bucket];
             ++occupied_;
             return true;
         }
@@ -75,7 +102,7 @@ bool
 CuckooFilter::bucketHas(std::uint32_t bucket, Fingerprint fp) const
 {
     for (std::uint32_t w = 0; w < params_.ways; ++w)
-        if (slot(bucket, w) == fp)
+        if (slot(bucket, w).fp == fp)
             return true;
     return false;
 }
@@ -84,8 +111,9 @@ bool
 CuckooFilter::removeFrom(std::uint32_t bucket, Fingerprint fp)
 {
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (slot(bucket, w) == fp) {
-            slot(bucket, w) = empty_slot;
+        if (slot(bucket, w).fp == fp) {
+            slot(bucket, w) = Slot{};
+            ++free_ways_[bucket];
             --occupied_;
             return true;
         }
@@ -98,28 +126,37 @@ CuckooFilter::insert(std::uint64_t item)
 {
     Fingerprint fp = fingerprintOf(item);
     std::uint32_t i1 = bucketOf(item);
-    std::uint32_t i2 = altBucket(i1, fp);
+    Slot carry{alt_xor_[fp], fp};
+    std::uint32_t i2 = i1 ^ carry.alt;
 
-    if (tryPlace(i1, fp) || tryPlace(i2, fp)) {
+    if (tryPlace(i1, carry) || tryPlace(i2, carry)) {
         BARRE_AUDIT(shadowInsert(item));
         BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
                           auditNoFalseNegatives());
         return true;
     }
 
-    // Both buckets full: relocate a victim, alternating buckets.
-    std::uint32_t bucket = (kick_rng_.next() & 1) ? i2 : i1;
-    for (std::uint32_t kick = 0; kick < params_.max_kicks; ++kick) {
-        std::uint32_t victim_way =
-            static_cast<std::uint32_t>(kick_rng_.below(params_.ways));
-        std::swap(fp, slot(bucket, victim_way));
-        bucket = altBucket(bucket, fp);
-        if (tryPlace(bucket, fp)) {
-            BARRE_AUDIT(shadowInsert(item));
-            BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
-                              auditNoFalseNegatives());
-            return true;
-        }
+    // Both buckets full: relocate a victim, alternating buckets. Every
+    // bucket the chain visits is full, so each swap trades the carried
+    // fingerprint for a resident one and only the free count of the
+    // bucket it ends on can be non-zero. The chain runs on a local copy
+    // of the RNG so its state stays in registers.
+    Rng rng = kick_rng_;
+    std::uint32_t bucket = (rng.next() & 1) ? i2 : i1;
+    std::uint32_t kick = 0;
+    for (; kick < params_.max_kicks; ++kick) {
+        std::swap(carry, slot(bucket, victimWay(rng)));
+        bucket ^= carry.alt;
+        if (free_ways_[bucket] != 0)
+            break;
+    }
+    kick_rng_ = rng;
+    if (kick < params_.max_kicks) {
+        tryPlace(bucket, carry);
+        BARRE_AUDIT(shadowInsert(item));
+        BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
+                          auditNoFalseNegatives());
+        return true;
     }
     // Filter too full; the displaced fingerprint is dropped. This makes
     // the failure lossy (a prior item may now miss), matching hardware
@@ -130,7 +167,7 @@ CuckooFilter::insert(std::uint64_t item)
     // so all of them leave the audit's tracking set.
     ++lossy_;
     BARRE_AUDIT(shadowInsert(item));
-    BARRE_AUDIT(shadowPurgeFingerprint(fp));
+    BARRE_AUDIT(shadowPurgeFingerprint(carry.fp));
     return false;
 }
 
@@ -139,9 +176,7 @@ CuckooFilter::contains(std::uint64_t item) const
 {
     Fingerprint fp = fingerprintOf(item);
     std::uint32_t i1 = bucketOf(item);
-    if (bucketHas(i1, fp))
-        return true;
-    return bucketHas(altBucket(i1, fp), fp);
+    return bucketHas(i1, fp) || bucketHas(i1 ^ alt_xor_[fp], fp);
 }
 
 bool
@@ -149,7 +184,8 @@ CuckooFilter::erase(std::uint64_t item)
 {
     Fingerprint fp = fingerprintOf(item);
     std::uint32_t i1 = bucketOf(item);
-    bool removed = removeFrom(i1, fp) || removeFrom(altBucket(i1, fp), fp);
+    bool removed =
+        removeFrom(i1, fp) || removeFrom(i1 ^ alt_xor_[fp], fp);
     if (removed) {
         BARRE_AUDIT(shadowErase(item));
         BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
@@ -161,7 +197,8 @@ CuckooFilter::erase(std::uint64_t item)
 void
 CuckooFilter::clear()
 {
-    std::fill(slots_.begin(), slots_.end(), empty_slot);
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    std::fill(free_ways_.begin(), free_ways_.end(), params_.ways);
     occupied_ = 0;
     lossy_ = 0;
     shadow_.clear();
@@ -171,8 +208,23 @@ void
 CuckooFilter::auditNoFalseNegatives() const
 {
     std::uint64_t filled = 0;
-    for (Fingerprint s : slots_)
-        filled += s != empty_slot;
+    for (std::uint32_t b = 0; b < params_.rows; ++b) {
+        std::uint32_t empty = 0;
+        for (std::uint32_t w = 0; w < params_.ways; ++w) {
+            const Slot &s = slot(b, w);
+            std::uint32_t want =
+                s.fp == empty_fp ? 0 : alt_xor_[s.fp];
+            barre_assert(s.alt == want,
+                         "cuckoo slot (%u, %u) holds alt XOR %u, its "
+                         "fingerprint %u needs %u",
+                         b, w, s.alt, unsigned{s.fp}, want);
+            empty += s.fp == empty_fp;
+        }
+        barre_assert(free_ways_[b] == empty,
+                     "cuckoo bucket %u free count %u != %u empty ways",
+                     b, free_ways_[b], empty);
+        filled += params_.ways - empty;
+    }
     barre_assert(filled == occupied_,
                  "cuckoo occupancy counter %llu != %llu filled slots",
                  (unsigned long long)occupied_,

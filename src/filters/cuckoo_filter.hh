@@ -9,6 +9,13 @@
  * Partial-key cuckoo hashing: an item x stores fingerprint(x) in one of
  * two buckets, i1 = H(x) and i2 = i1 xor H(fingerprint). Table II
  * configures 9-bit fingerprints, 4-way buckets, 256 rows (1024 slots).
+ *
+ * The host-side layout is wider than the modelled one (storageBits()):
+ * H(fingerprint) comes from a per-instance table, each slot carries it
+ * next to its fingerprint, and each bucket keeps a free-slot count, so
+ * a kick that lands on a full bucket costs one dependent load. Results,
+ * table contents and the kick RNG sequence are those of the plain
+ * layout.
  */
 
 #pragma once
@@ -92,43 +99,61 @@ class CuckooFilter
      * Deep audit (sim/invariant.hh): every item successfully inserted
      * and not yet erased or displaced by a lossy full-filter insert
      * must still be locatable — the filter's no-false-negative
-     * guarantee — and the occupancy counter must match the table.
-     * Tracking state is only maintained under BARRE_CHECK_INVARIANTS;
-     * without it the audit is a no-op. Panics (throws) on violation.
+     * guarantee — and the per-bucket free counts, the packed alt-bucket
+     * XORs and the occupancy counter must match the table. The shadow
+     * tracking behind the first check is only maintained under
+     * BARRE_CHECK_INVARIANTS; the table checks run in every build.
+     * Panics (throws) on violation.
      */
     void auditNoFalseNegatives() const;
 
     /**
-     * Test hook: wipe one slot behind the bookkeeping's back, breaking
-     * the no-false-negative guarantee on purpose so invariant tests
+     * Test hook: overwrite one slot's fingerprint with @p fp (0 wipes
+     * the slot) behind the bookkeeping's back. The bucket's free count,
+     * the occupancy counter and, for a non-zero @p fp, the slot's
+     * packed alt-bucket XOR keep their old values, so invariant tests
      * can assert auditNoFalseNegatives() fires.
      */
-    void
-    debugCorruptSlot(std::uint32_t bucket, std::uint32_t way)
-    {
-        slot(bucket, way) = empty_slot;
-    }
+    void debugCorruptSlot(std::uint32_t bucket, std::uint32_t way,
+                          std::uint16_t fp = 0);
 
   private:
     using Fingerprint = std::uint16_t; // holds up to 16-bit fingerprints
 
-    static constexpr Fingerprint empty_slot = 0;
+    /**
+     * One slot of the host-side table: a fingerprint and, packed next
+     * to it, the XOR that takes it to its other bucket, so a kick reads
+     * both with one load. Empty slots are all-zero.
+     */
+    struct Slot
+    {
+        std::uint32_t alt = 0;
+        Fingerprint fp = empty_fp;
+    };
+
+    static constexpr Fingerprint empty_fp = 0;
     static constexpr std::uint64_t kAuditPeriod = 256;
 
     Fingerprint fingerprintOf(std::uint64_t item) const;
     std::uint32_t bucketOf(std::uint64_t item) const;
-    std::uint32_t altBucket(std::uint32_t bucket, Fingerprint fp) const;
+    std::uint32_t victimWay(Rng &rng) const;
 
-    Fingerprint &slot(std::uint32_t bucket, std::uint32_t way);
-    const Fingerprint &slot(std::uint32_t bucket, std::uint32_t way) const;
+    Slot &slot(std::uint32_t bucket, std::uint32_t way);
+    const Slot &slot(std::uint32_t bucket, std::uint32_t way) const;
 
-    bool tryPlace(std::uint32_t bucket, Fingerprint fp);
+    bool tryPlace(std::uint32_t bucket, const Slot &s);
     bool removeFrom(std::uint32_t bucket, Fingerprint fp);
     bool bucketHas(std::uint32_t bucket, Fingerprint fp) const;
 
     CuckooFilterParams params_;
     std::uint32_t row_mask_;
-    std::vector<Fingerprint> slots_;
+    /** 64 - log2(ways) when ways is a power of two above 1, else 0. */
+    std::uint32_t victim_shift_ = 0;
+    std::uint32_t stride_bits_ = 0; ///< log2 of slots per bucket in slots_
+    /** Per fingerprint: mixHash(fp, salt) & row_mask_, fp's bucket XOR. */
+    std::vector<std::uint32_t> alt_xor_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_ways_; ///< per bucket: empty slots
     std::uint64_t occupied_ = 0;
     std::uint64_t lossy_ = 0;
     Rng kick_rng_;

@@ -226,42 +226,48 @@ FBarreService::onResponse(ChipletId chiplet, const AtsResponse &resp)
 }
 
 void
-FBarreService::sendFilterUpdates(ChipletId from, ChipletId to, bool add,
-                                 ProcessId pid, std::vector<Vpn> vpns)
+FBarreService::sendFilterUpdates(ChipletId from, bool add, ProcessId pid,
+                                 std::vector<Vpn> vpns)
 {
     if (vpns.empty())
         return;
-    filter_updates_ += vpns.size();
-    auto apply = [this, from, to, add, pid,
-                  vpns = std::move(vpns)]() {
-        for (Vpn vpn : vpns) {
-            if (add)
-                engines_[to]->rcfInsert(from, pid, vpn);
-            else
-                engines_[to]->rcfErase(from, pid, vpn);
-        }
-        // Applied updates are the only writers of RCF state, so right
-        // after a batch is the natural point to check the filters
-        // still back every membership fact the owner was told.
-        BARRE_AUDIT_EVERY(rcf_audit_tick_, kAuditPeriod,
-                          engines_[to]->auditRcfMembership());
-    };
-    if (params_.oracle_sharing) {
-        // Apply under the receiving chiplet's tag: the RCF being
-        // updated is @p to 's state. The bare oracle_latency delay is
-        // the tightest cross-domain arrival this mode produces, so the
-        // partition's lookahead is capped at oracle_latency when
-        // oracle sharing is on (System::setupPartition).
-        eventQueue().scheduleCross(chipletTag(to),
-                                   curTick() + params_.oracle_latency,
-                                   std::move(apply));
-        return;
-    }
+    // Every peer applies the same list: build it once and share it.
+    auto shared = std::make_shared<const std::vector<Vpn>>(std::move(vpns));
     // One message carries all the 43-bit updates of this TLB event.
     auto bytes = static_cast<std::uint64_t>(params_.filter_update_bytes) *
-                 ((vpns.size() + 7) / 8 * 8) / 8;
+                 ((shared->size() + 7) / 8 * 8) / 8;
     bytes = std::max<std::uint64_t>(bytes, params_.filter_update_bytes);
-    noc_.send(from, to, bytes, std::move(apply));
+    for (ChipletId to = 0; to < chiplets_; ++to) {
+        if (to == from)
+            continue;
+        filter_updates_ += shared->size();
+        auto apply = [this, from, to, add, pid, vpns = shared]() {
+            for (Vpn vpn : *vpns) {
+                if (add)
+                    engines_[to]->rcfInsert(from, pid, vpn);
+                else
+                    engines_[to]->rcfErase(from, pid, vpn);
+            }
+            // Applied updates are the only writers of RCF state, so
+            // right after a batch is the natural point to check the
+            // filters still back every membership fact the owner was
+            // told.
+            BARRE_AUDIT_EVERY(rcf_audit_tick_, kAuditPeriod,
+                              engines_[to]->auditRcfMembership());
+        };
+        if (params_.oracle_sharing) {
+            // Apply under the receiving chiplet's tag: the RCF being
+            // updated is `to`'s state. The bare oracle_latency delay
+            // is the tightest cross-domain arrival this mode produces,
+            // so the partition's lookahead is capped at oracle_latency
+            // when oracle sharing is on (System::setupPartition).
+            eventQueue().scheduleCross(chipletTag(to),
+                                       curTick() + params_.oracle_latency,
+                                       std::move(apply));
+        } else {
+            noc_.send(from, to, bytes, std::move(apply));
+        }
+    }
 }
 
 void
@@ -282,12 +288,8 @@ FBarreService::onL2Insert(ChipletId chiplet, const TlbEntry &entry)
                                                       entry.vpn);
     if (!pec)
         return;
-    auto members = pec::interMembers(*pec, entry.vpn, entry.coal);
-    for (std::uint32_t p = 0; p < chiplets_; ++p) {
-        if (p == chiplet)
-            continue;
-        sendFilterUpdates(chiplet, p, true, entry.pid, members);
-    }
+    sendFilterUpdates(chiplet, true, entry.pid,
+                      pec::interMembers(*pec, entry.vpn, entry.coal));
 }
 
 void
@@ -326,12 +328,8 @@ FBarreService::onL2Evict(ChipletId chiplet, const TlbEntry &entry)
                                                       entry.vpn);
     if (!pec)
         return;
-    auto members = pec::interMembers(*pec, entry.vpn, entry.coal);
-    for (std::uint32_t p = 0; p < chiplets_; ++p) {
-        if (p == chiplet)
-            continue;
-        sendFilterUpdates(chiplet, p, false, entry.pid, members);
-    }
+    sendFilterUpdates(chiplet, false, entry.pid,
+                      pec::interMembers(*pec, entry.vpn, entry.coal));
 }
 
 void

@@ -158,11 +158,11 @@ class FBarreService : public SimObject,
 
     /**
      * Ship one batched filter-update message (the 43-bit updates for
-     * all of @p vpns packed into one flit train) from @p from to
-     * @p to; applied at delivery.
+     * all of @p vpns packed into one flit train) from @p from to every
+     * peer, in chiplet order; each is applied at its delivery.
      */
-    void sendFilterUpdates(ChipletId from, ChipletId to, bool add,
-                           ProcessId pid, std::vector<Vpn> vpns);
+    void sendFilterUpdates(ChipletId from, bool add, ProcessId pid,
+                           std::vector<Vpn> vpns);
 
     FBarreParams params_;
     bool shared_bypass_ = false;

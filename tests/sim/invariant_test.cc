@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/filter_engine.hh"
 #include "driver/gpu_driver.hh"
@@ -67,6 +68,69 @@ TEST(CuckooAudit, CorruptedBucketFires)
         for (std::uint32_t w = 0; w < smallFilter().ways; ++w)
             f.debugCorruptSlot(b, w);
     EXPECT_THROW(f.auditNoFalseNegatives(), std::logic_error);
+}
+
+namespace
+{
+
+/** A Table II-shaped but 16-row filter driven past capacity: every
+ *  slot holds a fingerprint. */
+CuckooFilter
+saturatedFilter()
+{
+    CuckooFilter f(smallFilter());
+    for (std::uint64_t i = 1; i <= 300; ++i)
+        f.insert(i * 0x6b43);
+    return f;
+}
+
+/** The audit's panic message, or "" if it passes. */
+std::string
+auditMessage(const CuckooFilter &f)
+{
+    try {
+        f.auditNoFalseNegatives();
+    } catch (const std::logic_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(CuckooAudit, StaleFreeCountFires)
+{
+    CuckooFilter f = saturatedFilter();
+    ASSERT_EQ(f.size(), f.capacity());
+    ASSERT_EQ(auditMessage(f), "");
+    // Wiping a slot leaves its bucket's free count at zero: the fast
+    // insert path would treat the bucket as full forever.
+    f.debugCorruptSlot(3, 1);
+    EXPECT_NE(auditMessage(f).find("bucket 3 free count 0 != 1"),
+              std::string::npos)
+        << auditMessage(f);
+}
+
+TEST(CuckooAudit, StaleAltBitsFire)
+{
+    // Rewriting a resident fingerprint leaves the packed alt-bucket XOR
+    // of the old one in the slot: kicks would send the new fingerprint
+    // to the wrong bucket. A new fingerprint can share the old one's
+    // XOR by chance, so try a few; the audit must catch the rest.
+    const CuckooFilter f = saturatedFilter();
+    unsigned caught = 0;
+    for (std::uint16_t fp = 1; fp <= 8; ++fp) {
+        CuckooFilter g = f;
+        g.debugCorruptSlot(5, 2, fp);
+        std::string msg = auditMessage(g);
+        if (msg.empty())
+            continue;
+        EXPECT_NE(msg.find("cuckoo slot (5, 2) holds alt XOR"),
+                  std::string::npos)
+            << msg;
+        ++caught;
+    }
+    EXPECT_GE(caught, 6u);
 }
 
 TEST(CuckooAudit, ShadowCatchesSilentDropOfOneItem)
