@@ -5,7 +5,8 @@
  * (implemented by the chiplet's sibling-L1 probe, ChipletParams::
  * sibling_l1_probe) plus an L2 TLB next-page prefetcher, modeled here:
  * on every demand L2 miss, the service also requests vpn+1..vpn+degree
- * from the IOMMU and fills the L2 TLB when the responses return.
+ * from the IOMMU and hands the responses to the fill sink, the
+ * requesting chiplet's unsolicited-fill entry (Chiplet::unsolicitedFill).
  *
  * Partitionable by construction: all mutable prefetcher state (stride
  * window, pending set, in-flight credit, counters) is sharded per
@@ -22,7 +23,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "gpu/shared_tlb.hh"
 #include "gpu/translation_service.hh"
 #include "sim/domain_guard.hh"
 #include "sim/stats.hh"
@@ -55,14 +55,16 @@ class ValkyrieService : public TranslationService
           chips_(chiplets)
     {}
 
+    /**
+     * The L2 TLB chiplet @p c 's prefetches check for duplicates; null
+     * when it cannot be peeked from chiplet context (the host-owned
+     * shared L2 TLB), where the pending set alone gates duplicates.
+     */
     void attachL2Tlb(ChipletId c, Tlb *tlb) { l2_tlbs_[c] = tlb; }
 
-    /**
-     * Under the shared-L2-TLB hypothetical the attached TLBs all alias
-     * the host-owned shared structure; prefetch fills must cross back
-     * to it as messages instead of inserting from chiplet context.
-     */
-    void connectSharedTlb(SharedTlbService *svc) { shared_ = svc; }
+    /** Receives each prefetched translation, on its chiplet's context. */
+    using FillSink = InlineFn<void(ChipletId, const AtsResponse &)>;
+    void setFillSink(FillSink sink) { fill_sink_ = std::move(sink); }
 
     /** The prefetcher shard is chiplet state; see SharedTlbService. */
     bool translateNeedsRequester() const override { return true; }
@@ -110,38 +112,22 @@ class ValkyrieService : public TranslationService
         for (std::uint32_t d = 1; d <= params_.prefetch_degree; ++d) {
             Vpn pv = vpn + d;
             std::uint64_t key = (std::uint64_t{pid} << 52) ^ pv;
-            // The host-owned shared TLB cannot be peeked from chiplet
-            // context; the pending set alone gates duplicates then.
             const bool cached =
-                shared_ == nullptr && l2_tlbs_[src]->peek(pid, pv);
+                l2_tlbs_[src] != nullptr && l2_tlbs_[src]->peek(pid, pv);
             if (cached || ch.pending.contains(key))
                 continue;
             ch.pending.insert(key);
             ++ch.prefetches;
             ++ch.in_flight;
             iommu_.sendAts(pid, pv, src,
-                           [this, pid, pv, src,
-                            key](const AtsResponse &resp) {
+                           [this, src, key](const AtsResponse &resp) {
                                PerChiplet &c2 = chips_[src];
                                --c2.in_flight;
                                c2.pending.erase(key);
                                if (resp.pfn == invalid_pfn)
                                    return;
                                ++c2.prefetch_fills;
-                               if (shared_) {
-                                   // Host-owned shared TLB: the fill
-                                   // crosses back as a message.
-                                   shared_->unsolicitedFillFrom(src,
-                                                                resp);
-                                   return;
-                               }
-                               TlbEntry te;
-                               te.pid = pid;
-                               te.vpn = pv;
-                               te.pfn = resp.pfn;
-                               te.coal = resp.coal;
-                               te.valid = true;
-                               l2_tlbs_[src]->insert(te);
+                               fill_sink_(src, resp);
                            });
         }
     }
@@ -196,11 +182,10 @@ class ValkyrieService : public TranslationService
 
     Iommu &iommu_;
     ValkyrieParams params_;
-    // domain-cross:message — fills travel the shared block's links.
-    SharedTlbService *shared_ = nullptr;
-    // domain-owner:chiplet domain-cross:message — indexed only by the
-    // executing chiplet (l2_tlbs_[src]); fills arrive via the IOMMU
-    // response path, which delivers under src's tag.
+    FillSink fill_sink_;
+    // domain-owner:chiplet domain-cross:message — peeked only by the
+    // executing chiplet (l2_tlbs_[src]); fills go to the fill sink on
+    // the IOMMU response path, which delivers under src's tag.
     std::vector<Tlb *> l2_tlbs_;
     std::vector<PerChiplet> chips_;
 };

@@ -25,7 +25,6 @@ struct CacheParams
     std::uint32_t ways = 4;
     std::uint32_t line_bytes = 64;
     Cycles hit_latency = 1;
-    std::uint32_t mshrs = 16;
 
     bool operator==(const CacheParams &) const = default;
 };

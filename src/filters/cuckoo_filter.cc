@@ -229,27 +229,34 @@ CuckooFilter::auditNoFalseNegatives() const
                  "cuckoo occupancy counter %llu != %llu filled slots",
                  (unsigned long long)occupied_,
                  (unsigned long long)filled);
-    for (std::uint64_t item : shadow_) {
-        barre_assert(contains(item),
-                     "cuckoo filter lost item %llx: inserted fingerprint "
-                     "not locatable in either bucket",
-                     (unsigned long long)item);
+    for (const auto &same_fp : shadow_) {
+        for (std::uint64_t item : same_fp) {
+            barre_assert(contains(item),
+                         "cuckoo filter lost item %llx: inserted "
+                         "fingerprint not locatable in either bucket",
+                         (unsigned long long)item);
+        }
     }
 }
 
 void
 CuckooFilter::shadowInsert(std::uint64_t item)
 {
-    shadow_.push_back(item);
+    if (shadow_.empty())
+        shadow_.resize(alt_xor_.size());
+    shadow_[fingerprintOf(item)].push_back(item);
 }
 
 void
 CuckooFilter::shadowErase(std::uint64_t item)
 {
-    auto it = std::find(shadow_.begin(), shadow_.end(), item);
-    if (it != shadow_.end()) {
-        *it = shadow_.back();
-        shadow_.pop_back();
+    if (shadow_.empty())
+        return; // nothing tracked, nothing to purge
+    std::vector<std::uint64_t> &same_fp = shadow_[fingerprintOf(item)];
+    auto it = std::find(same_fp.begin(), same_fp.end(), item);
+    if (it != same_fp.end()) {
+        *it = same_fp.back();
+        same_fp.pop_back();
         return;
     }
     // Erasing an item we never tracked still removed one copy of its
@@ -260,11 +267,8 @@ CuckooFilter::shadowErase(std::uint64_t item)
 void
 CuckooFilter::shadowPurgeFingerprint(Fingerprint fp)
 {
-    shadow_.erase(std::remove_if(shadow_.begin(), shadow_.end(),
-                                 [&](std::uint64_t x) {
-                                     return fingerprintOf(x) == fp;
-                                 }),
-                  shadow_.end());
+    if (!shadow_.empty())
+        shadow_[fp].clear();
 }
 
 } // namespace barre

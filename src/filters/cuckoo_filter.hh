@@ -160,11 +160,13 @@ class CuckooFilter
 
     /**
      * Shadow multiset of live items, maintained only under
-     * BARRE_CHECK_INVARIANTS (see shadowInsert/shadowErase). Items
-     * whose fingerprint a lossy insert may have displaced are purged
-     * conservatively, so the audit never reports a by-design loss.
+     * BARRE_CHECK_INVARIANTS (see shadowInsert/shadowErase) and indexed
+     * by fingerprint, so an erase or purge touches only the items
+     * sharing one fingerprint. Items whose fingerprint a lossy insert
+     * may have displaced are purged conservatively, so the audit never
+     * reports a by-design loss. Sized on the first tracked insert.
      */
-    std::vector<std::uint64_t> shadow_;
+    std::vector<std::vector<std::uint64_t>> shadow_;
     std::uint64_t audit_tick_ = 0; ///< BARRE_AUDIT_EVERY site counter
 
     void shadowInsert(std::uint64_t item);

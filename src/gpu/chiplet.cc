@@ -15,17 +15,23 @@ Chiplet::Chiplet(EventQueue &eq, std::string name, ChipletId id,
         l1_tlbs_.push_back(std::make_unique<Tlb>(params_.l1_tlb));
         l1_caches_.push_back(std::make_unique<Cache>(params_.l1_cache));
     }
-    owned_l2_tlb_ = std::make_unique<Tlb>(params_.l2_tlb);
-    l2_tlb_ = owned_l2_tlb_.get();
-    owned_l2_mshr_ = std::make_unique<Mshr<TlbEntry>>(params_.l2_tlb.mshrs);
-    l2_mshr_ = owned_l2_mshr_.get();
+    owned_l2_ = std::make_unique<L2TlbStage>(
+        eq, this->name() + ".l2", params_.l2_tlb, id_, 1,
+        params_.retry_interval, [this](ChipletId, ProcessId pid, Vpn vpn) {
+            barre_assert(service_ != nullptr, "no translation service wired");
+            service_->translate(pid, vpn, id_,
+                                [this](const AtsResponse &resp) {
+                                    owned_l2_->fill(id_, resp);
+                                });
+        });
+    l2_ = owned_l2_.get();
     l2_cache_ = std::make_unique<Cache>(params_.l2_cache);
     dram_ = std::make_unique<Dram>(eq, this->name() + ".dram",
                                    params_.dram);
 
     // Mirror this chiplet's L2 TLB evictions into the service (F-Barre
     // filter deletes, Least spill, ...).
-    owned_l2_tlb_->setEvictListener([this](const TlbEntry &e) {
+    owned_l2_->tlb().setEvictListener([this](const TlbEntry &e) {
         if (service_)
             service_->onL2Evict(id_, e);
     });
@@ -35,13 +41,11 @@ void
 Chiplet::connectSharedTlb(SharedTlbService *svc)
 {
     shared_svc_ = svc;
-    // Keep l2Tlb() pointing at the shared structure for test peeks and
-    // shootdowns; the access pipeline itself goes through the service's
-    // request/response links, never through this pointer.
-    l2_tlb_ = &svc->tlb();
-    l2_mshr_ = nullptr;
-    owned_l2_tlb_.reset();
-    owned_l2_mshr_.reset();
+    // Keep l2_ pointing at the shared stage for its per-requester stats
+    // and test peeks; the access pipeline itself goes through the
+    // service's request/response links, never through this pointer.
+    l2_ = &svc->l2();
+    owned_l2_.reset();
 }
 
 void
@@ -90,75 +94,17 @@ void
 Chiplet::translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
                        Tick t0, EventQueue::Callback done)
 {
-    if (shared_svc_) {
-        // The package-shared block serves the whole L2 stage (lookup,
-        // MSHRs, parking, fill) on the host side; the continuation
-        // fires back here with the entry once its response arrives.
-        shared_svc_->lookupFrom(
-            id_, pid, vpn,
-            [this, cu, pid, vaddr, t0,
-             done = std::move(done)](const TlbEntry &te) mutable {
-                l1_tlbs_[cu]->insert(te);
-                dataAccess(cu, pid, vaddr, te, t0, std::move(done));
-            });
-        return;
-    }
-    after(l2_tlb_->params().lookup_latency,
-          [this, cu, pid, vaddr, vpn, t0,
-           done = std::move(done)]() mutable {
-              l2Stage(cu, pid, vaddr, vpn, t0, std::move(done));
-          });
-}
-
-void
-Chiplet::l2Stage(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn, Tick t0,
-                 EventQueue::Callback done)
-{
-    if (auto te = l2_tlb_->lookup(pid, vpn)) {
-        l1_tlbs_[cu]->insert(*te);
-        dataAccess(cu, pid, vaddr, *te, t0, std::move(done));
-        return;
-    }
-    auto key = Mshr<TlbEntry>::keyOf(pid, vpn);
-
-    // Back-pressure: a full MSHR file (with no in-flight entry to merge
-    // onto) parks the request; it re-runs the L2 stage when an MSHR
-    // frees up (Fig 4's bottleneck). The demand miss is counted when the
-    // request finally proceeds, so parked retries are not double
-    // counted.
-    if (!l2_mshr_->inFlight(key) && l2_mshr_->full()) {
-        ++mshr_retries_;
-        parked_.push_back(Parked{cu, pid, vaddr, vpn, t0, std::move(done)});
-        return;
-    }
-    ++l2_demand_misses_;
-
-    auto outcome = l2_mshr_->allocate(
-        key, [this, cu, pid, vaddr, t0,
-              done = std::move(done)](const TlbEntry &te) mutable {
-            l1_tlbs_[cu]->insert(te);
-            dataAccess(cu, pid, vaddr, te, t0, std::move(done));
-        });
-    if (outcome == Mshr<TlbEntry>::Outcome::secondary)
-        return; // merged onto the in-flight miss
-
-    barre_assert(service_ != nullptr, "no translation service wired");
-    service_->translate(
-        pid, vpn, id_, [this, pid, vpn, key](const AtsResponse &resp) {
-            if (validator_)
-                validator_(pid, vpn, resp.pfn, resp.calculated);
-            service_->onResponse(id_, resp);
-            TlbEntry te;
-            te.pid = pid;
-            te.vpn = vpn;
-            te.pfn = resp.pfn;
-            te.coal = resp.coal;
-            te.valid = true;
-            l2_tlb_->insert(te);
-            service_->onL2Insert(id_, te);
-            l2_mshr_->complete(key, te);
-            unparkWaiters();
-        });
+    auto fill = [this, cu, pid, vaddr, t0,
+                 done = std::move(done)](const TlbEntry &te) mutable {
+        l1_tlbs_[cu]->insert(te);
+        dataAccess(cu, pid, vaddr, te, t0, std::move(done));
+    };
+    // The package-shared block serves the L2 stage host-side; the fill
+    // fires back here once its response arrives.
+    if (shared_svc_)
+        shared_svc_->lookupFrom(id_, pid, vpn, std::move(fill));
+    else
+        owned_l2_->lookup(id_, pid, vpn, std::move(fill));
 }
 
 void
@@ -214,32 +160,6 @@ Chiplet::dataAccess(CuId cu, ProcessId pid, Addr vaddr, const TlbEntry &te,
 }
 
 void
-Chiplet::unparkWaiters()
-{
-    // An MSHR completion freed a slot, and full() stays false until the
-    // retries run, so every parked request is released; each re-runs the
-    // L2 stage (and may hit now, merge, or re-park). They travel as one
-    // batch over the same two hops a lone retry takes. Released one by
-    // one, their events would be scheduled back to back and so fire as
-    // an uninterrupted block; the batch event takes that block's place
-    // in the firing order and runs the stages in the same FIFO order.
-    if (parked_.empty())
-        return;
-    barre_assert(!l2_mshr_->full(), "unparking with no free MSHR");
-    std::vector<Parked> batch;
-    batch.swap(parked_);
-    after(params_.retry_interval,
-          [this, batch = std::move(batch)]() mutable {
-              after(l2_tlb_->params().lookup_latency,
-                    [this, batch = std::move(batch)]() mutable {
-                        for (Parked &p : batch)
-                            l2Stage(p.cu, p.pid, p.vaddr, p.vpn, p.t0,
-                                    std::move(p.done));
-                    });
-          });
-}
-
-void
 Chiplet::serveRemoteData(Addr paddr, EventQueue::Callback done)
 {
     after(params_.l2_cache.hit_latency,
@@ -260,8 +180,8 @@ Chiplet::shootdownVpns(ProcessId pid, const std::vector<Vpn> &vpns)
             l1->invalidate(pid, vpn);
         // The shared-L2 hypothetical's TLB is host-owned; the migrator
         // invalidates it host-side when it launches the broadcast.
-        if (!shared_svc_)
-            l2_tlb_->invalidate(pid, vpn);
+        if (owned_l2_)
+            owned_l2_->tlb().invalidate(pid, vpn);
     }
 }
 
@@ -274,8 +194,8 @@ Chiplet::shootdownAsid(ProcessId pid)
     // The shared-L2 hypothetical's TLB is host-owned; its shootdown
     // would have to travel the service links (the scenario engine
     // refuses that configuration instead).
-    if (owned_l2_tlb_)
-        removed += owned_l2_tlb_->invalidateAsid(pid);
+    if (owned_l2_)
+        removed += owned_l2_->tlb().invalidateAsid(pid);
     return removed;
 }
 

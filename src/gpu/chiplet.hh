@@ -5,8 +5,9 @@
  * Table II parameters).
  *
  * The chiplet implements the full per-access pipeline:
- *   L1 TLB -> [Valkyrie sibling-L1 probe] -> L2 TLB -> translation
- *   service -> data access (L1 cache -> local/remote L2 -> DRAM),
+ *   L1 TLB -> [Valkyrie sibling-L1 probe] -> L2 TLB stage (its own, or
+ *   the package-shared one) -> translation service -> data access
+ *   (L1 cache -> local/remote L2 -> DRAM),
  * charging migration stalls and counting the statistics the evaluation
  * needs (L2 TLB MPKI, remote accesses, ...).
  */
@@ -18,13 +19,13 @@
 
 #include "cache/cache.hh"
 #include "driver/migration.hh"
+#include "gpu/l2_tlb_stage.hh"
 #include "gpu/shared_tlb.hh"
 #include "gpu/translation_service.hh"
 #include "mem/dram.hh"
 #include "mem/memory_map.hh"
 #include "noc/interconnect.hh"
 #include "sim/sim_object.hh"
-#include "tlb/mshr.hh"
 #include "tlb/tlb.hh"
 
 namespace barre
@@ -35,8 +36,8 @@ struct ChipletParams
     std::uint32_t cus = 64; ///< 4 SAs x 16 CUs (Table II)
     TlbParams l1_tlb{64, 64, 1, 16};
     TlbParams l2_tlb{512, 16, 10, 16};
-    CacheParams l1_cache{16 * 1024, 4, 64, 1, 16};
-    CacheParams l2_cache{2 * 1024 * 1024, 16, 64, 20, 64};
+    CacheParams l1_cache{16 * 1024, 4, 64, 1};
+    CacheParams l2_cache{2 * 1024 * 1024, 16, 64, 20};
     DramParams dram{};
     PageSize page_size = PageSize::size4k;
     /** Valkyrie's inter-L1 TLB probing within the chiplet. */
@@ -51,7 +52,7 @@ struct ChipletParams
 };
 
 // domain-owner:chiplet — everything under a chiplet (L1 TLBs/caches,
-// the owned L2 TLB + MSHRs, the L2 cache) belongs to its tag; remote
+// the owned L2 TLB stage, the L2 cache) belongs to its tag; remote
 // data and shared-L2 traffic crosses over the interconnect.
 class Chiplet : public SimObject
 {
@@ -73,38 +74,44 @@ class Chiplet : public SimObject
             l1_caches_[cu]->bindDomain(
                 guard, tag, name() + ".l1c" + std::to_string(cu));
         }
-        // The shared-L2 hypothetical binds its TLB/MSHR to the host
-        // tag in SharedTlbService::bindDomains() instead.
-        if (owned_l2_tlb_)
-            owned_l2_tlb_->bindDomain(guard, tag, name() + ".l2tlb");
-        if (owned_l2_mshr_)
-            owned_l2_mshr_->bindDomain(guard, tag, name() + ".l2mshr");
+        // The shared-L2 hypothetical binds its stage to the host tag in
+        // SharedTlbService::bindDomains() instead.
+        if (owned_l2_)
+            owned_l2_->bindDomains(guard, tag, name());
         l2_cache_->bindDomain(guard, tag, name() + ".l2c");
     }
 
     /** Wire the translation service (after all chiplets exist). */
-    void setService(TranslationService *svc) { service_ = svc; }
+    void
+    setService(TranslationService *svc)
+    {
+        service_ = svc;
+        if (owned_l2_)
+            owned_l2_->setService(svc);
+    }
 
     /**
      * Debug hook fired for every translation response before it fills
-     * the L2 TLB; tests use it to check calculated PFNs against the
-     * authoritative page table.
+     * the L2 TLB this chiplet uses; tests use it to check calculated
+     * PFNs against the authoritative page table.
      */
-    using TranslationValidator =
-        InlineFn<void(ProcessId, Vpn, Pfn, bool calculated)>;
-    void setValidator(TranslationValidator v) { validator_ = std::move(v); }
+    void
+    setValidator(L2TlbStage::Validator v)
+    {
+        l2_->setValidator(std::move(v));
+    }
     void setMigrator(AcudMigrator *m) { migrator_ = m; }
     /**
      * Route L2-TLB traffic to the package-shared service (the Fig 5/6
      * hypothetical). Translation requests travel over the service's
-     * per-chiplet request/response links instead of touching a local
-     * L2 TLB/MSHR; this chiplet's owned structures are dropped.
+     * per-chiplet request/response links to its host-owned stage; this
+     * chiplet's own stage is dropped.
      */
     void connectSharedTlb(SharedTlbService *svc);
     /** Register the peer chiplets for remote data access. */
     void setPeers(std::vector<Chiplet *> peers);
 
-    Tlb &l2Tlb() { return *l2_tlb_; }
+    Tlb &l2Tlb() { return l2_->tlb(); }
     Tlb &l1Tlb(CuId cu) { return *l1_tlbs_[cu]; }
     const ChipletParams &params() const { return params_; }
 
@@ -119,32 +126,19 @@ class Chiplet : public SimObject
     void serveRemoteData(Addr paddr, EventQueue::Callback done);
 
     /**
-     * Install an unsolicited translation (IOMMU multicast push,
-     * §IV-B ablation). No MSHR completes; the fill just lands in the
-     * L2 TLB for later demand hits.
+     * Install an unsolicited translation (IOMMU multicast push, §IV-B
+     * ablation; Valkyrie prefetch) in the L2 TLB this chiplet uses. No
+     * MSHR completes; the fill just lands for later demand hits.
      */
     void
     unsolicitedFill(const AtsResponse &resp)
     {
         if (resp.pfn == invalid_pfn)
             return;
-        if (service_)
-            service_->onResponse(id_, resp);
-        if (shared_svc_) {
-            // The fill crosses to the host-owned shared block as a
-            // message; the insert happens there.
+        if (shared_svc_)
             shared_svc_->unsolicitedFillFrom(id_, resp);
-            return;
-        }
-        TlbEntry te;
-        te.pid = resp.pid;
-        te.vpn = resp.vpn;
-        te.pfn = resp.pfn;
-        te.coal = resp.coal;
-        te.valid = true;
-        l2_tlb_->insert(te);
-        if (service_)
-            service_->onL2Insert(id_, te);
+        else
+            owned_l2_->unsolicitedFill(id_, resp);
     }
 
     /** Invalidate translations for @p vpns everywhere in this chiplet. */
@@ -169,8 +163,8 @@ class Chiplet : public SimObject
         std::uint64_t n = 0;
         for (const auto &tlb : l1_tlbs_)
             n += tlb->occupancy(pid);
-        if (owned_l2_tlb_)
-            n += owned_l2_tlb_->occupancy(pid);
+        if (owned_l2_)
+            n += owned_l2_->tlb().occupancy(pid);
         return n;
     }
 
@@ -189,14 +183,10 @@ class Chiplet : public SimObject
     regStats(StatRegistry &stats) const
     {
         stats.add(name() + ".l2tlb.accesses", l2_demand_accesses_);
-        // Demand misses (the MPKI numerator) and retries: the shared
-        // block counts them per requester on the host side.
-        stats.add(name() + ".l2tlb.misses",
-                  shared_svc_ ? shared_svc_->demandMisses(id_)
-                              : l2_demand_misses_);
-        stats.add(name() + ".l2tlb.mshr_retries",
-                  shared_svc_ ? shared_svc_->mshrRetries(id_)
-                              : mshr_retries_);
+        // Demand misses (the MPKI numerator) and retries, counted per
+        // requester by the stage (host-side under the shared L2 TLB).
+        stats.add(name() + ".l2tlb.misses", l2_->misses(id_));
+        stats.add(name() + ".l2tlb.mshr_retries", l2_->mshrRetries(id_));
         stats.add(name() + ".data.local", local_data_);
         stats.add(name() + ".data.remote", remote_data_);
         stats.add(name() + ".l1tlb.sibling_hits", sibling_hits_);
@@ -207,26 +197,8 @@ class Chiplet : public SimObject
     /// @}
 
   private:
-    struct Parked
-    {
-        CuId cu;
-        ProcessId pid;
-        Addr vaddr;
-        Vpn vpn;
-        Tick t0;
-        EventQueue::Callback done;
-    };
-
     void translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
                        Tick t0, EventQueue::Callback done);
-    /**
-     * The owned L2 stage, after the lookup latency: hit, park on a full
-     * MSHR file, merge, or launch the translation.
-     */
-    void l2Stage(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn, Tick t0,
-                 EventQueue::Callback done);
-    /** Release requests parked on this chiplet's full MSHR file. */
-    void unparkWaiters();
     void dataAccess(CuId cu, ProcessId pid, Addr vaddr,
                     const TlbEntry &te, Tick t0,
                     EventQueue::Callback done);
@@ -247,27 +219,24 @@ class Chiplet : public SimObject
     // domain-cross:message — reached only through its per-chiplet
     // request/response links.
     SharedTlbService *shared_svc_ = nullptr;
-    TranslationValidator validator_;
     LatencyProbe lat_probe_;
     std::vector<Chiplet *> peers_;
 
     std::vector<std::unique_ptr<Tlb>> l1_tlbs_;
     std::vector<std::unique_ptr<Cache>> l1_caches_;
-    std::unique_ptr<Tlb> owned_l2_tlb_;
-    Tlb *l2_tlb_ = nullptr;
-    std::unique_ptr<Mshr<TlbEntry>> owned_l2_mshr_;
-    Mshr<TlbEntry> *l2_mshr_ = nullptr;
+    /** This chiplet's own L2 TLB stage; null under the shared L2 TLB. */
+    std::unique_ptr<L2TlbStage> owned_l2_;
+    // domain-cross:message — the shared block's host-owned stage is
+    // reached only over its links; the chiplet reads its counters at
+    // stats time and peeks its TLB in tests.
+    L2TlbStage *l2_ = nullptr;
     std::unique_ptr<Cache> l2_cache_;
     std::unique_ptr<Dram> dram_;
-
-    std::vector<Parked> parked_;
 
     Counter sibling_hits_;
     Counter remote_data_;
     Counter local_data_;
-    Counter mshr_retries_;
     Counter l2_demand_accesses_;
-    Counter l2_demand_misses_;
 };
 
 } // namespace barre

@@ -3,19 +3,15 @@
  * The package-shared L2 TLB hypothetical (Fig 5/6) as a host-owned
  * service reached over per-chiplet request/response links.
  *
- * The original model let every chiplet call into one shared Tlb/Mshr
- * pair synchronously — free cross-chiplet communication that also kept
- * the configuration off the partitionable set. Here the shared block
- * owns all of its state (TLB, MSHR file, the parked-request queue and
- * per-requester statistics) in the host domain, and chiplets talk to
- * it exclusively through messages:
+ * The shared block is one L2TlbStage (gpu/l2_tlb_stage.hh: TLB, MSHR
+ * file, parked requests, per-requester counters) owned by the host
+ * domain, plus the links. Chiplets reach it only through messages:
  *
- *   chiplet --(req link, lookup request + continuation)--> shared TLB
- *   shared TLB: charge lookup latency, hit? -> respond
- *               miss? -> MSHR allocate (park/merge/primary),
- *                        primary launches the translation service
+ *   chiplet --(req link, lookup request + continuation)--> shared stage
+ *   shared stage: lookup latency, then hit -> respond, or park / merge
+ *                 / allocate; a primary miss launches the translation
  *   ATS response lands at the chiplet (PCIe downstream), which
- *   forwards the fill back over its req link; the shared TLB inserts,
+ *   forwards the fill back over its req link; the stage installs it,
  *   completes the MSHR and responds to every waiter over that
  *   chiplet's response link. The continuation (L1 fill + data access)
  *   executes at the requesting chiplet when the response arrives.
@@ -31,13 +27,11 @@
 #include <memory>
 #include <vector>
 
+#include "gpu/l2_tlb_stage.hh"
 #include "gpu/translation_service.hh"
 #include "noc/link.hh"
 #include "sim/domain_guard.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
-#include "tlb/mshr.hh"
-#include "tlb/tlb.hh"
 
 namespace barre
 {
@@ -54,14 +48,14 @@ struct SharedTlbParams
     bool operator==(const SharedTlbParams &) const = default;
 };
 
-// domain-owner:host — the shared TLB, MSHR file, parked queue and
-// per-requester counters all mutate in the host domain; chiplets reach
-// them only through the per-chiplet request/response links.
-class SharedTlbService : public SimObject, public DomainOwned
+// domain-owner:host — the shared stage (TLB, MSHR file, parked queue,
+// per-requester counters) mutates in the host domain; chiplets reach it
+// only through the per-chiplet request/response links.
+class SharedTlbService : public SimObject
 {
   public:
     /** Continuation run at the requesting chiplet with the fill. */
-    using FillCont = InlineFn<void(const TlbEntry &)>;
+    using FillCont = L2TlbStage::Cont;
 
     SharedTlbService(EventQueue &eq, std::string name,
                      const SharedTlbParams &params,
@@ -69,26 +63,21 @@ class SharedTlbService : public SimObject, public DomainOwned
                      Cycles retry_interval);
 
     /** The fallback translation path (ATS / GMMU); wired by System. */
-    void setService(TranslationService *svc) { service_ = svc; }
+    void
+    setService(TranslationService *svc)
+    {
+        service_ = svc;
+        l2_.setService(svc);
+    }
 
-    /**
-     * Debug hook fired for every translation response before it fills
-     * the shared TLB (mirrors Chiplet::setValidator; runs host-side,
-     * where the authoritative page table lives).
-     */
-    using Validator = InlineFn<void(ProcessId, Vpn, Pfn, bool)>;
-    void setValidator(Validator v) { validator_ = std::move(v); }
-
-    /** Harvest/test access to the shared structures. */
-    Tlb &tlb() { return *tlb_; }
-    Mshr<TlbEntry> &mshr() { return *mshr_; }
+    /** The host-owned stage: stats, validator, harvest/test access. */
+    L2TlbStage &l2() { return l2_; }
+    Tlb &tlb() { return l2_.tlb(); }
 
     void
     bindDomains(DomainGuard *guard)
     {
-        bindDomain(guard, kHostTag, name());
-        tlb_->bindDomain(guard, kHostTag, "shared.l2tlb");
-        mshr_->bindDomain(guard, kHostTag, "shared.l2mshr");
+        l2_.bindDomains(guard, kHostTag, name());
     }
 
     /**
@@ -99,50 +88,24 @@ class SharedTlbService : public SimObject, public DomainOwned
     void lookupFrom(ChipletId src, ProcessId pid, Vpn vpn, FillCont cont);
 
     /**
-     * Chiplet-side entry: an unsolicited (multicast) fill landed at
-     * chiplet @p src; forward it into the shared block.
+     * Chiplet-side entry: an unsolicited fill landed at chiplet @p src;
+     * forward it into the shared stage.
      */
     void unsolicitedFillFrom(ChipletId src, const AtsResponse &resp);
 
-    /// @name Per-requesting-chiplet statistics (host-side writers)
-    /// @{
-    const Counter &demandMisses(ChipletId c) const { return misses_[c]; }
-    const Counter &mshrRetries(ChipletId c) const { return retries_[c]; }
-    /// @}
-
   private:
-    struct Parked
-    {
-        ChipletId src;
-        ProcessId pid;
-        Vpn vpn;
-        FillCont cont;
-    };
-
-    /** The lookup pipeline, after the request hop + lookup latency. */
-    void serveAtHost(ChipletId src, ProcessId pid, Vpn vpn,
-                     FillCont cont);
+    /** The stage's launch hook: translate a primary miss. */
+    void launch(ChipletId src, ProcessId pid, Vpn vpn);
     /** Ship @p te to chiplet @p dst 's continuation. */
     void respond(ChipletId dst, const TlbEntry &te, FillCont cont);
-    /** A forwarded translation response: insert, complete, unpark. */
-    void completeAtHost(ChipletId src, std::uint64_t key,
-                        const AtsResponse &resp);
-    /** Release every parked request as one retry batch. */
-    void unpark();
 
     SharedTlbParams params_;
-    Cycles retry_interval_;
     TranslationService *service_ = nullptr;
-    Validator validator_;
-    std::unique_ptr<Tlb> tlb_;
-    std::unique_ptr<Mshr<TlbEntry>> mshr_;
     /** Request wires, one per chiplet (sender-owned, deliver at host). */
     std::vector<std::unique_ptr<Link>> req_links_;
     /** Response wires, host-owned, deliver at the target chiplet. */
     std::vector<std::unique_ptr<Link>> resp_links_;
-    std::vector<Parked> parked_;
-    std::vector<Counter> misses_;
-    std::vector<Counter> retries_;
+    L2TlbStage l2_;
 };
 
 } // namespace barre

@@ -151,11 +151,14 @@ System::System(SystemConfigHandle cfg)
                          (unsigned long long)pfn,
                          (unsigned long long)pte->pfn());
         };
-        for (auto &c : chiplets_)
-            c->setValidator(check);
-        // With the shared L2 TLB the fills complete host-side.
-        if (shared_tlb_svc_)
-            shared_tlb_svc_->setValidator(check);
+        // One validator per L2 TLB stage; with the shared L2 TLB the
+        // fills complete host-side.
+        if (shared_tlb_svc_) {
+            shared_tlb_svc_->l2().setValidator(check);
+        } else {
+            for (auto &c : chiplets_)
+                c->setValidator(check);
+        }
     }
 
     cus_.resize(cfg_.chiplets);
@@ -198,10 +201,15 @@ System::buildService()
       case TranslationMode::valkyrie:
         valkyrie_ = std::make_unique<ValkyrieService>(
             *iommu_, cfg_.valkyrie, cfg_.chiplets);
-        for (std::uint32_t c = 0; c < cfg_.chiplets; ++c)
-            valkyrie_->attachL2Tlb(c, &chiplets_[c]->l2Tlb());
-        if (shared_tlb_svc_)
-            valkyrie_->connectSharedTlb(shared_tlb_svc_.get());
+        // The host-owned shared L2 TLB cannot be peeked from chiplet
+        // context.
+        for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
+            valkyrie_->attachL2Tlb(
+                c, shared_tlb_svc_ ? nullptr : &chiplets_[c]->l2Tlb());
+        }
+        valkyrie_->setFillSink([this](ChipletId c, const AtsResponse &r) {
+            chiplets_[c]->unsolicitedFill(r);
+        });
         active_service_ = valkyrie_.get();
         break;
       case TranslationMode::least:

@@ -60,6 +60,10 @@ TEST(Valkyrie, PrefetchesNextVpnOnSequentialStream)
     ValkyrieService svc(rig.iommu, ValkyrieParams{true, 1}, 4);
     for (int c = 0; c < 4; ++c)
         svc.attachL2Tlb(c, rig.tlbs[c].get());
+    // Stand-in for the chiplet's unsolicited-fill entry.
+    svc.setFillSink([&](ChipletId c, const AtsResponse &resp) {
+        rig.tlbs[c]->insert(entryFor(rig, resp.vpn));
+    });
 
     int done = 0;
     // First miss primes the stride gate; the sequential second miss

@@ -11,7 +11,7 @@ using namespace barre;
 
 TEST(Cache, MissThenHitOnSameLine)
 {
-    Cache c(CacheParams{1024, 2, 64, 1, 4});
+    Cache c(CacheParams{1024, 2, 64, 1});
     EXPECT_FALSE(c.access(0x100));
     EXPECT_TRUE(c.access(0x100));
     EXPECT_TRUE(c.access(0x13F)); // same 64B line
@@ -23,7 +23,7 @@ TEST(Cache, MissThenHitOnSameLine)
 TEST(Cache, LruEvictionWithinSet)
 {
     // 2 ways, 128B total => 1 set of 2 lines.
-    Cache c(CacheParams{128, 2, 64, 1, 4});
+    Cache c(CacheParams{128, 2, 64, 1});
     c.access(0x000);
     c.access(0x040 * 1); // different line, maps to... ensure same set
     // With 1 set everything collides.
@@ -35,7 +35,7 @@ TEST(Cache, LruEvictionWithinSet)
 
 TEST(Cache, InvalidatePageDropsAllItsLines)
 {
-    Cache c(CacheParams{64 * 1024, 4, 64, 1, 4});
+    Cache c(CacheParams{64 * 1024, 4, 64, 1});
     // Fill 8 lines of frame 5 (4 KB pages).
     for (Addr off = 0; off < 512; off += 64)
         c.access((5ull << 12) + off);
@@ -46,7 +46,7 @@ TEST(Cache, InvalidatePageDropsAllItsLines)
 
 TEST(Cache, InvalidateAll)
 {
-    Cache c(CacheParams{1024, 2, 64, 1, 4});
+    Cache c(CacheParams{1024, 2, 64, 1});
     c.access(0x0);
     c.invalidateAll();
     EXPECT_FALSE(c.access(0x0));
@@ -54,12 +54,12 @@ TEST(Cache, InvalidateAll)
 
 TEST(Cache, GeometryValidated)
 {
-    EXPECT_THROW(Cache(CacheParams{100, 3, 60, 1, 4}), std::logic_error);
+    EXPECT_THROW(Cache(CacheParams{100, 3, 60, 1}), std::logic_error);
 }
 
 TEST(Cache, LargeCacheHoldsWorkingSet)
 {
-    Cache c(CacheParams{2 * 1024 * 1024, 16, 64, 20, 64});
+    Cache c(CacheParams{2 * 1024 * 1024, 16, 64, 20});
     for (Addr a = 0; a < 2 * 1024 * 1024; a += 64)
         c.access(a);
     // Second pass: everything should hit.

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the chiplet pipeline: TLB hierarchy, MSHR merging and
- * parking (and the batched wake of a parked herd), data path
- * (local/remote), sibling-L1 probing, shootdowns.
+ * parking (and the batched wake of a parked herd), unsolicited L2 fills
+ * (IOMMU pushes and Valkyrie prefetches), data path (local/remote),
+ * sibling-L1 probing, shootdowns.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "driver/gpu_driver.hh"
 #include "gpu/chiplet.hh"
 #include "gpu/translation_service.hh"
+#include "harness/system.hh"
 
 #include "stats_of.hh"
 
@@ -70,6 +72,19 @@ struct HerdTrace
         }
     }
 };
+
+/** The response the IOMMU would push for @p page of the rig's buffer. */
+AtsResponse
+pushFor(Rig &rig, std::uint64_t page)
+{
+    AtsResponse resp;
+    resp.pid = 1;
+    resp.vpn = rig.alloc.start_vpn + page;
+    const auto pte = rig.drv.pageTable(1).walk(resp.vpn);
+    resp.pfn = pte->pfn();
+    resp.coal = pte->coalInfo();
+    return resp;
+}
 
 constexpr std::uint64_t kHerdPages = 16;
 constexpr std::uint64_t kHerdAccesses = 64;
@@ -295,4 +310,129 @@ TEST(Chiplet, SharedParkedHerdMatchesPerRequestReference)
     EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.mshr_retries"), 112u);
     EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 16u);
     EXPECT_LT(rig.eq.fired(), 648u); // per-request retries fired 648
+}
+
+// An IOMMU push lands in the chiplet's own L2 TLB without completing an
+// MSHR (the validator sees every completion and stays silent), and the
+// next demand access to that page hits there without an ATS.
+TEST(Chiplet, UnsolicitedFillLandsInPrivateL2)
+{
+    Rig rig;
+    int completions = 0;
+    rig.chip0->setValidator(
+        [&](ProcessId, Vpn, Pfn, bool) { ++completions; });
+    const AtsResponse push = pushFor(rig, 2);
+    AtsResponse unmapped = pushFor(rig, 3);
+    unmapped.pfn = invalid_pfn;
+    rig.chip0->unsolicitedFill(push);
+    rig.chip0->unsolicitedFill(unmapped); // nothing to install
+    rig.eq.run();
+    const auto te = rig.chip0->l2Tlb().peek(1, push.vpn);
+    ASSERT_TRUE(te.has_value());
+    EXPECT_EQ(te->pfn, push.pfn);
+    EXPECT_FALSE(rig.chip0->l2Tlb().peek(1, unmapped.vpn).has_value());
+    EXPECT_FALSE(rig.chip1->l2Tlb().peek(1, push.vpn).has_value());
+
+    int done = 0;
+    rig.chip0->access(0, 1, rig.addrOfPage(2), [&] { ++done; });
+    rig.eq.run();
+    EXPECT_EQ(done, 1);
+    EXPECT_EQ(completions, 0);
+    EXPECT_EQ(rig.chip0->l2TlbAccesses(), 1u);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l2tlb.misses"), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 0u);
+}
+
+// A push to one chiplet crosses into the package-shared L2 TLB, where
+// demand accesses from both chiplets then hit without an ATS.
+TEST(Chiplet, UnsolicitedFillLandsInSharedL2)
+{
+    Rig rig;
+    TlbParams tp;
+    tp.entries = 2048;
+    tp.ways = 16;
+    tp.mshrs = 64;
+    SharedTlbService shared(rig.eq, "shared", SharedTlbParams{}, tp, 2,
+                            ChipletParams{}.retry_interval);
+    shared.setService(&rig.svc);
+    rig.chip0->connectSharedTlb(&shared);
+    rig.chip1->connectSharedTlb(&shared);
+
+    const AtsResponse push = pushFor(rig, 5);
+    rig.chip1->unsolicitedFill(push);
+    EXPECT_FALSE(shared.tlb().peek(1, push.vpn).has_value()); // in flight
+    rig.eq.run();
+    const auto te = shared.tlb().peek(1, push.vpn);
+    ASSERT_TRUE(te.has_value());
+    EXPECT_EQ(te->pfn, push.pfn);
+
+    int done = 0;
+    rig.chip0->access(0, 1, rig.addrOfPage(5), [&] { ++done; });
+    rig.chip1->access(1, 1, rig.addrOfPage(5) + 64, [&] { ++done; });
+    rig.eq.run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(statsOf(*rig.chip0).count("gpu0.l2tlb.misses"), 0u);
+    EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.misses"), 0u);
+    EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 0u);
+}
+
+namespace
+{
+
+/**
+ * Under Valkyrie, two sequential misses from chiplet 0 (pages 0 and 1 of
+ * a fresh buffer) prefetch page 2 into the L2 TLB chiplet 0 uses.
+ * @return the prefetched page's VPN.
+ */
+Vpn
+prefetchThirdPage(System &sys)
+{
+    const DataAlloc alloc = sys.driver().gpuMalloc(1, 8);
+    sys.iommu().attachPageTable(sys.driver().pageTable(1));
+    int done = 0;
+    sys.chiplet(0).access(0, 1, alloc.start_vpn << 12, [&] { ++done; });
+    sys.chiplet(0).access(1, 1, (alloc.start_vpn + 1) << 12,
+                          [&] { ++done; });
+    sys.eventQueue().run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(sys.stats().count("iommu.ats_requests"), 3u);
+    return alloc.start_vpn + 2;
+}
+
+} // namespace
+
+TEST(Chiplet, ValkyriePrefetchFillLandsInPrivateL2)
+{
+    SystemConfig cfg = SystemConfig::valkyrieCfg();
+    cfg.validate_translations = true;
+    System sys(cfg);
+    const Vpn vpn = prefetchThirdPage(sys);
+    EXPECT_TRUE(sys.chiplet(0).l2Tlb().peek(1, vpn).has_value());
+    EXPECT_FALSE(sys.chiplet(1).l2Tlb().peek(1, vpn).has_value());
+
+    int done = 0;
+    sys.chiplet(0).access(2, 1, vpn << 12, [&] { ++done; });
+    sys.eventQueue().run();
+    EXPECT_EQ(done, 1);
+    EXPECT_EQ(sys.stats().count("gpu0.l2tlb.misses"), 2u);
+    EXPECT_EQ(sys.stats().count("iommu.ats_requests"), 3u);
+}
+
+TEST(Chiplet, ValkyriePrefetchFillLandsInSharedL2)
+{
+    SystemConfig cfg = SystemConfig::valkyrieCfg();
+    cfg.shared_l2_tlb = true;
+    cfg.validate_translations = true;
+    System sys(cfg);
+    const Vpn vpn = prefetchThirdPage(sys);
+    EXPECT_TRUE(sys.sharedTlb()->tlb().peek(1, vpn).has_value());
+
+    int done = 0;
+    sys.chiplet(0).access(2, 1, vpn << 12, [&] { ++done; });
+    sys.chiplet(1).access(0, 1, vpn << 12, [&] { ++done; });
+    sys.eventQueue().run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(sys.stats().count("gpu0.l2tlb.misses"), 2u);
+    EXPECT_EQ(sys.stats().count("gpu1.l2tlb.misses"), 0u);
+    EXPECT_EQ(sys.stats().count("iommu.ats_requests"), 3u);
 }

@@ -27,6 +27,10 @@ correctness story depends on:
                    src/harness/pool.cc, so the pool (runOnThreads,
                    parallelFor, defaultWorkers) stays the one place
                    that spawns host threads or sizes worker counts.
+  one-l2-miss-path Mshr< appears in src/ only in src/tlb/mshr.hh and
+                   src/gpu/l2_tlb_stage.{hh,cc}, so the L2 TLB stage
+                   stays the one lookup/park/merge/fill path and a
+                   second copy of it cannot grow back.
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
@@ -238,6 +242,23 @@ class Linter:
                         f"{home}; use runOnThreads/parallelFor/"
                         f"defaultWorkers")
 
+    def check_one_l2_miss_path(self):
+        mshr_re = re.compile(r"\bMshr\s*<")
+        homes = {"src/tlb/mshr.hh", "src/gpu/l2_tlb_stage.hh",
+                 "src/gpu/l2_tlb_stage.cc"}
+        for path in self.files(["src/**/*.hh", "src/**/*.cc"]):
+            if path.relative_to(self.root).as_posix() in homes:
+                continue
+            raw_lines = path.read_text().splitlines()
+            text = strip_comments_and_strings("\n".join(raw_lines))
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if mshr_re.search(line) and "one-l2-miss-path" not in \
+                        allowed_rules(raw_lines[lineno - 1]):
+                    self.report(
+                        path, lineno, "one-l2-miss-path",
+                        "MSHR files live only in src/gpu/l2_tlb_stage.*; "
+                        "route L2 misses through L2TlbStage")
+
     def check_domain_ownership(self):
         lint = self.root / "tools" / "domain_lint.py"
         if not lint.is_file():
@@ -280,6 +301,7 @@ class Linter:
         self.check_naked_new()
         self.check_event_path_function()
         self.check_host_threads()
+        self.check_one_l2_miss_path()
         self.check_domain_ownership()
         if format_check:
             self.check_format()
