@@ -17,7 +17,7 @@
  * versus the same application running alone on the same config (the
  * multi-tenant interference cost), and the worst tenant p99
  * translation latency. The largest cell of every config additionally
- * runs twice — tagged serial (sim_domains=1) and partitioned
+ * runs twice — serial (sim_domains=1) and partitioned
  * (chiplets+1 domains) — and the bench exits non-zero unless the two
  * are bitwise identical (metrics row, per-tenant rows, per-tag firing
  * digests).
@@ -77,8 +77,7 @@ runOne(SystemConfig cfg, const ScenarioSpec &spec, std::uint32_t domains,
     out.csv = csvRow(out.m);
     for (const TenantMetrics &t : out.m.tenants)
         out.tenant_rows.push_back(tenantCsvRow(t));
-    if (const TaggedEngine *eng = sys.eventQueue().taggedEngine())
-        out.digests = eng->fireDigests();
+    out.digests = sys.eventQueue().fireDigests();
     return out;
 }
 
@@ -234,8 +233,8 @@ tenantsMain(int argc, char **argv)
                         all_identical = false;
                         std::fprintf(stderr,
                                      "ERROR: %s %u-tenant churn run "
-                                     "differs between tagged serial "
-                                     "and partitioned!\n",
+                                     "differs between serial and "
+                                     "partitioned!\n",
                                      nc.name.c_str(), n);
                     }
                 }

@@ -175,8 +175,8 @@ class FBarreService : public SimObject,
     std::vector<Tlb *> l2_tlbs_;
 
     // One service instance is bumped from every chiplet's sequencing
-    // context, so these shard per tag in partitioned mode (TagCounter
-    // degenerates to a plain counter in legacy/serial runs).
+    // context, so these shard per tag (TagCounter degenerates to a
+    // plain counter when unsharded).
     TagCounter local_hits_;
     TagCounter lcf_positives_;
     TagCounter lcf_true_;

@@ -77,18 +77,17 @@ struct SystemConfig
 
     /**
      * Conservative-PDES partitioning: number of event domains to split
-     * the simulation into. 0 (default) keeps the legacy serial queue;
-     * 1 runs the tagged engine on one domain (serial, but with the
-     * partition-independent event ordering — the reference the
-     * multi-domain runs are proven bitwise-identical to; it drains in
-     * a single epoch of the same scheduler loop); >= 2 gives the host
-     * its own domain and round-robins chiplets over the rest.
-     * Clamped to chiplets + 1. The two configurations with read-side
-     * races across domain boundaries (migration's PTE surgery under
-     * GMMU-side walks, and validated demand paging — see
-     * System::partitionBlocker) fall back to the serial queue with a
-     * warning; everything else — including plain demand paging and
-     * every service layered on the shared L2 TLB — partitions.
+     * the simulation into. 0 (default) and 1 both run one domain: the
+     * serial run, which drains in a single epoch of the scheduler loop
+     * and is the reference every multi-domain run is proven
+     * bitwise-identical to. >= 2 gives the host its own domain and
+     * round-robins chiplets over the rest. Clamped to chiplets + 1.
+     * The two configurations with read-side races across domain
+     * boundaries (migration's PTE surgery under GMMU-side walks, and
+     * validated demand paging — see System::partitionBlocker) warn and
+     * run as one domain; everything else — including plain demand
+     * paging and every service layered on the shared L2 TLB —
+     * partitions.
      */
     std::uint32_t sim_domains = 0;
 

@@ -69,11 +69,11 @@ clampAdd(Tick a, Tick b)
  * on the calling thread alone; its barrier waits return at once.
  */
 void
-runEpochs(TaggedEngine &eng, Tick lookahead, unsigned workers)
+runEpochs(EventQueue &eng, Tick lookahead, unsigned workers)
 {
     struct Shared
     {
-        TaggedEngine &eng;
+        EventQueue &eng;
         Tick lookahead;
         std::uint32_t domains;
         unsigned workers;
@@ -141,12 +141,9 @@ DomainScheduler::budget()
 std::uint64_t
 DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
 {
-    TaggedEngine *eng = eq.taggedEngine();
-    barre_assert(eng != nullptr,
-                 "DomainScheduler::run on an untagged queue");
     barre_assert(lookahead >= 1, "scheduler lookahead must be >= 1");
-    const std::uint64_t fired_before = eng->fired();
-    const std::uint32_t domains = eng->domains();
+    const std::uint64_t fired_before = eq.fired();
+    const std::uint32_t domains = eq.domains();
 
     unsigned want = threads != 0 ? threads : defaultWorkers();
     if (want > domains)
@@ -158,17 +155,17 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
     // the same epoch loop on the calling thread alone; results never
     // depend on it.
     const unsigned granted = budget().acquire(want);
-    eng->setRunning(true);
+    eq.setRunning(true);
     try {
-        runEpochs(*eng, lookahead, granted);
+        runEpochs(eq, lookahead, granted);
     } catch (...) {
         budget().release(granted);
         throw;
     }
-    eng->setRunning(false);
+    eq.setRunning(false);
     budget().release(granted);
-    barre_assert(eng->empty(), "partitioned run left staged events");
-    return eng->fired() - fired_before;
+    barre_assert(eq.empty(), "partitioned run left staged events");
+    return eq.fired() - fired_before;
 }
 
 } // namespace barre

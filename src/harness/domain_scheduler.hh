@@ -1,7 +1,8 @@
 /**
  * @file
- * Driver for a partitioned (tagged) EventQueue: the lock-step epoch
- * scheduler.
+ * Driver for an EventQueue with a partition plan: the lock-step epoch
+ * scheduler. A one-domain plan (the serial run) drains in one epoch
+ * on the calling thread.
  *
  * Domains advance in epochs [S, S + lookahead): every worker fires its
  * domains' events below the horizon in parallel, then all workers meet
@@ -103,7 +104,7 @@ class DomainScheduler
 {
   public:
     /**
-     * Run @p eq 's tagged engine to completion.
+     * Run @p eq to completion.
      *
      * @param eq        an EventQueue with enableTags() applied.
      * @param lookahead global conservative lookahead in ticks (>= 1);

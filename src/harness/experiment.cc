@@ -143,7 +143,7 @@ runMany(const std::vector<NamedConfig> &cfgs,
     frozen.reserve(cfgs.size());
     for (const auto &nc : cfgs) {
         SystemConfig cfg = nc.cfg;
-        if (spare_threads > 1 && cfg.sim_domains > 0 &&
+        if (spare_threads > 1 && cfg.sim_domains > 1 &&
             cfg.sim_threads == 0) {
             cfg.sim_threads = spare_threads;
         }

@@ -263,19 +263,18 @@ System::partitionBlocker(const SystemConfig &cfg)
 void
 System::setupPartition()
 {
-    if (cfg_.sim_domains == 0)
-        return;
-    if (const char *why = partitionBlocker(cfg_)) {
-        barre_warn("sim_domains=%u ignored: %s crosses domain "
-                   "boundaries synchronously; using the legacy serial "
-                   "queue",
-                   cfg_.sim_domains, why);
-        return;
+    std::uint32_t domains =
+        std::clamp(cfg_.sim_domains, 1u, cfg_.chiplets + 1);
+    if (domains > 1) {
+        if (const char *why = partitionBlocker(cfg_)) {
+            barre_warn("sim_domains=%u ignored: %s crosses domain "
+                       "boundaries synchronously; running as one domain",
+                       cfg_.sim_domains, why);
+            domains = 1;
+        }
     }
 
     const std::size_t tags = std::size_t(cfg_.chiplets) + 1;
-    const std::uint32_t domains =
-        std::min(cfg_.sim_domains, cfg_.chiplets + 1);
     std::vector<std::uint32_t> tag_domain(tags, 0);
     if (domains >= 2) {
         // The host tag always gets domain 0 to itself so the PCIe
@@ -311,9 +310,7 @@ System::setupPartition()
                                        cfg_.fbarre.oracle_latency);
         }
     }
-    pdes_.on = true;
-    pdes_.domains = domains;
-    pdes_.lookahead = lookahead;
+    lookahead_ = lookahead;
     eq_.enableTags(std::move(tag_domain), domains);
     stats_.shard(tags);
 }
@@ -608,7 +605,7 @@ System::run()
 
     // Checks only bite between here and the end of the drain: setup /
     // harvest code legitimately pokes components from the host context.
-    guard_.setMode(DomainGuard::resolveMode(guard_.mode(), pdes_.on));
+    guard_.setMode(DomainGuard::resolveMode(guard_.mode(), partitioned()));
 
     if (engine_) {
         // Arrivals are host-domain events; their chiplet effects ride
@@ -617,11 +614,10 @@ System::run()
         engine_->begin();
     }
 
-    // Start each chiplet's CUs inside that chiplet's tag context (the
-    // serial queue stamps tags too, for the domain audit) and track
-    // completion per tag, so each cell is single-writer in partitioned
-    // runs. The finish tick is the latest per-tag finish: the tick at
-    // which the last CU anywhere completes.
+    // Start each chiplet's CUs inside that chiplet's tag context and
+    // track completion per tag, so each cell is single-writer in
+    // partitioned runs. The finish tick is the latest per-tag finish:
+    // the tick at which the last CU anywhere completes.
     tag_done_.assign(cfg_.chiplets + 1, TagDone{});
     for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
         const SeqTag t = chipletTag(c);
@@ -638,9 +634,7 @@ System::run()
         }
     }
     const std::uint64_t fired =
-        pdes_.on ? DomainScheduler::run(eq_, pdes_.lookahead,
-                                        cfg_.sim_threads)
-                 : eq_.run();
+        DomainScheduler::run(eq_, lookahead_, cfg_.sim_threads);
     std::uint32_t with_work = 0;
     std::uint32_t done = 0;
     for (const TagDone &td : tag_done_) {

@@ -110,12 +110,11 @@ class System
     {
         return all_allocs_;
     }
-    /** Whether this run executes partitioned (tagged engine active). */
-    bool partitioned() const { return pdes_.on; }
+    /** Whether this run is split over more than one event domain. */
+    bool partitioned() const { return eq_.multiDomain(); }
     /** The epoch lookahead the partition plan computed: max_tick when
-     *  no link crosses a domain boundary (one domain, or not
-     *  partitioned). */
-    Tick pdesLookahead() const { return pdes_.lookahead; }
+     *  no link crosses a domain boundary (one domain). */
+    Tick pdesLookahead() const { return lookahead_; }
     /** Why @p cfg cannot be partitioned, or nullptr if it can. */
     static const char *partitionBlocker(const SystemConfig &cfg);
     /// @}
@@ -185,15 +184,8 @@ class System
     Tick finish_tick_ = 0;
     bool ran_ = false;
 
-    /** The conservative-PDES partition plan (empty when sim_domains is
-     *  0 or the configuration fell back to the legacy serial queue). */
-    struct Pdes
-    {
-        bool on = false;
-        std::uint32_t domains = 1;
-        Tick lookahead = max_tick;
-    };
-    Pdes pdes_;
+    /** The partition plan's conservative epoch lookahead. */
+    Tick lookahead_ = max_tick;
 
     /**
      * Per-tag CU completion tracking. Each cell is only touched from

@@ -36,8 +36,7 @@ class Link : public SimObject, public ArbHook
 
     /**
      * Send @p bytes; @p deliver fires on arrival at the far end, in
-     * the sender's own sequencing context (partitioned mode) or simply
-     * at the computed tick (legacy mode).
+     * the sender's own sequencing context.
      * @return the delivery tick.
      */
     Tick
@@ -51,9 +50,8 @@ class Link : public SimObject, public ArbHook
     /**
      * Send @p bytes to the component sequenced as tag @p dst. The link
      * is owned by the sender (only the sending tag contends for the
-     * wire), so arbitration resolves inline; in partitioned mode the
-     * delivery executes as @p dst and is staged across the domain
-     * boundary when needed. Legacy mode behaves exactly like send().
+     * wire), so arbitration resolves inline; the delivery executes as
+     * @p dst and is staged across a domain boundary when needed.
      * @return the delivery tick.
      */
     Tick

@@ -1,6 +1,6 @@
 /**
  * @file
- * TaggedEngine cold paths: the epoch-barrier staging drain and the
+ * EventQueue cold paths: the epoch-barrier staging drain and the
  * structural audit.
  */
 
@@ -10,7 +10,7 @@ namespace barre
 {
 
 void
-TaggedEngine::drainStaged()
+EventQueue::drainStaged()
 {
     // Gather every staged arbitration op and replay them in the global
     // order a serial run would have presented them to the shared
@@ -28,7 +28,7 @@ TaggedEngine::drainStaged()
         // Establish the owner's execution context so any stats the
         // hook bumps shard onto the owner tag instead of whatever tag
         // the caller happened to carry.
-        TagScope scope(this, op.owner);
+        TagScope scope(*this, op.owner);
         const Tick when = op.hook->arbitrate(op.sent, op.bytes);
         BARRE_AUDIT(barre_assert(
             when >= horizon_,
@@ -36,8 +36,8 @@ TaggedEngine::drainStaged()
             "epoch horizon %llu: lookahead is unsound",
             (unsigned long long)when, (unsigned long long)op.sent,
             (unsigned long long)horizon_));
-        domains_[tag_domain_[op.owner]].heap.push(Entry{
-            when, op.sent, op.key, op.owner, std::move(op.deliver)});
+        push(domains_[tag_domain_[op.owner]],
+             {when, op.sent, op.key, 0, op.owner}, std::move(op.deliver));
     }
     scratch_arb_.clear();
 
@@ -45,27 +45,49 @@ TaggedEngine::drainStaged()
     // irrelevant to firing order, so a simple per-outbox sweep is
     // deterministic.
     for (Domain &dom : domains_) {
-        for (Entry &e : dom.out)
-            domains_[tag_domain_[e.tag]].heap.push(std::move(e));
+        for (Staged &s : dom.out)
+            push(domains_[tag_domain_[s.rec.tag]], s.rec, std::move(s.cb));
         dom.out.clear();
     }
 }
 
 void
-TaggedEngine::auditDomain(std::uint32_t d) const
+EventQueue::auditDomain(std::uint32_t d) const
 {
     const Domain &dom = domains_[d];
-    for (const Entry &e : dom.heap) {
-        barre_assert(e.when >= dom.now,
+    // 1 = named by a heap record, 2 = on the free list. A fired top
+    // awaiting replacement (runEpoch's hole) names a freed slot.
+    std::vector<std::uint8_t> use(dom.slab.size(), 0);
+    for (const Record &r : dom.heap) {
+        if (dom.hole && &r == &dom.heap.top())
+            continue;
+        barre_assert(r.when >= dom.now,
                      "domain %u heap entry at tick %llu is in the past "
                      "(now %llu)",
-                     d, (unsigned long long)e.when,
+                     d, (unsigned long long)r.when,
                      (unsigned long long)dom.now);
-        barre_assert(tag_domain_[e.tag] == d,
+        barre_assert(tag_domain_[r.tag] == d,
                      "domain %u holds an event for tag %u (domain %u)",
-                     d, unsigned(e.tag), tag_domain_[e.tag]);
+                     d, unsigned(r.tag), tag_domain_[r.tag]);
+        barre_assert(r.slot < use.size() && use[r.slot] == 0 &&
+                         dom.slab[r.slot],
+                     "domain %u record names slab slot %u, which holds "
+                     "no live callback of its own",
+                     d, r.slot);
+        use[r.slot] = 1;
     }
-    dom.heap.auditOrder("tagged domain");
+    for (std::uint32_t s : dom.free) {
+        barre_assert(s < use.size() && use[s] == 0 && !dom.slab[s],
+                     "domain %u free list names slab slot %u, which a "
+                     "record, an earlier free entry or a callback holds",
+                     d, s);
+        use[s] = 2;
+    }
+    const std::size_t live = dom.heap.size() - dom.hole;
+    barre_assert(live + dom.free.size() == dom.slab.size(),
+                 "domain %u: %zu records + %zu free slots != slab of %zu",
+                 d, live, dom.free.size(), dom.slab.size());
+    dom.heap.auditOrder("event domain");
 }
 
 } // namespace barre

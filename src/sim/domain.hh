@@ -1,7 +1,8 @@
 /**
  * @file
- * Conservative-PDES core: sequencing tags, per-domain event heaps, and
- * the cross-domain staging behind EventQueue's partitioned mode.
+ * The event engine: sequencing tags, per-domain event heaps with their
+ * callbacks in a slab, and the cross-domain staging that lets domains
+ * advance in parallel.
  *
  * The simulated system is split into *tags* — the finest units that are
  * never divided across threads (the host/IOMMU side is tag 0, chiplet c
@@ -11,7 +12,8 @@
  * propagation latency): nothing sent inside an epoch can land before
  * its horizon. Cross-domain sends stage in the sending domain's outbox
  * until the barrier that ends the epoch, where one thread moves them
- * into their destination heaps.
+ * into their destination heaps. One domain holding every tag is the
+ * serial run: it drains in a single epoch.
  *
  * Determinism does not come from drain order but from the firing key.
  * Every event carries a composite key (when, birth, key) where `when`
@@ -22,8 +24,11 @@
  * tag's event stream — independent of how tags are grouped into
  * domains. Firing in lexicographic (when, birth, key) order therefore
  * yields the same per-tag event interleaving for 1, 2, 4, or 8
- * domains, on 1 or N threads. fireDigests() condenses that order into
- * one hash chain per tag so tests can assert bitwise identity cheaply.
+ * domains, on 1 or N threads. With a single tag, birth and key both
+ * grow in scheduling order, so the order reduces to (when, seq): same
+ * tick fires in scheduling order. fireDigests() condenses the order
+ * into one hash chain per tag so tests can assert bitwise identity
+ * cheaply.
  *
  * Shared cross-domain resources (the PCIe upstream link arbitrating
  * wire occupancy among all chiplets) cannot be resolved at send time in
@@ -38,6 +43,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,17 +70,17 @@ chipletTag(ChipletId c)
     return static_cast<SeqTag>(c + 1);
 }
 
-class TaggedEngine;
+class EventQueue;
 
 /**
- * Per-thread execution context: which engine/domain/tag the code on
+ * Per-thread execution context: which queue/domain/tag the code on
  * this thread is currently simulating, plus the identity of the event
  * being executed (its birth tick and composite key) so that staged
  * arbitration ops can be keyed by their originating event.
  */
 struct ExecCtx
 {
-    TaggedEngine *engine = nullptr;
+    EventQueue *engine = nullptr;
     std::uint32_t domain = 0;
     SeqTag tag = 0;
     Tick ev_birth = 0;
@@ -85,6 +91,22 @@ struct ExecCtx
 namespace detail
 {
 inline thread_local ExecCtx tls_exec;
+
+/** Restores this thread's execution context on scope exit, normal or
+ *  by a panic throw, so a fired event's context never leaks into
+ *  setup/harvest code or the next simulation. */
+class ExecScope
+{
+  public:
+    ExecScope() : saved_(tls_exec) {}
+    ~ExecScope() { tls_exec = saved_; }
+
+    ExecScope(const ExecScope &) = delete;
+    ExecScope &operator=(const ExecScope &) = delete;
+
+  private:
+    ExecCtx saved_;
+};
 } // namespace detail
 
 /** Tag currently executing on this thread (kHostTag outside any). */
@@ -98,9 +120,10 @@ currentExecTag()
  * A Counter whose increments land in a per-tag shard, so one logical
  * statistic owned by a host-side component (IOMMU, F-Barre service,
  * GMMU) can be bumped from any chiplet's execution context without a
- * data race. In legacy/serial mode there is a single shard and the
- * behaviour is identical to Counter. value() sums the shards; call it
- * only outside the parallel run (System teardown / metrics harvest).
+ * data race. Unsharded (a component built outside a System) there is
+ * a single shard and the behaviour is identical to Counter. value()
+ * sums the shards; call it only outside the parallel run (System
+ * teardown / metrics harvest).
  */
 class TagCounter
 {
@@ -147,9 +170,9 @@ class TagCounter
     slot()
     {
         const SeqTag t = currentExecTag();
-        // Legacy/serial mode runs single-threaded on one shard but
-        // (since the domain audit landed) still stamps real tags on
-        // events for ownership attribution — any tag may bump here.
+        // An unsharded counter (a component unit test on a bare
+        // queue) has one shard that every tag bumps; a System shards
+        // every counter, one slot per tag, before anything runs.
         if (slots_.size() == 1)
             return slots_[0];
         barre_assert(t < slots_.size(),
@@ -178,10 +201,18 @@ class ArbHook
 };
 
 /**
- * The partitioned-mode engine owned by an EventQueue: one 4-ary event
- * heap per domain ordered by the composite key, per-tag key counters
- * and firing digests, and one outbox per sending domain that stages
- * cross-domain sends until the epoch barrier drains it.
+ * The event queue of one simulated system: one 4-ary heap of firing
+ * records per domain ordered by the composite key, the callbacks those
+ * records name in a per-domain slab, per-tag key counters and firing
+ * digests, and one outbox per sending domain that stages cross-domain
+ * sends until the epoch barrier drains it.
+ *
+ * A default-constructed queue is one domain whose tag set grows on
+ * demand; run() drains it. enableTags() gives it a System's partition
+ * plan instead, after which the harness DomainScheduler drives it.
+ * Scheduling from outside any execution context (setup code, tests)
+ * acts as the host tag; on a multi-domain queue such code must name
+ * its tag with a TagScope.
  *
  * Threading contract: domain d is only ever advanced by one worker at
  * a time (runEpoch), and a tag lives in exactly one domain, so all
@@ -191,41 +222,49 @@ class ArbHook
  * barrier, whose release/acquire ordering publishes every append
  * before the drain and every drained event before the next epoch.
  */
-class TaggedEngine
+class EventQueue
 {
   public:
     using Callback = InlineFn<void()>;
 
+    EventQueue() : tag_domain_(1, 0), domains_(1), ctr_(1), digest_(1) {}
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
     /**
-     * @param tag_domain  domain index for each tag; size = tag count.
-     * @param domains     number of domains (>= 1).
+     * Apply a partition plan: tag t lives in domain @p tag_domain [t]
+     * of @p domains. Must be called before anything is scheduled.
      */
-    TaggedEngine(std::vector<std::uint32_t> tag_domain,
-                 std::uint32_t domains)
-        : tag_domain_(std::move(tag_domain)),
-          domains_(domains),
-          ctr_(tag_domain_.size()),
-          digest_(tag_domain_.size())
+    void
+    enableTags(std::vector<std::uint32_t> tag_domain,
+               std::uint32_t domains)
     {
+        barre_assert(open_ && fired() == 0 && empty() && now() == 0,
+                     "enableTags on a queue that has been used");
         barre_assert(domains >= 1, "need at least one domain");
-        for (std::uint32_t d : tag_domain_)
+        for (std::uint32_t d : tag_domain)
             barre_assert(d < domains,
                          "tag mapped to domain %u of %u", d, domains);
+        const std::size_t tags = tag_domain.size();
+        tag_domain_ = std::move(tag_domain);
+        domains_ = std::vector<Domain>(domains);
+        ctr_.assign(tags, PaddedU64{});
+        digest_.assign(tags, PaddedU64{});
+        open_ = false;
     }
 
-    TaggedEngine(const TaggedEngine &) = delete;
-    TaggedEngine &operator=(const TaggedEngine &) = delete;
-
     std::uint32_t domains() const { return std::uint32_t(domains_.size()); }
-    std::size_t tagCount() const { return tag_domain_.size(); }
     bool multiDomain() const { return domains_.size() > 1; }
-    std::uint32_t tagDomain(SeqTag t) const { return tag_domain_[t]; }
+
+    /** Spelling kept for the repo benchmark, which reads digests
+     *  through it; the queue is the engine. */
+    const EventQueue *taggedEngine() const { return this; }
 
     /**
      * Current time. Inside an execution context this is the executing
      * domain's clock; outside (setup done, run finished) it is the
-     * global maximum — the tick of the last event fired anywhere,
-     * matching what a serial queue's now() reports after run().
+     * global maximum — the tick of the last event fired anywhere.
      */
     Tick
     now() const
@@ -239,6 +278,7 @@ class TaggedEngine
         return t;
     }
 
+    /** Total events fired over the queue's lifetime. */
     std::uint64_t
     fired() const
     {
@@ -254,26 +294,29 @@ class TaggedEngine
     {
         std::size_t n = 0;
         for (const Domain &d : domains_)
-            n += d.heap.size() + d.out.size() + d.arb_out.size();
+            n += d.heap.size() - d.hole + d.out.size() + d.arb_out.size();
         return n;
     }
 
     bool empty() const { return pending() == 0; }
 
-    /** Schedule @p cb on the current tag at absolute tick @p when. */
+    /**
+     * Schedule @p cb on the current tag at absolute tick @p when.
+     * @pre when >= now()
+     */
     void
     schedule(Tick when, Callback cb)
     {
         ExecCtx &ctx = detail::tls_exec;
-        barre_assert(ctx.engine == this,
-                     "tagged schedule outside any execution context");
+        if (ctx.engine != this) [[unlikely]]
+            return asHost([&] { schedule(when, std::move(cb)); });
         Domain &dom = domains_[ctx.domain];
         barre_assert(when >= dom.now,
                      "scheduling into the past (%llu < %llu)",
                      (unsigned long long)when,
                      (unsigned long long)dom.now);
-        dom.heap.push(Entry{when, dom.now, allocKey(ctx.tag), ctx.tag,
-                            std::move(cb)});
+        push(dom, {when, dom.now, allocKey(ctx.tag), 0, ctx.tag},
+             std::move(cb));
     }
 
     /** Schedule @p cb on the current tag @p delay cycles from now. */
@@ -281,11 +324,11 @@ class TaggedEngine
     scheduleAfter(Cycles delay, Callback cb)
     {
         ExecCtx &ctx = detail::tls_exec;
-        barre_assert(ctx.engine == this,
-                     "tagged schedule outside any execution context");
+        if (ctx.engine != this) [[unlikely]]
+            return asHost([&] { scheduleAfter(delay, std::move(cb)); });
         Domain &dom = domains_[ctx.domain];
-        dom.heap.push(Entry{dom.now + delay, dom.now, allocKey(ctx.tag),
-                            ctx.tag, std::move(cb)});
+        push(dom, {dom.now + delay, dom.now, allocKey(ctx.tag), 0, ctx.tag},
+             std::move(cb));
     }
 
     /**
@@ -300,15 +343,16 @@ class TaggedEngine
     scheduleCross(SeqTag dst, Tick when, Callback cb)
     {
         ExecCtx &ctx = detail::tls_exec;
-        barre_assert(ctx.engine == this,
-                     "tagged schedule outside any execution context");
+        if (ctx.engine != this) [[unlikely]]
+            return asHost([&] { scheduleCross(dst, when, std::move(cb)); });
+        reachTag(dst);
         const std::uint32_t dd = tag_domain_[dst];
         Domain &src = domains_[ctx.domain];
-        Entry e{when, src.now, allocKey(ctx.tag), dst, std::move(cb)};
+        const Record r{when, src.now, allocKey(ctx.tag), 0, dst};
         if (!running_ || dd == ctx.domain) {
             barre_assert(when >= domains_[dd].now,
                          "cross schedule into the past");
-            domains_[dd].heap.push(std::move(e));
+            push(domains_[dd], r, std::move(cb));
             return;
         }
         // The lookahead must lower-bound every cross-domain delivery;
@@ -320,7 +364,7 @@ class TaggedEngine
             "the epoch horizon %llu: lookahead is unsound",
             unsigned(dst), (unsigned long long)when,
             (unsigned long long)horizon_));
-        src.out.push_back(std::move(e));
+        src.out.push_back(Staged{r, std::move(cb)});
     }
 
     /**
@@ -336,15 +380,19 @@ class TaggedEngine
              Callback deliver)
     {
         ExecCtx &ctx = detail::tls_exec;
-        barre_assert(ctx.engine == this,
-                     "tagged stageArb outside any execution context");
+        if (ctx.engine != this) [[unlikely]] {
+            return asHost([&] {
+                return stageArb(owner, hook, bytes, std::move(deliver));
+            });
+        }
+        reachTag(owner);
         Domain &src = domains_[ctx.domain];
         const Tick sent = src.now;
         if (!running_ || !multiDomain()) {
             const Tick arrive = hook.arbitrate(sent, bytes);
-            domains_[tag_domain_[owner]].heap.push(
-                Entry{arrive, sent, allocKey(ctx.tag), owner,
-                      std::move(deliver)});
+            push(domains_[tag_domain_[owner]],
+                 {arrive, sent, allocKey(ctx.tag), 0, owner},
+                 std::move(deliver));
             return arrive;
         }
         src.arb_out.push_back(StagedArb{sent, ctx.ev_birth, ctx.ev_key,
@@ -354,46 +402,65 @@ class TaggedEngine
         return 0;
     }
 
+    /**
+     * Fire events until a default-constructed queue drains.
+     * @return number of events executed.
+     */
+    std::uint64_t
+    run()
+    {
+        barre_assert(open_, "run() on a queue with a partition plan; "
+                            "use the harness DomainScheduler");
+        return runEpoch(0, max_tick);
+    }
+
     // -- scheduler driving (DomainScheduler / tests) ------------------
 
     /** Mark the start/end of parallel execution. */
     void setRunning(bool r) { running_ = r; }
-    bool running() const { return running_; }
 
     /** Publish the next epoch's horizon (exclusive upper tick). */
     void beginEpoch(Tick horizon) { horizon_ = horizon; }
-    Tick horizon() const { return horizon_; }
 
     /**
      * Fire every event of domain @p d with tick < @p horizon. The
      * domain's clock advances only to fired events' ticks (never to
      * the horizon itself), so after the run now() lands exactly on the
-     * last fired tick, as in serial mode.
+     * last fired tick.
      * @return events fired.
      */
     std::uint64_t
     runEpoch(std::uint32_t d, Tick horizon)
     {
         Domain &dom = domains_[d];
+        detail::ExecScope scope;
         ExecCtx &ctx = detail::tls_exec;
-        ExecCtx saved = ctx;
         ctx.engine = this;
         ctx.domain = d;
         std::uint64_t fired = 0;
         while (!dom.heap.empty() && dom.heap.top().when < horizon) {
-            Entry e = dom.heap.pop();
-            dom.now = e.when;
-            ctx.tag = e.tag;
-            ctx.ev_birth = e.birth;
-            ctx.ev_key = e.key;
+            const Record r = dom.heap.top();
+            // Move the callback out first: it may schedule into this
+            // slab, which can reallocate, and its slot is free again.
+            // The fired record stays on top as a hole that the
+            // callback's first push into this domain fills: one sift
+            // instead of a pop and a push. Unfilled, it is popped after
+            // the callback, also when the callback throws.
+            Callback cb = std::move(dom.slab[r.slot]);
+            dom.free.push_back(r.slot);
+            dom.hole = true;
+            HoleScope pop_unfilled{dom};
+            dom.now = r.when;
+            ctx.tag = r.tag;
+            ctx.ev_birth = r.birth;
+            ctx.ev_key = r.key;
             ctx.op_ctr = 0;
-            digestFire(e);
-            e.cb();
+            digestFire(r);
+            cb();
             ++fired;
             BARRE_AUDIT_EVERY(dom.audit_tick, kAuditPeriod,
                               auditDomain(d));
         }
-        ctx = saved;
         dom.fired += fired;
         return fired;
     }
@@ -433,56 +500,84 @@ class TaggedEngine
         return out;
     }
 
-    /** Structural audit of one domain's heap (invariant builds). */
-    void auditDomain(std::uint32_t d) const;
+    /**
+     * Deep audit of every domain (see sim/invariant.hh): the 4-ary
+     * heap order on (when, birth, key), no record in the past or owned
+     * by another domain's tag, every record naming a live callback in
+     * the slab, no free-list slot named by a record or listed twice,
+     * and heap plus free list covering the slab exactly. Panics
+     * (throws) on violation. O(pending).
+     */
+    void
+    auditInvariants() const
+    {
+        for (std::uint32_t d = 0; d < domains(); ++d)
+            auditDomain(d);
+    }
+
+    /**
+     * Test hook: toggle @p slot 's membership in domain 0's free list
+     * behind the heap's back — freeing a live callback's slot, or
+     * leaking a free one — so invariant tests can assert
+     * auditInvariants() fires.
+     */
+    void
+    debugCorruptSlab(std::uint32_t slot)
+    {
+        std::vector<std::uint32_t> &free = domains_[0].free;
+        const auto it = std::find(free.begin(), free.end(), slot);
+        if (it == free.end())
+            free.push_back(slot);
+        else
+            free.erase(it);
+    }
 
     /**
      * RAII bracket establishing an execution context for tag @p tag —
-     * used by the System for setup-time scheduling (CU starts) that
+     * used for setup-time scheduling (CU starts, arrivals) that
      * happens outside any fired event.
      */
     class TagScope
     {
       public:
-        TagScope(TaggedEngine *eng, SeqTag tag)
-            : saved_(detail::tls_exec)
+        TagScope(EventQueue &eq, SeqTag tag)
         {
-            if (!eng)
-                return;
+            eq.reachTag(tag);
             ExecCtx &ctx = detail::tls_exec;
-            ctx.engine = eng;
-            ctx.domain = eng->tag_domain_[tag];
+            ctx.engine = &eq;
+            ctx.domain = eq.tag_domain_[tag];
             ctx.tag = tag;
-            ctx.ev_birth = eng->domains_[ctx.domain].now;
+            ctx.ev_birth = eq.domains_[ctx.domain].now;
             ctx.ev_key = std::uint64_t(tag) << 48;
             ctx.op_ctr = 0;
         }
 
-        ~TagScope() { detail::tls_exec = saved_; }
-
-        TagScope(const TagScope &) = delete;
-        TagScope &operator=(const TagScope &) = delete;
-
       private:
-        ExecCtx saved_;
+        detail::ExecScope scope_;
     };
 
   private:
-    /** One pending event: fires in (when, birth, key) order. */
-    struct Entry
+
+    /**
+     * One pending event's firing record: fires in (when, birth, key)
+     * order; its callback waits in the domain's slab at @c slot, so
+     * heap sifts move 32 bytes and never a callback.
+     */
+    struct Record
     {
         Tick when;
         Tick birth;        ///< sender domain's clock at schedule time
         std::uint64_t key; ///< origin tag << 48 | per-tag counter
+        std::uint32_t slot;
         SeqTag tag;        ///< tag whose state the callback mutates
-        Callback cb;
     };
+    static_assert(sizeof(Record) == 32);
 
     /** Firing order: lexicographic (when, birth, key). */
-    struct EntryBefore
+    struct RecordBefore
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Record &a, const Record &b) const
         {
             if (a.when != b.when)
                 return a.when < b.when;
@@ -490,6 +585,13 @@ class TaggedEngine
                 return a.birth < b.birth;
             return a.key < b.key;
         }
+    };
+
+    /** A cross-domain send awaiting the epoch barrier. */
+    struct Staged
+    {
+        Record rec;
+        Callback cb;
     };
 
     /** A shared-resource send awaiting key-ordered arbitration. */
@@ -508,13 +610,18 @@ class TaggedEngine
 
     struct alignas(64) Domain
     {
-        QuadHeap<Entry, EntryBefore> heap;
+        QuadHeap<Record, RecordBefore> heap;
+        /** Callbacks of the heap's records; free slots are empty. */
+        std::vector<Callback> slab;
+        std::vector<std::uint32_t> free; ///< reusable slab slots
         Tick now = 0;
+        /** The heap's top was fired and awaits replacement. */
+        bool hole = false;
         std::uint64_t fired = 0;
         std::uint64_t audit_tick = 0;
         /** Cross-domain sends staged this epoch (drained at the
          *  barrier); appended only by this domain's worker. */
-        std::vector<Entry> out;
+        std::vector<Staged> out;
         std::vector<StagedArb> arb_out;
     };
 
@@ -537,6 +644,68 @@ class TaggedEngine
         return a.op_idx < b.op_idx;
     }
 
+    /** Park @p cb in a free slab slot of @p dom and queue @p r for it. */
+    static void
+    push(Domain &dom, Record r, Callback cb)
+    {
+        if (dom.free.empty()) {
+            r.slot = std::uint32_t(dom.slab.size());
+            dom.slab.push_back(std::move(cb));
+        } else {
+            r.slot = dom.free.back();
+            dom.free.pop_back();
+            dom.slab[r.slot] = std::move(cb);
+        }
+        if (dom.hole) {
+            dom.hole = false;
+            dom.heap.replaceTop(r);
+        } else {
+            dom.heap.push(r);
+        }
+    }
+
+    /** Pops runEpoch's fired record if no push replaced it. */
+    struct HoleScope
+    {
+        Domain &dom;
+
+        ~HoleScope()
+        {
+            if (dom.hole) {
+                dom.hole = false;
+                dom.heap.pop();
+            }
+        }
+    };
+
+    /**
+     * Run @p f as the host tag: scheduling from outside any execution
+     * context. A multi-domain queue has no implied context.
+     */
+    template <class F>
+    std::invoke_result_t<F &>
+    asHost(F &&f)
+    {
+        barre_assert(!multiDomain(),
+                     "tagged schedule outside any execution context");
+        TagScope host(*this, kHostTag);
+        return f();
+    }
+
+    /** Admit tag @p t: a default queue grows its tag set on demand;
+     *  a partition plan's tag set is fixed. */
+    void
+    reachTag(SeqTag t)
+    {
+        if (t < tag_domain_.size()) [[likely]]
+            return;
+        barre_assert(open_, "tag %u outside the partition plan's %zu tags",
+                     unsigned(t), tag_domain_.size());
+        tag_domain_.resize(std::size_t(t) + 1, 0);
+        ctr_.resize(std::size_t(t) + 1);
+        digest_.resize(std::size_t(t) + 1);
+    }
+
     /** Next composite key for events originated by tag @p t. */
     std::uint64_t
     allocKey(SeqTag t)
@@ -545,13 +714,13 @@ class TaggedEngine
     }
 
     void
-    digestFire(const Entry &e)
+    digestFire(const Record &r)
     {
-        std::uint64_t h = digest_[e.tag].v;
-        h = mix(h, e.when);
-        h = mix(h, e.birth);
-        h = mix(h, e.key);
-        digest_[e.tag].v = h;
+        std::uint64_t h = digest_[r.tag].v;
+        h = mix(h, r.when);
+        h = mix(h, r.birth);
+        h = mix(h, r.key);
+        digest_[r.tag].v = h;
     }
 
     static std::uint64_t
@@ -561,12 +730,17 @@ class TaggedEngine
         return h;
     }
 
+    /** Structural audit of one domain (see auditInvariants()). */
+    void auditDomain(std::uint32_t d) const;
+
     std::vector<std::uint32_t> tag_domain_;
     std::vector<Domain> domains_;
     std::vector<PaddedU64> ctr_;    ///< per-tag key counters
     std::vector<PaddedU64> digest_; ///< per-tag firing hash chains
     /** Drain-time sort buffer; reused so steady state allocates 0. */
     std::vector<StagedArb> scratch_arb_;
+    /** Default-constructed: tags join on demand and run() drains. */
+    bool open_ = true;
     bool running_ = false;
     Tick horizon_ = 0;
 };

@@ -1,13 +1,14 @@
 /**
  * @file
- * The 4-ary min-heap behind both event engines: the legacy EventQueue's
- * far-future overflow and every TaggedEngine domain.
+ * The 4-ary min-heap behind each EventQueue domain (sim/domain.hh).
  *
  * Four children per node halve a binary heap's depth, and both sift
- * loops move a hole instead of swapping, so a move-only event closure
- * is relocated once per level. The firing order comes from @p Before,
- * a stateless "fires strictly earlier" predicate; each engine's key is
- * a total order, so the heap never sees a tie.
+ * loops move a hole instead of swapping, so an entry is relocated once
+ * per level. The queue keeps its entries to 32-byte firing records
+ * whose callbacks wait in a slab, so a sift never moves a closure. The
+ * firing order comes from @p Before, a stateless "fires strictly
+ * earlier" predicate; the queue's key is a total order, so the heap
+ * never sees a tie.
  */
 
 #pragma once
@@ -58,28 +59,14 @@ class QuadHeap
         T out = std::move(v_.front());
         T tail = std::move(v_.back());
         v_.pop_back();
-        const std::size_t n = v_.size();
-        if (n == 0)
-            return out;
-        std::size_t i = 0;
-        for (;;) {
-            std::size_t c = 4 * i + 1;
-            if (c >= n)
-                break;
-            std::size_t m = c;
-            const std::size_t end = c + 4 < n ? c + 4 : n;
-            for (++c; c < end; ++c) {
-                if (Before{}(v_[c], v_[m]))
-                    m = c;
-            }
-            if (!Before{}(v_[m], tail))
-                break;
-            v_[i] = std::move(v_[m]);
-            i = m;
-        }
-        v_[i] = std::move(tail);
+        if (!v_.empty())
+            siftDown(std::move(tail));
         return out;
     }
+
+    /** Replace the first entry with @p e (a pop then a push, in one
+     *  sift). @pre !empty() */
+    void replaceTop(T e) { siftDown(std::move(e)); }
 
     /** Panic (throw) if an entry fires before its parent; @p what
      *  names the heap in the message. O(size). */
@@ -94,6 +81,30 @@ class QuadHeap
     }
 
   private:
+    /** Sift @p e down from the root's hole to its place. */
+    void
+    siftDown(T e)
+    {
+        const std::size_t n = v_.size();
+        std::size_t i = 0;
+        for (;;) {
+            std::size_t c = 4 * i + 1;
+            if (c >= n)
+                break;
+            std::size_t m = c;
+            const std::size_t end = c + 4 < n ? c + 4 : n;
+            for (++c; c < end; ++c) {
+                if (Before{}(v_[c], v_[m]))
+                    m = c;
+            }
+            if (!Before{}(v_[m], e))
+                break;
+            v_[i] = std::move(v_[m]);
+            i = m;
+        }
+        v_[i] = std::move(e);
+    }
+
     std::vector<T> v_;
 };
 

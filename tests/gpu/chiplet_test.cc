@@ -11,6 +11,7 @@
 #include "driver/gpu_driver.hh"
 #include "gpu/chiplet.hh"
 #include "gpu/translation_service.hh"
+#include "harness/domain_scheduler.hh"
 #include "harness/system.hh"
 
 #include "stats_of.hh"
@@ -393,7 +394,7 @@ prefetchThirdPage(System &sys)
     sys.chiplet(0).access(0, 1, alloc.start_vpn << 12, [&] { ++done; });
     sys.chiplet(0).access(1, 1, (alloc.start_vpn + 1) << 12,
                           [&] { ++done; });
-    sys.eventQueue().run();
+    DomainScheduler::run(sys.eventQueue(), max_tick, 1);
     EXPECT_EQ(done, 2);
     EXPECT_EQ(sys.stats().count("iommu.ats_requests"), 3u);
     return alloc.start_vpn + 2;
@@ -412,7 +413,7 @@ TEST(Chiplet, ValkyriePrefetchFillLandsInPrivateL2)
 
     int done = 0;
     sys.chiplet(0).access(2, 1, vpn << 12, [&] { ++done; });
-    sys.eventQueue().run();
+    DomainScheduler::run(sys.eventQueue(), max_tick, 1);
     EXPECT_EQ(done, 1);
     EXPECT_EQ(sys.stats().count("gpu0.l2tlb.misses"), 2u);
     EXPECT_EQ(sys.stats().count("iommu.ats_requests"), 3u);
@@ -430,7 +431,7 @@ TEST(Chiplet, ValkyriePrefetchFillLandsInSharedL2)
     int done = 0;
     sys.chiplet(0).access(2, 1, vpn << 12, [&] { ++done; });
     sys.chiplet(1).access(0, 1, vpn << 12, [&] { ++done; });
-    sys.eventQueue().run();
+    DomainScheduler::run(sys.eventQueue(), max_tick, 1);
     EXPECT_EQ(done, 2);
     EXPECT_EQ(sys.stats().count("gpu0.l2tlb.misses"), 2u);
     EXPECT_EQ(sys.stats().count("gpu1.l2tlb.misses"), 0u);

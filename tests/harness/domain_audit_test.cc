@@ -10,8 +10,8 @@
  *    refuses run panic-clean — their blockers are read races the
  *    write-instrumented guard cannot witness.
  *  - Clean configs: every partitionable configuration runs panic-clean
- *    under sim_domains>0 and bitwise identical to the tagged serial
- *    reference (sim_domains=1).
+ *    under sim_domains>1 and bitwise identical to the serial reference
+ *    (sim_domains=1).
  */
 
 #include <gtest/gtest.h>

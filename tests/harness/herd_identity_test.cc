@@ -4,9 +4,8 @@
  * MSHR files.
  *
  * Each cell runs one app under one translation mode at a small scale,
- * on the legacy queue (sim_domains 0) and the serial tagged engine
- * (sim_domains 1), and folds its `--stats` dump and sweep CSV row into
- * a digest. The digests were recorded with per-request retries (one
+ * serially (sim_domains 1), and folds its `--stats` dump and sweep CSV
+ * row into a digest. The digests were recorded with per-request retries (one
  * retry event and one lookup event per parked request); waking a
  * parked herd more cheaply must leave every one of them unchanged.
  */
@@ -38,10 +37,10 @@ fnv1a(const std::string &s)
 
 /** Digest of @p app 's stats dump and CSV row under @p cfg. */
 std::uint64_t
-runDigest(SystemConfig cfg, const char *app, std::uint32_t domains)
+runDigest(SystemConfig cfg, const char *app)
 {
     cfg.workload_scale = 0.05;
-    cfg.sim_domains = domains;
+    cfg.sim_domains = 1;
     System sys(cfg);
     sys.loadScenario(ScenarioSpec::solo(app));
     RunMetrics m = sys.run();
@@ -53,22 +52,14 @@ runDigest(SystemConfig cfg, const char *app, std::uint32_t domains)
     return fnv1a(os.str());
 }
 
-/**
- * Expected digests, in order: gups at sim_domains 0 and 1, then bicg
- * at sim_domains 0 and 1.
- */
+/** Expected digests, in order: gups, then bicg. */
 void
 expectDigests(const SystemConfig &cfg,
-              const std::array<std::uint64_t, 4> &want)
+              const std::array<std::uint64_t, 2> &want)
 {
     std::size_t i = 0;
-    for (const char *app : {"gups", "bicg"}) {
-        for (std::uint32_t domains : {0u, 1u}) {
-            EXPECT_EQ(runDigest(cfg, app, domains), want[i])
-                << app << " at sim_domains " << domains;
-            ++i;
-        }
-    }
+    for (const char *app : {"gups", "bicg"})
+        EXPECT_EQ(runDigest(cfg, app), want[i++]) << app;
 }
 
 } // namespace
@@ -76,35 +67,30 @@ expectDigests(const SystemConfig &cfg,
 TEST(HerdIdentity, Baseline)
 {
     expectDigests(SystemConfig::baselineAts(),
-                  {0xf2f4b3baf45fa31eull, 0xf2f4b3baf45fa31eull,
-                   0xb0020a52ed095c11ull, 0xb0020a52ed095c11ull});
+                  {0xf2f4b3baf45fa31eull, 0xb0020a52ed095c11ull});
 }
 
 TEST(HerdIdentity, FBarreMerge2)
 {
     expectDigests(SystemConfig::fbarreCfg(2),
-                  {0xf76897cd63281ff1ull, 0xf76897cd63281ff1ull,
-                   0x658b4c438adab0e3ull, 0x658b4c438adab0e3ull});
+                  {0xf76897cd63281ff1ull, 0x658b4c438adab0e3ull});
 }
 
 TEST(HerdIdentity, Least)
 {
     expectDigests(SystemConfig::leastCfg(),
-                  {0xc03d27314ee6bff4ull, 0xc03d27314ee6bff4ull,
-                   0x81aa7c91bedfbf40ull, 0x81aa7c91bedfbf40ull});
+                  {0xc03d27314ee6bff4ull, 0x81aa7c91bedfbf40ull});
 }
 
 TEST(HerdIdentity, Valkyrie)
 {
     expectDigests(SystemConfig::valkyrieCfg(),
-                  {0x21f67db76b23b4dcull, 0x21f67db76b23b4dcull,
-                   0x8e376c4b63a457e6ull, 0x8e376c4b63a457e6ull});
+                  {0x21f67db76b23b4dcull, 0x8e376c4b63a457e6ull});
 }
 
 TEST(HerdIdentity, SharedL2Tlb)
 {
     SystemConfig cfg = SystemConfig::baselineAts();
     cfg.shared_l2_tlb = true;
-    expectDigests(cfg, {0x15ec65cee73c001aull, 0xf428a5f71d500cd8ull,
-                        0xf37d1c1185648a97ull, 0xf37d1c1185648a97ull});
+    expectDigests(cfg, {0xf428a5f71d500cd8ull, 0xf37d1c1185648a97ull});
 }

@@ -2,8 +2,8 @@
  * @file
  * The documented partition fallback, config by config: every
  * non-partitionable configuration asked to partition must emit the
- * `sim_domains=… ignored` warning exactly once, run on the legacy
- * serial queue, and produce results bit-identical to sim_domains=0.
+ * `sim_domains=… ignored` warning exactly once, run as one domain, and
+ * produce results bit-identical to sim_domains=1.
  * Conversely, every configuration the message-path work unblocked must
  * partition without a warning — a config can never both partition and
  * warn.
@@ -28,7 +28,7 @@ struct FallbackOut
 {
     std::string csv;
     std::string stats;
-    bool tagged = false;
+    bool partitioned = false;
     int warnings = 0;
 };
 
@@ -53,7 +53,7 @@ runCfg(SystemConfig cfg, std::uint32_t domains)
     std::ostringstream os;
     sys.dumpStats(os);
     out.stats = os.str();
-    out.tagged = sys.eventQueue().taggedEngine() != nullptr;
+    out.partitioned = sys.partitioned();
     return out;
 }
 
@@ -132,12 +132,12 @@ TEST_P(PartitionFallback, WarnsOnceAndMatchesSerialBitwise)
 {
     const SystemConfig cfg = cfgFor(GetParam());
 
-    const FallbackOut serial = runCfg(cfg, 0);
-    EXPECT_FALSE(serial.tagged);
+    const FallbackOut serial = runCfg(cfg, 1);
+    EXPECT_FALSE(serial.partitioned);
     EXPECT_EQ(serial.warnings, 0);
 
-    const FallbackOut fell_back = runCfg(cfg, 2);
-    EXPECT_FALSE(fell_back.tagged) << "config partitioned anyway";
+    const FallbackOut fell_back = runCfg(cfg, 5);
+    EXPECT_FALSE(fell_back.partitioned) << "config partitioned anyway";
     EXPECT_EQ(fell_back.warnings, 1)
         << "the fallback warning must fire exactly once";
     EXPECT_EQ(serial.csv, fell_back.csv);
@@ -154,10 +154,10 @@ class PartitionUnblocked : public ::testing::TestWithParam<const char *>
 TEST_P(PartitionUnblocked, PartitionsWithoutWarning)
 {
     const FallbackOut out = runCfg(cfgFor(GetParam()), 4);
-    // The warn-once fallback path for this config is gone: it runs on
-    // the tagged engine and stays silent. (Partitioning while also
-    // warning would mean a stale warn path survived the unblocking.)
-    EXPECT_TRUE(out.tagged) << "config fell back to the serial queue";
+    // The warn-once fallback path for this config is gone: it splits
+    // into domains and stays silent. (Partitioning while also warning
+    // would mean a stale warn path survived the unblocking.)
+    EXPECT_TRUE(out.partitioned) << "config fell back to one domain";
     EXPECT_EQ(out.warnings, 0)
         << "a config must never both partition and warn";
 }

@@ -6,7 +6,7 @@
  * sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8}. Also covers the
  * PDES-compatible feature set (GMMU platform, multicast, validation)
  * and the documented fallback: non-partitionable configurations run
- * the legacy serial queue and match sim_domains=0 exactly.
+ * as one domain and match sim_domains=0 exactly.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +30,7 @@ struct RunOut
     std::string csv;
     std::string stats;
     std::vector<std::uint64_t> digests;
-    bool tagged = false;
+    bool partitioned = false;
 };
 
 RunOut
@@ -46,10 +46,8 @@ runCfg(SystemConfig cfg, const char *app_name = "cov")
     std::ostringstream os;
     sys.dumpStats(os);
     out.stats = os.str();
-    if (TaggedEngine *eng = sys.eventQueue().taggedEngine()) {
-        out.tagged = true;
-        out.digests = eng->fireDigests();
-    }
+    out.partitioned = sys.partitioned();
+    out.digests = sys.eventQueue().fireDigests();
     return out;
 }
 
@@ -78,7 +76,7 @@ TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossDomainsThreads)
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runCfg(base);
-    ASSERT_TRUE(ref.tagged);
+    ASSERT_FALSE(ref.partitioned);
 
     for (std::uint32_t domains : {1u, 2u, 4u, 8u}) {
         for (std::uint32_t threads : {1u, 2u, 8u}) {
@@ -86,7 +84,7 @@ TEST(PdesDeterminism, FBarreRunIsIdenticalAcrossDomainsThreads)
             cfg.sim_domains = domains;
             cfg.sim_threads = threads;
             const RunOut got = runCfg(cfg);
-            EXPECT_TRUE(got.tagged);
+            EXPECT_EQ(got.partitioned, domains > 1);
             expectIdentical(ref, got,
                             ("domains=" + std::to_string(domains) +
                              " threads=" + std::to_string(threads))
@@ -104,7 +102,7 @@ TEST(PdesDeterminism, GmmuPlatformIsIdenticalAcrossDomains)
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runCfg(base);
-    ASSERT_TRUE(ref.tagged);
+    ASSERT_FALSE(ref.partitioned);
 
     SystemConfig cfg = base;
     cfg.sim_domains = 4;
@@ -120,13 +118,13 @@ TEST(PdesDeterminism, MulticastAndValidationRunPartitioned)
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runCfg(base);
-    ASSERT_TRUE(ref.tagged);
+    ASSERT_FALSE(ref.partitioned);
 
     SystemConfig cfg = base;
     cfg.sim_domains = 4;
     cfg.sim_threads = 8;
     const RunOut got = runCfg(cfg);
-    EXPECT_TRUE(got.tagged);
+    EXPECT_TRUE(got.partitioned);
     expectIdentical(ref, got, "multicast+validate domains=4");
 }
 
@@ -135,19 +133,19 @@ TEST(PdesDeterminism, NonPartitionableConfigFallsBackToLegacy)
     // Plain demand paging partitions now; adding chiplet-side
     // validation reintroduces the read race (validators walk the page
     // table the host-side fault handler mutates) and must fall back.
-    SystemConfig legacy;
-    legacy.mode = TranslationMode::baseline;
-    legacy.driver.demand_paging = true;
-    legacy.validate_translations = true;
-    legacy.workload_scale = 0.02;
-    legacy.sim_domains = 0;
-    const RunOut ref = runCfg(legacy);
-    EXPECT_FALSE(ref.tagged);
+    SystemConfig serial;
+    serial.mode = TranslationMode::baseline;
+    serial.driver.demand_paging = true;
+    serial.validate_translations = true;
+    serial.workload_scale = 0.02;
+    serial.sim_domains = 0;
+    const RunOut ref = runCfg(serial);
+    EXPECT_FALSE(ref.partitioned);
 
-    SystemConfig cfg = legacy;
+    SystemConfig cfg = serial;
     cfg.sim_domains = 4; // must warn and fall back, not partition
     const RunOut got = runCfg(cfg);
-    EXPECT_FALSE(got.tagged);
+    EXPECT_FALSE(got.partitioned);
     EXPECT_EQ(ref.csv, got.csv);
     EXPECT_EQ(ref.stats, got.stats);
 }
@@ -155,7 +153,7 @@ TEST(PdesDeterminism, NonPartitionableConfigFallsBackToLegacy)
 /**
  * The configurations PR "message-path modeling" unblocked: each one
  * used to fall back to the serial queue; now every one must partition
- * and stay bitwise identical to the tagged serial reference across
+ * and stay bitwise identical to the serial reference across
  * every domain and thread count.
  */
 class NewlyPartitioned : public ::testing::TestWithParam<const char *>
@@ -211,8 +209,7 @@ TEST_P(NewlyPartitioned, IdenticalAcrossDomainsAndThreads)
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runCfg(base);
-    ASSERT_TRUE(ref.tagged)
-        << GetParam() << " fell back to the legacy serial queue";
+    ASSERT_FALSE(ref.partitioned) << GetParam();
 
     for (std::uint32_t domains : {2u, 4u, 8u}) {
         for (std::uint32_t threads : {1u, 8u}) {
@@ -221,7 +218,7 @@ TEST_P(NewlyPartitioned, IdenticalAcrossDomainsAndThreads)
             cfg.sim_domains = domains;
             cfg.sim_threads = threads;
             const RunOut got = runCfg(cfg);
-            EXPECT_TRUE(got.tagged);
+            EXPECT_TRUE(got.partitioned);
             expectIdentical(
                 ref, got,
                 (std::string(GetParam()) +

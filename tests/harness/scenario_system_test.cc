@@ -6,10 +6,8 @@
  * tenant exit, and the stale-ASID audit actually biting on a
  * corrupted TLB.
  *
- * Identity contract for dynamic (engine-driven) runs: the tagged
- * serial queue (sim_domains=1) and every partitioned shape are
- * bitwise identical; the legacy serial queue (sim_domains=0) is NOT
- * part of the contract — engine runs always use the tagged engine.
+ * Identity contract for dynamic (engine-driven) runs: the serial run
+ * (one domain) and every partitioned shape are bitwise identical.
  */
 
 #include <gtest/gtest.h>
@@ -55,7 +53,7 @@ struct RunOut
     std::vector<std::string> tenant_rows;
     std::string stats;
     std::vector<std::uint64_t> digests;
-    bool tagged = false;
+    bool partitioned = false;
 };
 
 RunOut
@@ -73,10 +71,8 @@ runChurn(SystemConfig cfg)
     std::ostringstream os;
     sys.dumpStats(os);
     out.stats = os.str();
-    if (TaggedEngine *eng = sys.eventQueue().taggedEngine()) {
-        out.tagged = true;
-        out.digests = eng->fireDigests();
-    }
+    out.partitioned = sys.partitioned();
+    out.digests = sys.eventQueue().fireDigests();
     return out;
 }
 
@@ -118,7 +114,7 @@ TEST_P(ScenarioDeterminism, ChurnIsIdenticalAcrossDomainsAndThreads)
     base.sim_domains = 1;
     base.sim_threads = 1;
     const RunOut ref = runChurn(base);
-    ASSERT_TRUE(ref.tagged);
+    ASSERT_FALSE(ref.partitioned);
     ASSERT_EQ(ref.tenant_rows.size(), churn_n);
 
     // Run-to-run: the whole schedule is a pure function of the seed.
@@ -131,7 +127,7 @@ TEST_P(ScenarioDeterminism, ChurnIsIdenticalAcrossDomainsAndThreads)
             cfg.sim_domains = domains;
             cfg.sim_threads = threads;
             const RunOut got = runChurn(cfg);
-            EXPECT_TRUE(got.tagged);
+            EXPECT_TRUE(got.partitioned);
             expectIdentical(
                 ref, got,
                 (std::string(GetParam()) +

@@ -152,7 +152,7 @@ struct SmallDriver
             eq.schedule(t * 7, [this, tag]() { fire(tag); });
         }
         DomainScheduler::run(eq, kLinkDelay, threads);
-        return eq.taggedEngine()->fireDigests();
+        return eq.fireDigests();
     }
 };
 

@@ -105,8 +105,8 @@ expectIdentical(const DiffDriver &a, const DiffDriver &b)
 {
     EXPECT_EQ(a.eq.fired(), b.eq.fired());
     EXPECT_EQ(a.eq.now(), b.eq.now());
-    EXPECT_TRUE(a.eq.taggedEngine()->fireDigests() ==
-                b.eq.taggedEngine()->fireDigests());
+    EXPECT_TRUE(a.eq.fireDigests() ==
+                b.eq.fireDigests());
     for (std::size_t t = 0; t < kTags; ++t) {
         ASSERT_EQ(a.rec[t].ticks.size(), b.rec[t].ticks.size())
             << "tag " << t;
@@ -225,8 +225,8 @@ TEST(DomainQueueDiff, SharedArbitrationReplaysInSerialOrder)
         ASSERT_EQ(serial.arrivals.ids[i], split.arrivals.ids[i])
             << "arrival #" << i;
     }
-    EXPECT_TRUE(serial.eq.taggedEngine()->fireDigests() ==
-                split.eq.taggedEngine()->fireDigests());
+    EXPECT_TRUE(serial.eq.fireDigests() ==
+                split.eq.fireDigests());
 }
 
 TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
@@ -235,7 +235,7 @@ TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
         GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
     EventQueue eq;
     eq.enableTags({0, 1}, 2);
-    TaggedEngine *eng = eq.taggedEngine();
+    EventQueue *eng = &eq;
     eng->setRunning(true);
     eng->beginEpoch(100);
     EventQueue::TagScope scope(eq, kHostTag);
@@ -253,7 +253,7 @@ TEST(DomainQueueAudit, ArbitratedDeliveryInsideHorizonFires)
         GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
     EventQueue eq;
     eq.enableTags({0, 1}, 2);
-    TaggedEngine *eng = eq.taggedEngine();
+    EventQueue *eng = &eq;
     FakeWire wire;
     eng->setRunning(true);
     eng->beginEpoch(100);

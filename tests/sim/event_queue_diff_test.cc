@@ -1,22 +1,23 @@
 /**
  * @file
- * Differential proofs over the event engines. The calendar-front
- * EventQueue fires in exact (when, seq) order, checked against two
- * references: a one-tag, one-domain TaggedEngine — a plain 4-ary heap
- * whose (when, birth, key) order reduces to (when, seq) with a single
- * tag — fires the same randomized self-scheduling workload in the same
- * order at the same ticks under every delay mix (general,
- * IOMMU-shaped, uniform-horizon); and preloaded schedules fire in the
- * order of a stable sort of (tick, schedule index).
+ * Differential proofs over the event engine. The slab-backed
+ * EventQueue is checked against naive references that keep every
+ * pending event in a plain vector and always fire its minimum: under
+ * the (when, birth, key) order for a randomized self-scheduling
+ * workload spread over several tags of one domain, with cross-tag
+ * sends; under plain (when, seq) order for the same workload on one
+ * tag; each under every delay mix (general, IOMMU-shaped,
+ * uniform-horizon). Preloaded schedules fire in the order of a stable
+ * sort of (tick, schedule index).
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "harness/domain_scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
@@ -25,34 +26,30 @@ using namespace barre;
 namespace
 {
 
-/**
- * Exercises the now-lane (0), the calendar window (< 256), the window
- * boundary, and the far-future heap backstop.
- */
+/** Same-tick continuations, short hops, and long waits. */
 Tick
 mixedDelay(Rng &rng)
 {
     switch (rng.below(8)) {
       case 0:
-        return 0; // now-lane
+        return 0; // same tick
       case 1:
       case 2:
       case 3:
-        return rng.below(256); // calendar window
+        return rng.below(256);
       case 4:
-        return 255 + rng.below(3); // straddle the boundary
+        return 255 + rng.below(3);
       case 5:
       case 6:
-        return 256 + rng.below(4096); // near heap
+        return 256 + rng.below(4096);
       default:
-        return rng.below(std::uint64_t{1} << 20); // far heap
+        return rng.below(std::uint64_t{1} << 20);
     }
 }
 
 /**
  * The translation pipeline's mix: dense NoC/TLB/queue hops, same-tick
- * continuations, page-walk completions and rare fault services. Almost
- * everything lands in the calendar window.
+ * continuations, page-walk completions and rare fault services.
  */
 Tick
 iommuBurstDelay(Rng &rng)
@@ -69,7 +66,7 @@ iommuBurstDelay(Rng &rng)
     return 20000; // demand-paging fault service
 }
 
-/** Uniform over a horizon far wider than the window: mostly heap. */
+/** Uniform over a wide horizon: few same-tick ties. */
 Tick
 uniformHorizonDelay(Rng &rng)
 {
@@ -77,73 +74,172 @@ uniformHorizonDelay(Rng &rng)
 }
 
 /**
- * A self-perpetuating random workload: every fired event records its id
- * and spawns two more with delays drawn from @p delay. Both queues run
- * the same seed; as long as firing order matches, their Rng streams
- * stay in lockstep, so any divergence cascades into an order mismatch
- * the test catches.
+ * The reference: every pending event in a plain vector, and each step
+ * fires the minimum by brute force. It keeps the keys the engine
+ * specifies — birth is the clock at scheduling, key is (scheduling tag
+ * << 48 | that tag's counter) — or, with @c fifo, a plain global
+ * scheduling sequence in their place.
  */
-struct Driver
+struct NaiveQueue
 {
-    EventQueue eq;
-    Rng rng;
-    Tick (*delay)(Rng &);
-    std::vector<std::uint64_t> order;
-    std::vector<Tick> fire_ticks;
-    std::uint64_t next_id = 0;
-    std::uint64_t scheduled = 0;
-    std::uint64_t target;
-
-    Driver(std::uint64_t seed, std::uint64_t events, Tick (*delay)(Rng &),
-           bool tagged = false)
-        : rng(seed), delay(delay), target(events)
+    struct Ev
     {
-        order.reserve(events);
-        fire_ticks.reserve(events);
-        if (tagged)
-            eq.enableTags({0}, 1); // one tag in one domain
+        Tick when;
+        Tick birth;
+        std::uint64_t key;
+        SeqTag tag;
+        std::function<void()> fn;
+    };
+
+    bool fifo = false;
+    std::vector<Ev> pending;
+    std::vector<std::uint64_t> ctr;
+    std::uint64_t seq = 0;
+    Tick clock = 0;
+    SeqTag cur = kHostTag;
+    std::uint64_t fired = 0;
+
+    Tick now() const { return clock; }
+    SeqTag tag() const { return cur; }
+
+    void
+    cross(SeqTag dst, Tick when, std::function<void()> fn)
+    {
+        if (ctr.size() <= cur)
+            ctr.resize(cur + 1, 0);
+        const std::uint64_t key =
+            fifo ? ++seq : (std::uint64_t(cur) << 48) | ++ctr[cur];
+        pending.push_back(Ev{when, fifo ? 0 : clock, key, dst,
+                             std::move(fn)});
     }
 
     void
-    spawn()
+    after(Tick delay, std::function<void()> fn)
     {
-        if (scheduled >= target)
-            return;
-        ++scheduled;
-        const std::uint64_t id = next_id++;
-        eq.scheduleAfter(delay(rng), [this, id]() {
-            order.push_back(id);
-            fire_ticks.push_back(eq.now());
-            spawn();
-            spawn();
-        });
+        cross(cur, clock + delay, std::move(fn));
     }
 
     void
     run()
     {
-        if (!eq.tagged()) {
-            for (int i = 0; i < 64; ++i)
-                spawn();
-            eq.run();
+        while (!pending.empty()) {
+            auto it = std::min_element(
+                pending.begin(), pending.end(),
+                [](const Ev &a, const Ev &b) {
+                    if (a.when != b.when)
+                        return a.when < b.when;
+                    if (a.birth != b.birth)
+                        return a.birth < b.birth;
+                    return a.key < b.key;
+                });
+            Ev e = std::move(*it);
+            *it = std::move(pending.back());
+            pending.pop_back();
+            clock = e.when;
+            cur = e.tag;
+            e.fn();
+            ++fired;
+        }
+        cur = kHostTag;
+    }
+};
+
+/** The engine under test, behind the reference's interface. */
+struct EngineQueue
+{
+    EventQueue eq;
+
+    Tick now() const { return eq.now(); }
+    SeqTag tag() const { return currentExecTag(); }
+    std::uint64_t fired() const { return eq.fired(); }
+
+    void
+    cross(SeqTag dst, Tick when, std::function<void()> fn)
+    {
+        eq.scheduleCross(dst, when, std::move(fn));
+    }
+
+    void
+    after(Tick delay, std::function<void()> fn)
+    {
+        eq.scheduleAfter(delay, std::move(fn));
+    }
+
+    void run() { eq.run(); }
+};
+
+/**
+ * A self-perpetuating random workload over @p tags tags: every fired
+ * event records its id, tick and tag and spawns one successor, plus a
+ * second while fewer than kCap are outstanding; a quarter of them are
+ * sent to a random tag. Both queues run the same seed; as long as
+ * firing order matches, their Rng streams stay in lockstep, so any
+ * divergence cascades into an order mismatch the test catches.
+ */
+template <class Q>
+struct Driver
+{
+    static constexpr std::uint64_t kCap = 128;
+
+    Q q;
+    Rng rng;
+    Tick (*delay)(Rng &);
+    SeqTag tags;
+    std::vector<std::uint64_t> order;
+    std::vector<Tick> fire_ticks;
+    std::vector<SeqTag> fire_tags;
+    std::uint64_t next_id = 0;
+    std::uint64_t target;
+
+    Driver(std::uint64_t seed, std::uint64_t events, Tick (*delay)(Rng &),
+           SeqTag tags)
+        : rng(seed), delay(delay), tags(tags), target(events)
+    {
+        order.reserve(events);
+        fire_ticks.reserve(events);
+        fire_tags.reserve(events);
+    }
+
+    void
+    spawn()
+    {
+        if (next_id >= target)
             return;
-        }
-        {
-            EventQueue::TagScope scope(eq, kHostTag);
-            for (int i = 0; i < 64; ++i)
+        const std::uint64_t id = next_id++;
+        auto fire = [this, id]() {
+            order.push_back(id);
+            fire_ticks.push_back(q.now());
+            fire_tags.push_back(q.tag());
+            spawn();
+            if (next_id - order.size() < kCap && rng.below(2) == 0)
                 spawn();
+        };
+        const Tick d = delay(rng);
+        if (tags > 1 && rng.below(4) == 0) {
+            const SeqTag dst = static_cast<SeqTag>(rng.below(tags));
+            q.cross(dst, q.now() + d, fire);
+        } else {
+            q.after(d, fire);
         }
-        DomainScheduler::run(eq, max_tick, 1);
+    }
+
+    void
+    run()
+    {
+        for (std::uint64_t i = 0; i < kCap / 2; ++i)
+            spawn();
+        q.run();
     }
 };
 
 /** Assert @p a and @p b fired the same ids at the same ticks. */
+template <class A, class B>
 void
-expectSameFiring(const Driver &a, const Driver &b, std::uint64_t events)
+expectSameFiring(const A &a, const B &b, std::uint64_t events)
 {
     ASSERT_EQ(a.order.size(), events);
-    EXPECT_EQ(a.eq.fired(), b.eq.fired());
-    EXPECT_EQ(a.eq.now(), b.eq.now());
+    EXPECT_EQ(a.q.fired(), b.q.fired);
+    EXPECT_EQ(a.q.now(), b.q.now());
     ASSERT_EQ(a.order.size(), b.order.size());
     // operator== over the whole vectors would print nothing useful
     // on failure; report the first divergence point instead.
@@ -152,6 +248,8 @@ expectSameFiring(const Driver &a, const Driver &b, std::uint64_t events)
             << "first divergence at firing #" << i;
         ASSERT_EQ(a.fire_ticks[i], b.fire_ticks[i])
             << "tick divergence at firing #" << i;
+        ASSERT_EQ(a.fire_tags[i], b.fire_tags[i])
+            << "tag divergence at firing #" << i;
     }
 }
 
@@ -167,32 +265,32 @@ const struct
 
 TEST(EventQueueDiff, MillionEventRandomScheduleFiresIdentically)
 {
-    // The ladder's buckets, lane and heap backstop against the one-tag
-    // engine's single heap.
+    // Five tags in one domain, with cross-tag sends: the slab-backed
+    // heap against the brute-force (when, birth, key) minimum.
     constexpr std::uint64_t events = 1'200'000;
     for (const auto &mix : kMixes) {
         SCOPED_TRACE(mix.name);
-        Driver ladder(0xbadc0ffe, events, mix.delay);
-        Driver tagged(0xbadc0ffe, events, mix.delay, /*tagged=*/true);
-        ladder.run();
-        tagged.run();
-        expectSameFiring(ladder, tagged, events);
+        Driver<EngineQueue> engine(0xbadc0ffe, events, mix.delay, 5);
+        Driver<NaiveQueue> naive(0xbadc0ffe, events, mix.delay, 5);
+        engine.run();
+        naive.run();
+        expectSameFiring(engine, naive, events);
     }
 }
 
 TEST(EventQueueDiff, OneTagTaggedEngineFiresInLegacyOrder)
 {
-    // Both users of the shared 4-ary heap must agree: the legacy queue
-    // on (when, seq) and a single-tag TaggedEngine on (when, birth,
-    // key), where birth and key both grow in scheduling order.
+    // With a single tag, (when, birth, key) reduces to (when, seq):
+    // same-tick events fire in scheduling order.
     constexpr std::uint64_t events = 300'000;
     for (const auto &mix : kMixes) {
         SCOPED_TRACE(mix.name);
-        Driver legacy(0x5eed, events, mix.delay);
-        Driver tagged(0x5eed, events, mix.delay, /*tagged=*/true);
-        legacy.run();
-        tagged.run();
-        expectSameFiring(legacy, tagged, events);
+        Driver<EngineQueue> engine(0x5eed, events, mix.delay, 1);
+        Driver<NaiveQueue> naive(0x5eed, events, mix.delay, 1);
+        naive.q.fifo = true;
+        engine.run();
+        naive.run();
+        expectSameFiring(engine, naive, events);
     }
 }
 

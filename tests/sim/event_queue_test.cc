@@ -102,13 +102,13 @@ TEST(EventQueue, InterleavedScheduleAndRun)
     EXPECT_EQ(ticks, (std::vector<Tick>{0, 10, 20, 30, 40}));
 }
 
-// ---- ordering invariants (same-tick FIFO, fast lane, boundaries) ----
+// ---- ordering invariants (same-tick FIFO, boundaries) ----
 
 TEST(EventQueueOrdering, ZeroDelayKeepsFifoWithSameTickHeapEvents)
 {
     // Events already in the heap for tick T were scheduled earlier
     // (smaller seq) than zero-delay events created *at* tick T, so they
-    // must fire first even though the latter sit in the fast lane.
+    // must fire first: the latter carry a later birth tick.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&] {
@@ -201,6 +201,25 @@ TEST(EventQueueOrdering, SchedulingIntoThePastAsserts)
     // Same tick is allowed (== now), one past is not.
     eq.schedule(100, [] {});
     eq.run();
+}
+
+TEST(EventQueueOrdering, PanicOutOfRunLeavesNoExecutionContext)
+{
+    // A panic that escapes run() must not leave the fired event's
+    // context behind: later code outside any event acts as the host.
+    EventQueue eq;
+    eq.scheduleCross(chipletTag(2), 5, [] { barre_panic("boom"); });
+    EXPECT_THROW(eq.run(), std::logic_error);
+    EXPECT_EQ(currentExecTag(), kHostTag);
+    EXPECT_EQ(eq.now(), 5u);
+    int fired = 0;
+    eq.scheduleAfter(1, [&] {
+        ++fired;
+        EXPECT_EQ(currentExecTag(), kHostTag);
+    });
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.now(), 6u);
 }
 
 TEST(EventQueueOrdering, FiredCounterAccumulates)

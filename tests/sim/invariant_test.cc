@@ -291,12 +291,12 @@ TEST(RcfAudit, ErasedKeysAreNotDemanded)
     EXPECT_NO_THROW(eng.auditRcfMembership());
 }
 
-TEST(EventQueueAudit, LadderBucketsPassUnderMixedDelays)
+TEST(EventQueueAudit, SlabPassesUnderMixedDelays)
 {
     EventQueue eq;
     int fired = 0;
-    // Mix of now-lane (0), window (< 256) and heap (>= 256) delays,
-    // rescheduling from inside events so the window keeps sliding.
+    // Zero, short and long delays, rescheduling from inside events so
+    // slab slots are freed and reused while the heap churns.
     for (int i = 0; i < 200; ++i) {
         eq.scheduleAfter(static_cast<Cycles>((i * 13) % 400), [&] {
             ++fired;
@@ -311,20 +311,24 @@ TEST(EventQueueAudit, LadderBucketsPassUnderMixedDelays)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(EventQueueAudit, CorruptedLadderBitmapFires)
+TEST(EventQueueAudit, CorruptedSlabFreeListFires)
 {
     EventQueue eq;
     eq.scheduleAfter(10, [] {});
+    eq.scheduleAfter(20, [] {});
     EXPECT_NO_THROW(eq.auditInvariants());
-    // Clear the occupied slot's bit: bitmap now disagrees with the
-    // bucket holding the tick-10 event.
-    eq.debugCorruptLadderBitmap(10);
+    // Free slot 1 behind the heap's back: a record still names it.
+    eq.debugCorruptSlab(1);
     EXPECT_THROW(eq.auditInvariants(), std::logic_error);
-    eq.debugCorruptLadderBitmap(10); // restore
+    eq.debugCorruptSlab(1); // restore
     EXPECT_NO_THROW(eq.auditInvariants());
-    // Set a bit over an empty bucket: the opposite disagreement.
-    eq.debugCorruptLadderBitmap(99);
-    EXPECT_THROW(eq.auditInvariants(), std::logic_error);
+    // Once the tick-10 event has fired, drop its freed slot 0 from the
+    // free list: the slab leaks a slot nothing accounts for.
+    eq.schedule(15, [&eq] {
+        eq.debugCorruptSlab(0);
+        EXPECT_THROW(eq.auditInvariants(), std::logic_error);
+    });
+    eq.run();
 }
 
 TEST(EventQueueAudit, OrderedHeapAndFastLanePass)
@@ -337,7 +341,7 @@ TEST(EventQueueAudit, OrderedHeapAndFastLanePass)
             ++fired;
             eq.auditInvariants();
             if (fired % 8 == 0)
-                eq.schedule(eq.now(), [&] { ++extra; }); // fast lane
+                eq.schedule(eq.now(), [&] { ++extra; }); // same tick
         });
     eq.auditInvariants();
     eq.run();

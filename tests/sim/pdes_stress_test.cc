@@ -8,7 +8,7 @@
  *    legal conservative bound — and each partitioning's lookahead is
  *    derived exactly as the System derives it (the minimum delay over
  *    the links that cross a domain boundary). The firing order must
- *    stay bitwise identical to the tagged serial reference across
+ *    stay bitwise identical to the one-domain reference across
  *    partitionings and thread counts.
  *
  *  - Failure propagation: a domain-ownership panic thrown inside an
@@ -157,8 +157,8 @@ expectIdentical(const HeteroDriver &a, const HeteroDriver &b,
 {
     EXPECT_EQ(a.eq.fired(), b.eq.fired()) << what;
     EXPECT_EQ(a.eq.now(), b.eq.now()) << what;
-    EXPECT_TRUE(a.eq.taggedEngine()->fireDigests() ==
-                b.eq.taggedEngine()->fireDigests())
+    EXPECT_TRUE(a.eq.fireDigests() ==
+                b.eq.fireDigests())
         << what;
     for (std::size_t t = 0; t < kTags; ++t) {
         ASSERT_EQ(a.rec[t].ticks.size(), b.rec[t].ticks.size())

@@ -55,7 +55,7 @@ usage()
         "  --iommu-tlb         add the 2048-entry IOMMU TLB\n"
         "  --demand-paging     map pages at first touch\n"
         "  --multicast         speculative PFN multicast (ablation)\n"
-        "  --domains N         event domains (0 = legacy serial queue)\n"
+        "  --domains N         event domains (0 or 1 = one, serial)\n"
         "  --sim-threads N     workers advancing the domains (0 = auto)\n"
         "  --scale F           workload scale factor (default 1.0)\n"
         "  --validate          check every translation vs page table\n"

@@ -31,6 +31,9 @@ correctness story depends on:
                    src/gpu/l2_tlb_stage.{hh,cc}, so the L2 TLB stage
                    stays the one lookup/park/merge/fill path and a
                    second copy of it cannot grow back.
+  one-event-engine QuadHeap< appears in src/ only in src/sim/domain.hh,
+                   so EventQueue's per-domain heaps stay the one event
+                   engine and a second queue cannot grow back.
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
@@ -242,22 +245,32 @@ class Linter:
                         f"{home}; use runOnThreads/parallelFor/"
                         f"defaultWorkers")
 
-    def check_one_l2_miss_path(self):
-        mshr_re = re.compile(r"\bMshr\s*<")
-        homes = {"src/tlb/mshr.hh", "src/gpu/l2_tlb_stage.hh",
-                 "src/gpu/l2_tlb_stage.cc"}
+    def check_single_home(self, rule, pattern, homes, message):
+        """Report @p pattern anywhere in src/ outside the @p homes."""
+        regex = re.compile(pattern)
         for path in self.files(["src/**/*.hh", "src/**/*.cc"]):
             if path.relative_to(self.root).as_posix() in homes:
                 continue
             raw_lines = path.read_text().splitlines()
             text = strip_comments_and_strings("\n".join(raw_lines))
             for lineno, line in enumerate(text.splitlines(), 1):
-                if mshr_re.search(line) and "one-l2-miss-path" not in \
+                if regex.search(line) and rule not in \
                         allowed_rules(raw_lines[lineno - 1]):
-                    self.report(
-                        path, lineno, "one-l2-miss-path",
-                        "MSHR files live only in src/gpu/l2_tlb_stage.*; "
-                        "route L2 misses through L2TlbStage")
+                    self.report(path, lineno, rule, message)
+
+    def check_one_l2_miss_path(self):
+        self.check_single_home(
+            "one-l2-miss-path", r"\bMshr\s*<",
+            {"src/tlb/mshr.hh", "src/gpu/l2_tlb_stage.hh",
+             "src/gpu/l2_tlb_stage.cc"},
+            "MSHR files live only in src/gpu/l2_tlb_stage.*; "
+            "route L2 misses through L2TlbStage")
+
+    def check_one_event_engine(self):
+        self.check_single_home(
+            "one-event-engine", r"\bQuadHeap\s*<", {"src/sim/domain.hh"},
+            "event heaps live only in src/sim/domain.hh; schedule "
+            "through EventQueue")
 
     def check_domain_ownership(self):
         lint = self.root / "tools" / "domain_lint.py"
@@ -302,6 +315,7 @@ class Linter:
         self.check_event_path_function()
         self.check_host_threads()
         self.check_one_l2_miss_path()
+        self.check_one_event_engine()
         self.check_domain_ownership()
         if format_check:
             self.check_format()
