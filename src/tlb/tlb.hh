@@ -112,6 +112,12 @@ class Tlb : public DomainOwned
 
     const TlbParams &params() const { return params_; }
     std::uint64_t hits() const { return hits_.value(); }
+    /**
+     * Lookups that missed. The L2 stage re-parks a parked request
+     * without repeating its lookup when the outcome is known
+     * (gpu/l2_tlb_stage.hh), so for an L2 TLB this is not the stage's
+     * demand-miss count; no stat registers it.
+     */
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t evictions() const { return evictions_.value(); }
     std::uint64_t validEntries() const { return valid_count_; }

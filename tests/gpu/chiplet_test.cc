@@ -14,6 +14,7 @@
 #include "harness/domain_scheduler.hh"
 #include "harness/system.hh"
 
+#include "gpu/l2_stage_reference.hh"
 #include "stats_of.hh"
 
 using namespace barre;
@@ -311,6 +312,102 @@ TEST(Chiplet, SharedParkedHerdMatchesPerRequestReference)
     EXPECT_EQ(statsOf(*rig.chip1).count("gpu1.l2tlb.mshr_retries"), 112u);
     EXPECT_EQ(statsOf(rig.iommu).count("iommu.ats_requests"), 16u);
     EXPECT_LT(rig.eq.fired(), 648u); // per-request retries fired 648
+}
+
+namespace
+{
+
+using test::RefL2Stage;
+using test::StageOp;
+using test::StageScript;
+using test::StageTrace;
+
+StageOp
+lookupAt(Tick at, Vpn vpn)
+{
+    return StageOp{StageOp::Kind::lookup, at, 0, 1, vpn};
+}
+
+/**
+ * Run @p script through L2TlbStage and through the full re-run
+ * reference; both must do the same. @return the trace, and the free
+ * MSHR slots the reference's batches started with. The tests below pin
+ * the digests the stage gave while its batches still re-ran every
+ * parked request.
+ */
+std::pair<StageTrace, std::vector<std::size_t>>
+runBoth(const StageScript &script)
+{
+    std::vector<std::size_t> free_slots;
+    const StageTrace ref = test::runStageScript<RefL2Stage>(
+        script, test::NoHook{},
+        [&](RefL2Stage &s) { free_slots = s.batchFreeSlots(); });
+    const StageTrace got = test::runStageScript<L2TlbStage>(
+        script, [](L2TlbStage &s) { s.auditParkedIndex(); });
+    EXPECT_EQ(got, ref);
+    return {got, free_slots};
+}
+
+/** The tick lookup op @p op 's continuation fired at, or max_tick. */
+Tick
+firedAt(const StageTrace &t, std::uint64_t op)
+{
+    for (const StageTrace::Fired &f : t.fired)
+        if (f.op == op)
+            return f.tick;
+    return max_tick;
+}
+
+} // namespace
+
+// Two misses fill a 2-entry MSHR file, two more park. The first fill
+// wakes them, but a newcomer's lookup takes the freed slot before the
+// batch runs, so the batch finds the file full and both re-park.
+TEST(Chiplet, ParkedBatchArrivingToFullFileMatchesReference)
+{
+    StageScript s;
+    for (Vpn v = 1; v <= 4; ++v)
+        s.ops.push_back(lookupAt(0, v));
+    s.ops.push_back(lookupAt(115, 5)); // steps at 125: the freed slot
+    s.fill_delays = {100, 300, 100};
+    const auto [t, free_slots] = runBoth(s);
+    ASSERT_FALSE(free_slots.empty());
+    EXPECT_EQ(free_slots[0], 0u);
+    EXPECT_EQ(t.digest(), 0xb61323c2abffde83ull);
+}
+
+// Both in-flight misses complete before the first batch runs, so it
+// starts with two free slots: two requests launch, a same-page request
+// behind them merges onto the first, and the rest re-park.
+TEST(Chiplet, ParkedBatchWithTwoFreeSlotsMatchesReference)
+{
+    StageScript s;
+    for (Vpn v : {1, 2, 3, 4, 5, 3, 6})
+        s.ops.push_back(lookupAt(0, v));
+    s.fill_delays = {100, 105};
+    const auto [t, free_slots] = runBoth(s);
+    ASSERT_FALSE(free_slots.empty());
+    EXPECT_EQ(free_slots[0], 2u);
+    EXPECT_EQ(t.digest(), 0xdb64c47a17202360ull);
+}
+
+// A push lands on a parked request's page. Nothing wakes it then: it
+// hits at the next completion's batch, which a newcomer has already
+// left without a free slot.
+TEST(Chiplet, UnsolicitedFillHitsAtNextBatchMatchesReference)
+{
+    StageScript s;
+    for (Vpn v = 1; v <= 4; ++v)
+        s.ops.push_back(lookupAt(0, v));
+    s.ops.push_back(StageOp{StageOp::Kind::unsolicited, 50, 0, 1, 3});
+    s.ops.push_back(lookupAt(115, 5));
+    s.fill_delays = {100, 300, 100};
+    const auto [t, free_slots] = runBoth(s);
+    ASSERT_FALSE(free_slots.empty());
+    EXPECT_EQ(free_slots[0], 0u);
+    // The first fill lands at 110; its batch runs 20 + 10 cycles later.
+    EXPECT_EQ(firedAt(t, 2), 140u);
+    EXPECT_EQ(t.digest(), 0x4b3a7cd4cab19548ull);
 }
 
 // An IOMMU push lands in the chiplet's own L2 TLB without completing an

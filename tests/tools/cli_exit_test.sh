@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Contract test for clean CLI failures: each malformed input below must
 # end in exit code 1 with a "fatal: ..." message naming the problem on
-# stderr, never in std::terminate's SIGABRT (rc 134).
+# stderr, never in std::terminate's SIGABRT (rc 134). Also checks that
+# barre_sim's output does not depend on where --mode stands among the
+# other flags.
 #
 # Usage: cli_exit_test.sh <barre_sim> <sweep> <merge_csv> <figures>
 set -u -o pipefail
@@ -40,5 +42,37 @@ expect_fatal "--scale: 'x' is not a number" "$sweep" --scale x
 expect_fatal "not a sweep shard file" "$merge" "$work/bad_shard.csv"
 expect_fatal "unknown figure 'no_such_figure'" "$figures" no_such_figure
 expect_fatal "BARRE_SCALE: 'x' is not a number" env BARRE_SCALE=x "$figures" tab2_params
+
+# expect_same_output <args A> -- <args B>: barre_sim prints the same
+# for both command lines.
+expect_same_output() {
+    local a=() b=()
+    while [ "$1" != "--" ]; do
+        a+=("$1")
+        shift
+    done
+    shift
+    b=("$@")
+    if cmp -s <("$sim" "${a[@]}" --stats 2>&1) <("$sim" "${b[@]}" --stats 2>&1); then
+        echo "ok   same output: ${a[*]} | ${b[*]}"
+    else
+        echo "FAIL different output: ${a[*]} | ${b[*]}"
+        fail=1
+    fi
+}
+
+small=(--app gups --scale 0.02)
+expect_same_output --ptws 64 --mode baseline "${small[@]}" -- \
+    --mode baseline --ptws 64 "${small[@]}"
+expect_same_output --merge 2 --mode fbarre "${small[@]}" -- \
+    --mode fbarre --merge 2 "${small[@]}"
+# ... and --merge still takes effect: F-Barre without it runs NoMerge.
+if cmp -s <("$sim" --mode fbarre --merge 2 "${small[@]}" --stats) \
+          <("$sim" --mode fbarre "${small[@]}" --stats); then
+    echo "FAIL --merge 2 changed nothing under --mode fbarre"
+    fail=1
+else
+    echo "ok   --merge 2 takes effect under --mode fbarre"
+fi
 
 exit "$fail"

@@ -19,8 +19,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/sweep_io.hh"
@@ -79,6 +81,26 @@ parseMode(const std::string &m)
     barre_fatal("unknown mode '%s'", m.c_str());
 }
 
+/** The named config --mode starts from. */
+SystemConfig
+baseConfig(TranslationMode m)
+{
+    switch (m) {
+      case TranslationMode::baseline:
+        return SystemConfig::baselineAts();
+      case TranslationMode::valkyrie:
+        return SystemConfig::valkyrieCfg();
+      case TranslationMode::least:
+        return SystemConfig::leastCfg();
+      case TranslationMode::barre:
+        return SystemConfig::barreCfg();
+      case TranslationMode::fbarre:
+        // F-Barre-NoMerge unless --merge says otherwise.
+        return SystemConfig::fbarreCfg(1);
+    }
+    barre_panic("unhandled translation mode");
+}
+
 MappingPolicyKind
 parsePolicy(const std::string &p)
 {
@@ -118,7 +140,13 @@ barreSimMain(int argc, char **argv)
     std::uint64_t seed = 1;
     std::string trace_file;
     std::string record_file;
-    SystemConfig cfg = SystemConfig::baselineAts();
+    TranslationMode mode = TranslationMode::baseline;
+    // Every other config flag overrides the --mode base, wherever it
+    // stands on the command line.
+    std::vector<std::function<void(SystemConfig &)>> overrides;
+    auto set = [&](std::function<void(SystemConfig &)> fn) {
+        overrides.push_back(std::move(fn));
+    };
     bool want_stats = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -154,54 +182,48 @@ barreSimMain(int argc, char **argv)
         } else if (arg == "--record-trace") {
             record_file = next();
         } else if (arg == "--mode") {
-            TranslationMode m = parseMode(next());
-            std::uint32_t merge = cfg.driver.merge_limit;
-            switch (m) {
-              case TranslationMode::baseline:
-                cfg = SystemConfig::baselineAts();
-                break;
-              case TranslationMode::valkyrie:
-                cfg = SystemConfig::valkyrieCfg();
-                break;
-              case TranslationMode::least:
-                cfg = SystemConfig::leastCfg();
-                break;
-              case TranslationMode::barre:
-                cfg = SystemConfig::barreCfg();
-                break;
-              case TranslationMode::fbarre:
-                cfg = SystemConfig::fbarreCfg(merge);
-                break;
-            }
+            mode = parseMode(next());
         } else if (arg == "--merge") {
-            cfg.driver.merge_limit = parseUnsignedArg(next(), "--merge");
+            set([v = parseUnsignedArg(next(), "--merge")](SystemConfig &c) {
+                c.driver.merge_limit = v;
+            });
         } else if (arg == "--chiplets") {
-            cfg.chiplets = parseUnsignedArg(next(), "--chiplets");
+            set([v = parseUnsignedArg(next(), "--chiplets")](
+                    SystemConfig &c) { c.chiplets = v; });
         } else if (arg == "--ptws") {
-            cfg.iommu.ptws = parseUnsignedArg(next(), "--ptws");
+            set([v = parseUnsignedArg(next(), "--ptws")](SystemConfig &c) {
+                c.iommu.ptws = v;
+            });
         } else if (arg == "--page-size") {
-            cfg.page_size = parsePageSize(next());
+            set([v = parsePageSize(next())](SystemConfig &c) {
+                c.page_size = v;
+            });
         } else if (arg == "--policy") {
-            cfg.driver.policy = parsePolicy(next());
+            set([v = parsePolicy(next())](SystemConfig &c) {
+                c.driver.policy = v;
+            });
         } else if (arg == "--migration") {
-            cfg.migration.enabled = true;
+            set([](SystemConfig &c) { c.migration.enabled = true; });
         } else if (arg == "--gmmu") {
-            cfg.use_gmmu = true;
+            set([](SystemConfig &c) { c.use_gmmu = true; });
         } else if (arg == "--iommu-tlb") {
-            cfg.iommu.tlb_enabled = true;
+            set([](SystemConfig &c) { c.iommu.tlb_enabled = true; });
         } else if (arg == "--demand-paging") {
-            cfg.driver.demand_paging = true;
+            set([](SystemConfig &c) { c.driver.demand_paging = true; });
         } else if (arg == "--multicast") {
-            cfg.iommu.multicast = true;
+            set([](SystemConfig &c) { c.iommu.multicast = true; });
         } else if (arg == "--domains") {
-            cfg.sim_domains = parseUnsignedArg(next(), "--domains");
+            set([v = parseUnsignedArg(next(), "--domains")](
+                    SystemConfig &c) { c.sim_domains = v; });
         } else if (arg == "--sim-threads") {
-            cfg.sim_threads =
-                parseUnsignedArg(next(), "--sim-threads");
+            set([v = parseUnsignedArg(next(), "--sim-threads")](
+                    SystemConfig &c) { c.sim_threads = v; });
         } else if (arg == "--scale") {
-            cfg.workload_scale = parseScaleArg(next(), "--scale");
+            set([v = parseScaleArg(next(), "--scale")](SystemConfig &c) {
+                c.workload_scale = v;
+            });
         } else if (arg == "--validate") {
-            cfg.validate_translations = true;
+            set([](SystemConfig &c) { c.validate_translations = true; });
         } else if (arg == "--stats") {
             want_stats = true;
         } else {
@@ -210,6 +232,10 @@ barreSimMain(int argc, char **argv)
             return 1;
         }
     }
+
+    SystemConfig cfg = baseConfig(mode);
+    for (const auto &o : overrides)
+        o(cfg);
 
     // Workload selection: --scenario / --tenants are whole-machine
     // specs; mixing them with each other or with --app would silently
