@@ -23,6 +23,24 @@ to_string(TranslationMode m)
     barre_panic("unknown mode");
 }
 
+SystemConfig
+configForMode(const std::string &name)
+{
+    if (name == "baseline")
+        return SystemConfig::baselineAts();
+    if (name == "valkyrie")
+        return SystemConfig::valkyrieCfg();
+    if (name == "least")
+        return SystemConfig::leastCfg();
+    if (name == "barre")
+        return SystemConfig::barreCfg();
+    if (name == "fbarre")
+        return SystemConfig::fbarreCfg();
+    if (name == "fbarre4")
+        return SystemConfig::fbarreCfg(4);
+    barre_fatal("unknown mode '%s'", name.c_str());
+}
+
 SystemConfigHandle
 freezeConfig(SystemConfig cfg)
 {
@@ -37,36 +55,18 @@ SystemConfig::normalize()
     chiplet.page_size = page_size;
     migration.page_bytes = pageBytes(page_size);
 
-    switch (mode) {
-      case TranslationMode::baseline:
-        driver.barre = false;
-        iommu.barre = false;
-        chiplet.sibling_l1_probe = false;
-        break;
-      case TranslationMode::valkyrie:
-        driver.barre = false;
-        iommu.barre = false;
-        chiplet.sibling_l1_probe = true;
-        break;
-      case TranslationMode::least:
-        driver.barre = false;
-        iommu.barre = false;
-        chiplet.sibling_l1_probe = false;
-        break;
-      case TranslationMode::barre:
-        driver.barre = true;
+    // Barre and F-Barre coalesce; only Valkyrie probes sibling L1s.
+    const bool barre_mode =
+        mode == TranslationMode::barre || mode == TranslationMode::fbarre;
+    driver.barre = barre_mode;
+    iommu.barre = barre_mode;
+    chiplet.sibling_l1_probe = mode == TranslationMode::valkyrie;
+    if (mode == TranslationMode::barre) {
         driver.merge_limit = 1;
-        iommu.barre = true;
         iommu.coal_aware_sched = false;
-        chiplet.sibling_l1_probe = false;
-        break;
-      case TranslationMode::fbarre:
-        driver.barre = true;
-        iommu.barre = true;
-        chiplet.sibling_l1_probe = false;
-        fbarre.merge_width = driver.merge_limit;
-        break;
     }
+    if (mode == TranslationMode::fbarre)
+        fbarre.merge_width = driver.merge_limit;
     iommu.merge_width = driver.merge_limit;
     gmmu.barre = iommu.barre;
 }

@@ -129,6 +129,13 @@ struct SystemConfig
  */
 using SystemConfigHandle = std::shared_ptr<const SystemConfig>;
 
+/**
+ * The config of a front-end mode name, one meaning for every tool:
+ * baseline, valkyrie, least, barre, fbarre (F-Barre-2Merge, as
+ * fbarreCfg()) or fbarre4 (F-Barre-4Merge); any other name is fatal.
+ */
+SystemConfig configForMode(const std::string &name);
+
 /** Normalize @p cfg and freeze it into an immutable shared handle. */
 SystemConfigHandle freezeConfig(SystemConfig cfg);
 

@@ -51,6 +51,11 @@ System::System(SystemConfig cfg) : System(freezeConfig(std::move(cfg)))
 System::System(SystemConfigHandle cfg)
     : cfg_handle_(std::move(cfg)), cfg_(*cfg_handle_)
 {
+    // Multicast pushes the group of a coalesced IOMMU walk; anywhere
+    // else it would silently do nothing.
+    if (cfg_.iommu.multicast && (!cfg_.iommu.barre || cfg_.use_gmmu))
+        barre_fatal("iommu.multicast needs Barre translation on the "
+                    "IOMMU platform (mode barre or fbarre, no GMMU)");
     std::uint64_t frames =
         cfg_.mem_bytes_per_chiplet >> pageShift(cfg_.page_size);
     map_ = std::make_unique<MemoryMap>(cfg_.chiplets, frames);

@@ -12,16 +12,18 @@
  *
  * With Barre Chord integrated, each GMMU owns PEC logic and scans its
  * queue after a coalesced walk, removing both local and remote walks.
+ * Each GMMU is a FIFO walk stage (iommu/walk_stage.hh).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/pec.hh"
-#include "iommu/iommu.hh"
+#include "iommu/walk_stage.hh"
 #include "mem/memory_map.hh"
 #include "mem/page_table.hh"
 #include "noc/interconnect.hh"
@@ -49,13 +51,13 @@ struct GmmuParams
     bool operator==(const GmmuParams &) const = default;
 };
 
-// domain-owner:shared — one service dispatching per-chiplet Nodes;
-// each Node is owned by its home chiplet's tag and bound individually
-// in bindDomains().
+// domain-owner:shared — one service dispatching per-chiplet walk
+// stages; each stage is owned by its home chiplet's tag and bound
+// individually in bindDomains().
 class GmmuSystem : public SimObject
 {
   public:
-    using ResponseHandler = Iommu::ResponseHandler;
+    using ResponseHandler = WalkRequest::ResponseHandler;
     /** Maps a VPN to the chiplet holding its page-table leaf. */
     using HomeFn = InlineFn<ChipletId(ProcessId, Vpn)>;
 
@@ -66,17 +68,17 @@ class GmmuSystem : public SimObject
     void attachPageTable(PageTable &pt);
     PecBuffer &pecBuffer() { return pec_buffer_; }
 
-    /** Bind each per-chiplet Node to its home chiplet's tag. */
+    /** Bind each per-chiplet walk stage to its home chiplet's tag. */
     void
     bindDomains(DomainGuard *guard)
     {
         // Driver-filled at setup, read-only during the run, so any
         // home GMMU may consult it from its own context.
         pec_buffer_.bindDomain(guard, kAnyDomain, name() + ".pec");
-        for (std::uint32_t c = 0; c < nodes_.size(); ++c) {
-            nodes_[c].dom.bindDomain(
-                guard, chipletTag(static_cast<ChipletId>(c)),
-                name() + ".node" + std::to_string(c));
+        for (std::uint32_t c = 0; c < stages_.size(); ++c) {
+            stages_[c]->bindDomain(guard,
+                                   chipletTag(static_cast<ChipletId>(c)),
+                                   stages_[c]->name());
         }
     }
 
@@ -97,43 +99,16 @@ class GmmuSystem : public SimObject
     }
 
   private:
-    struct Request
-    {
-        ProcessId pid;
-        Vpn vpn;
-        ChipletId requester;
-        Tick arrival;
-        ResponseHandler respond;
-        bool remote = false;
-    };
-
-    struct Node
-    {
-        /** Public-dtor handle for the per-node ownership binding. */
-        struct Dom : DomainOwned
-        {};
-
-        std::deque<Request> queue;
-        std::deque<Request> overflow;
-        std::vector<std::pair<ProcessId, Vpn>> in_flight;
-        std::uint32_t busy = 0;
-        Dom dom;
-    };
-
-    void enqueueAt(ChipletId home, Request req);
-    void tryDispatch(ChipletId home);
-    void completeWalk(ChipletId home, Request req);
-    /** Consumes req.respond; the request's ids stay readable. */
-    void deliver(ChipletId home, Request &req, AtsResponse resp);
-    const PageTable *tableFor(ProcessId pid) const;
+    /** The walk stage's steps that are home GMMU @p home 's own. */
+    WalkHooks hooks(ChipletId home);
 
     GmmuParams params_;
     Interconnect &noc_;
-    const MemoryMap &map_;
     HomeFn home_of_;
     FlatMap<ProcessId, PageTable *> page_tables_;
     PecBuffer pec_buffer_;
-    std::vector<Node> nodes_;
+    /** One per chiplet, indexed by home chiplet. */
+    std::vector<std::unique_ptr<WalkStage>> stages_;
 
     // Bumped from whichever chiplet context serves a walk, so these
     // shard per tag in partitioned mode.

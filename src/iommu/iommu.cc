@@ -1,8 +1,5 @@
 #include "iommu/iommu.hh"
 
-#include <algorithm>
-
-#include "sim/invariant.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -11,7 +8,13 @@ namespace barre
 Iommu::Iommu(EventQueue &eq, std::string name, const IommuParams &params,
              Pcie &pcie, const MemoryMap &map)
     : SimObject(eq, std::move(name)), params_(params), pcie_(pcie),
-      memory_map_(&map), pec_buffer_(params.pec_buffer_entries)
+      memory_map_(&map), pec_buffer_(params.pec_buffer_entries),
+      stage_(eq, this->name() + ".pw",
+             WalkStageParams{params.ptws, params.pw_queue_entries,
+                             params.barre, params.coal_aware_sched,
+                             params.fair_pw_sched, params.merge_width,
+                             params.pec_calc_latency},
+             page_tables_, pec_buffer_, map, hooks())
 {
     if (params_.tlb_enabled) {
         TlbParams tp;
@@ -48,12 +51,7 @@ Iommu::walkLatency(ProcessId pid, Vpn vpn)
         } else {
             ++pwc_misses_;
             latency += params_.mem_latency_per_level;
-            TlbEntry te;
-            te.pid = pid;
-            te.vpn = prefix;
-            te.pfn = 0;
-            te.valid = true;
-            pwc_->insert(te);
+            pwc_->insert({pid, prefix, 0, {}, true});
         }
     }
     return latency + params_.mem_latency_per_level;
@@ -69,34 +67,14 @@ void
 Iommu::detachProcess(ProcessId pid)
 {
     domainCheck("detachProcess");
-    // Detach only quiesced processes: a queued or walking request
-    // would complete against a freed page table.
-    for (const Request &r : pw_queue_)
-        barre_assert(r.pid != pid,
-                     "detachProcess(%u) with a queued walk", pid);
-    for (const Request &r : overflow_)
-        barre_assert(r.pid != pid,
-                     "detachProcess(%u) with an overflowed walk", pid);
-    for (const auto &[p, vpn] : in_flight_)
-        barre_assert(p != pid,
-                     "detachProcess(%u) with a walk in flight", pid);
-
+    stage_.detach(pid);
     page_tables_.erase(pid);
     pec_buffer_.eraseProcess(pid);
     if (tlb_)
         tlb_->invalidateAsid(pid);
     if (pwc_)
         pwc_->invalidateAsid(pid);
-    last_served_.erase(pid);
     ++detaches_;
-}
-
-const PageTable *
-Iommu::tableFor(ProcessId pid) const
-{
-    PageTable *const *pt = page_tables_.find(pid);
-    barre_assert(pt != nullptr, "no page table for process %u", pid);
-    return *pt;
 }
 
 void
@@ -109,8 +87,8 @@ Iommu::sendAts(ProcessId pid, Vpn vpn, ChipletId src,
                      ++ats_requests_;
                      if (vpn_probe_)
                          vpn_probe_(vpn);
-                     Request req{pid, vpn, src, curTick(),
-                                 std::move(respond)};
+                     WalkRequest req{pid, vpn, src, curTick(),
+                                     std::move(respond)};
                      if (tlb_) {
                          // Serial IOMMU TLB probe before the walkers.
                          after(params_.tlb_latency,
@@ -119,29 +97,18 @@ Iommu::sendAts(ProcessId pid, Vpn vpn, ChipletId src,
                                                            req.vpn);
                                    if (hit) {
                                        ++tlb_hits_;
-                                       AtsResponse resp;
-                                       resp.pid = req.pid;
-                                       resp.vpn = req.vpn;
-                                       resp.pfn = hit->pfn;
-                                       resp.coal = hit->coal;
-                                       if (params_.barre &&
-                                           hit->coal.coalesced()) {
-                                           const PecEntry *e =
-                                               pec_buffer_.find(req.pid,
-                                                                req.vpn);
-                                           if (e) {
-                                               resp.has_pec = true;
-                                               resp.pec = *e;
-                                           }
-                                       }
-                                       respondTo(req, resp, 0);
+                                       respondTo(req,
+                                                 stage_.responseFor(
+                                                     req.pid, req.vpn,
+                                                     hit->pfn, hit->coal),
+                                                 0);
                                        return;
                                    }
-                                   enqueue(std::move(req));
+                                   stage_.enqueue(std::move(req));
                                });
                          return;
                      }
-                     enqueue(std::move(req));
+                     stage_.enqueue(std::move(req));
                  });
 }
 
@@ -154,262 +121,55 @@ Iommu::bindDomainTree(DomainGuard *guard)
     if (pwc_)
         pwc_->bindDomain(guard, kHostTag, name() + ".pwc");
     pec_buffer_.bindDomain(guard, kHostTag, name() + ".pec");
+    stage_.bindDomain(guard, kHostTag, stage_.name());
 }
 
-void
-Iommu::enqueue(Request req)
+WalkHooks
+Iommu::hooks()
 {
-    domainCheck("enqueue");
-    if (params_.ptws != 0 &&
-        pw_queue_.size() >= params_.pw_queue_entries) {
-        overflow_.push_back(std::move(req));
-    } else {
-        pw_queue_.push_back(std::move(req));
-    }
-    queue_depth_.sample(
-        static_cast<double>(pw_queue_.size() + overflow_.size()));
-    BARRE_AUDIT(
-        barre_assert(params_.ptws == 0 ||
-                     pw_queue_.size() <= params_.pw_queue_entries,
-                     "PW queue overran its %u entries",
-                     params_.pw_queue_entries);
-        barre_assert(params_.ptws == 0 || busy_ptws_ <= params_.ptws,
-                     "%u walks in flight with only %u PTWs", busy_ptws_,
-                     params_.ptws));
-    tryDispatch();
-}
-
-bool
-Iommu::coalescibleWithInFlight(const Request &req) const
-{
-    const PecEntry *entry = pec_buffer_.find(req.pid, req.vpn);
-    if (!entry)
-        return false;
-    for (const auto &[pid, vpn] : in_flight_) {
-        if (pid != req.pid)
-            continue;
-        if (vpn == req.vpn ||
-            pec::sameGroup(*entry, vpn, req.vpn, params_.merge_width)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-Iommu::tryDispatch()
-{
-    const bool coal_sched = params_.barre && params_.coal_aware_sched;
-    while (!pw_queue_.empty() &&
-           (params_.ptws == 0 || busy_ptws_ < params_.ptws)) {
-        std::size_t pick = 0;
-        if (params_.fair_pw_sched) {
-            // Per-tenant fairness: dispatch the request whose process
-            // was least recently granted a walker; FIFO breaks ties
-            // (and orders never-served processes). Coalescible
-            // requests stay deferred exactly as in the FIFO path.
-            bool found = false;
-            std::uint64_t best = 0;
-            for (std::size_t i = 0; i < pw_queue_.size(); ++i) {
-                if (coal_sched &&
-                    coalescibleWithInFlight(pw_queue_[i]))
-                    continue;
-                auto it = last_served_.find(pw_queue_[i].pid);
-                const std::uint64_t stamp =
-                    it != last_served_.end() ? it->second : 0;
-                if (!found || stamp < best) {
-                    found = true;
-                    best = stamp;
-                    pick = i;
-                }
-            }
-            if (!found) {
-                ++deferrals_;
-                break; // everything pending will be calculated shortly
-            }
-        } else if (coal_sched) {
-            // De-prioritize coalescible heads (bounded rotation so a
-            // queue of all-coalescible requests still progresses).
-            std::size_t rotations = 0;
-            while (rotations < pw_queue_.size() &&
-                   coalescibleWithInFlight(pw_queue_.front())) {
-                pw_queue_.push_back(std::move(pw_queue_.front()));
-                pw_queue_.pop_front();
-                ++deferrals_;
-                ++rotations;
-            }
-            if (rotations == pw_queue_.size() && rotations > 0)
-                break; // everything pending will be calculated shortly
-        }
-        Request req = std::move(pw_queue_[pick]);
-        pw_queue_.erase(pw_queue_.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-        if (params_.fair_pw_sched)
-            last_served_[req.pid] = ++serve_stamp_;
-        if (!overflow_.empty()) {
-            pw_queue_.push_back(std::move(overflow_.front()));
-            overflow_.pop_front();
-        }
-        startWalk(std::move(req));
-    }
-}
-
-void
-Iommu::startWalk(Request req)
-{
-    ++busy_ptws_;
-    ++walks_;
-    const ProcessId pid = req.pid;
-    const Vpn vpn = req.vpn;
-    in_flight_.emplace_back(pid, vpn);
-    after(walkLatency(pid, vpn),
-          [this, pid, vpn, req = std::move(req)]() mutable {
-              completeWalk(std::move(req));
-              auto it = std::find(in_flight_.begin(), in_flight_.end(),
-                                  std::make_pair(pid, vpn));
-              barre_assert(it != in_flight_.end(), "lost in-flight walk");
-              in_flight_.erase(it);
-              --busy_ptws_;
-              tryDispatch();
-          });
-}
-
-void
-Iommu::completeWalk(Request req)
-{
-    auto pte = tableFor(req.pid)->walk(req.vpn);
-    if (!pte) {
-        if (fault_handler_) {
-            // Demand paging: park the request, service the fault, and
-            // retry the (now-warm) walk completion once.
-            ++page_faults_;
-            after(params_.fault_latency,
-                  [this, req = std::move(req)]() mutable {
-                      fault_handler_(req.pid, req.vpn);
-                      if (tableFor(req.pid)->walk(req.vpn)) {
-                          completeWalk(std::move(req));
-                      } else {
-                          AtsResponse miss;
-                          miss.pid = req.pid;
-                          miss.vpn = req.vpn;
-                          respondTo(req, miss, 0);
-                      }
-                  });
+    WalkHooks h;
+    h.start = [this](const WalkRequest &req) {
+        ++walks_;
+        return walkLatency(req.pid, req.vpn);
+    };
+    h.missing = [this](WalkRequest &&req) {
+        if (!fault_handler_) {
+            // Unmapped VPN (e.g. a prefetch past the end of a buffer):
+            // respond with an invalid PFN; demand requests are
+            // pre-mapped.
+            respondTo(req, AtsResponse{req.pid, req.vpn}, 0);
             return;
         }
-        // Unmapped VPN (e.g. a prefetch past the end of a buffer):
-        // respond with an invalid PFN; demand requests are pre-mapped.
-        AtsResponse miss;
-        miss.pid = req.pid;
-        miss.vpn = req.vpn;
-        respondTo(req, miss, 0);
-        return;
+        // Demand paging: park the request, service the fault, and
+        // retry the (now-warm) walk completion once.
+        ++page_faults_;
+        after(params_.fault_latency, [this, req = std::move(req)]() mutable {
+            fault_handler_(req.pid, req.vpn);
+            if (stage_.tableFor(req.pid).walk(req.vpn))
+                stage_.finish(std::move(req));
+            else
+                respondTo(req, AtsResponse{req.pid, req.vpn}, 0);
+        });
+    };
+    h.respond = [this](WalkRequest &req, AtsResponse resp, Cycles extra) {
+        respondTo(req, std::move(resp), extra);
+    };
+    if (params_.tlb_enabled) {
+        h.fill = [this](const AtsResponse &r) {
+            tlb_->insert({r.pid, r.vpn, r.pfn, r.coal, true});
+        };
     }
-
-    AtsResponse resp;
-    resp.pid = req.pid;
-    resp.vpn = req.vpn;
-    resp.pfn = pte->pfn();
-    resp.coal = pte->coalInfo();
-
-    const PecEntry *entry = nullptr;
-    if (params_.barre && resp.coal.coalesced()) {
-        entry = pec_buffer_.find(req.pid, req.vpn);
-        if (entry) {
-            resp.has_pec = true;
-            resp.pec = *entry;
-        }
+    if (params_.multicast) {
+        h.coalesced = [this](const WalkRequest &req,
+                             const AtsResponse &resp) {
+            multicastGroup(req, resp);
+        };
     }
-
-    if (tlb_) {
-        TlbEntry te;
-        te.pid = req.pid;
-        te.vpn = req.vpn;
-        te.pfn = resp.pfn;
-        te.coal = resp.coal;
-        te.valid = true;
-        tlb_->insert(te);
-    }
-
-    respondTo(req, resp, 0);
-
-    if (!entry)
-        return;
-
-    // PEC scan: complete pending PW-queue requests in the same group
-    // with calculated PFNs (§IV-F). Exact-VPN duplicates from other
-    // chiplets are served by the same PTE. (Erase first, refill the
-    // bounded queue from the overflow afterwards - mutating the deque
-    // mid-scan would invalidate the iterator.)
-    Cycles extra = 0;
-    std::size_t served_count = 0;
-    for (auto it = pw_queue_.begin(); it != pw_queue_.end();) {
-        bool served = false;
-        if (it->pid == req.pid) {
-            if (it->vpn == req.vpn) {
-                AtsResponse dup = resp;
-                dup.calculated = true;
-                extra += params_.pec_calc_latency;
-                ++coalesced_;
-                respondTo(*it, dup, extra);
-                served = true;
-            } else if (auto calc = pec::calcPending(
-                           *entry, req.vpn, resp.pfn, resp.coal,
-                           it->vpn, *memory_map_)) {
-                // The calculated PFN is about to skip this request's
-                // walk; it must agree with the authoritative table.
-                BARRE_AUDIT(
-                    if (auto truth = tableFor(it->pid)->walk(it->vpn)) {
-                        barre_assert(
-                            truth->pfn() == calc->pfn,
-                            "PEC-calculated PFN %llx for vpn %llx "
-                            "diverges from page-table PFN %llx",
-                            (unsigned long long)calc->pfn,
-                            (unsigned long long)it->vpn,
-                            (unsigned long long)truth->pfn());
-                    });
-                AtsResponse co;
-                co.pid = it->pid;
-                co.vpn = it->vpn;
-                co.pfn = calc->pfn;
-                co.coal = calc->coal;
-                co.has_pec = true;
-                co.pec = *entry;
-                co.calculated = true;
-                extra += params_.pec_calc_latency;
-                ++coalesced_;
-                if (tlb_) {
-                    TlbEntry te;
-                    te.pid = co.pid;
-                    te.vpn = co.vpn;
-                    te.pfn = co.pfn;
-                    te.coal = co.coal;
-                    te.valid = true;
-                    tlb_->insert(te);
-                }
-                respondTo(*it, co, extra);
-                served = true;
-            }
-        }
-        if (served) {
-            it = pw_queue_.erase(it);
-            ++served_count;
-        } else {
-            ++it;
-        }
-    }
-    while (served_count-- > 0 && !overflow_.empty()) {
-        pw_queue_.push_back(std::move(overflow_.front()));
-        overflow_.pop_front();
-    }
-
-    if (params_.multicast)
-        multicastGroup(req, resp, *entry);
+    return h;
 }
 
 void
-Iommu::multicastGroup(const Request &req, const AtsResponse &resp,
-                      const PecEntry &entry)
+Iommu::multicastGroup(const WalkRequest &req, const AtsResponse &resp)
 {
     if (!fill_sink_)
         return;
@@ -418,26 +178,19 @@ Iommu::multicastGroup(const Request &req, const AtsResponse &resp,
     // the downstream link - exactly the outbound-bandwidth cost the
     // paper measured to be a net loss (§IV-B).
     Cycles extra = 0;
-    for (Vpn member :
-         pec::groupMembers(entry, req.vpn, resp.coal)) {
+    for (Vpn member : pec::groupMembers(resp.pec, req.vpn, resp.coal)) {
         if (member == req.vpn)
             continue;
-        auto calc = pec::calcPending(entry, req.vpn, resp.pfn,
+        auto calc = pec::calcPending(resp.pec, req.vpn, resp.pfn,
                                      resp.coal, member, *memory_map_);
         if (!calc)
             continue;
-        AtsResponse push;
-        push.pid = req.pid;
-        push.vpn = member;
-        push.pfn = calc->pfn;
-        push.coal = calc->coal;
-        push.has_pec = true;
-        push.pec = entry;
-        push.calculated = true;
-        ChipletId target = entry.chipletOf(member);
+        ChipletId target = resp.pec.chipletOf(member);
         extra += params_.pec_calc_latency;
         ++multicasts_;
-        after(extra, [this, target, push = std::move(push)]() mutable {
+        after(extra, [this, target,
+                      push = stage_.calculated(resp, member,
+                                               *calc)]() mutable {
             pcie_.toDevice(chipletTag(target),
                            params_.ats_response_coal_bytes,
                            [this, target, push = std::move(push)]() {
@@ -448,8 +201,10 @@ Iommu::multicastGroup(const Request &req, const AtsResponse &resp,
 }
 
 void
-Iommu::respondTo(Request &req, AtsResponse resp, Cycles extra)
+Iommu::respondTo(WalkRequest &req, AtsResponse resp, Cycles extra)
 {
+    if (resp.calculated)
+        ++coalesced_;
     std::uint32_t bytes = resp.has_pec ? params_.ats_response_coal_bytes
                                        : params_.ats_response_bytes;
     // The delivery callback executes in the target chiplet's

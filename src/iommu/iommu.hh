@@ -13,18 +13,16 @@
  * completes them with *calculated* PFNs, skipping their walks (§IV-F).
  * The coalescing-aware scheduler (§V-C) keeps requests that are
  * coalescible with an in-flight walk out of the walkers so the
- * calculation can catch them.
+ * calculation can catch them (all of it in iommu/walk_stage.hh).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "core/pec.hh"
+#include "iommu/walk_stage.hh"
 #include "mem/memory_map.hh"
 #include "mem/page_table.hh"
 #include "noc/pcie.hh"
@@ -103,27 +101,13 @@ struct IommuParams
     bool operator==(const IommuParams &) const = default;
 };
 
-/** What an ATS response delivers back to the requesting chiplet. */
-struct AtsResponse
-{
-    ProcessId pid = 0;
-    Vpn vpn = invalid_vpn;
-    Pfn pfn = invalid_pfn;
-    CoalInfo coal{};
-    /** PEC entry piggybacked when the page is coalesced. */
-    bool has_pec = false;
-    PecEntry pec{};
-    /** True if this PFN was calculated (no walk) rather than walked. */
-    bool calculated = false;
-};
-
 // domain-owner:host — all queue/walker/TLB state mutates on the host
 // side of the PCIe link; sendAts() is the chiplet-side entry and only
 // injects into the upstream wire (everything else runs on delivery).
 class Iommu : public SimObject, public DomainOwned
 {
   public:
-    using ResponseHandler = InlineFn<void(const AtsResponse &)>;
+    using ResponseHandler = WalkRequest::ResponseHandler;
 
     Iommu(EventQueue &eq, std::string name, const IommuParams &params,
           Pcie &pcie, const MemoryMap &map);
@@ -191,35 +175,21 @@ class Iommu : public SimObject, public DomainOwned
         stats.add(name() + ".pec_calculated", coalesced_);
         stats.add(name() + ".tlb_hits", tlb_hits_);
         stats.add(name() + ".page_faults", page_faults_);
-        stats.add(name() + ".sched_deferrals", deferrals_);
+        stats.add(name() + ".sched_deferrals", stage_.deferrals());
         stats.addMean(name() + ".avg_processing_cycles", processing_time_);
-        stats.addMean(name() + ".avg_pw_queue_depth", queue_depth_);
+        stats.addMean(name() + ".avg_pw_queue_depth", stage_.queueDepth());
     }
     const Accumulator &processingTime() const { return processing_time_; }
     /// @}
 
   private:
-    struct Request
-    {
-        ProcessId pid;
-        Vpn vpn;
-        ChipletId src;
-        Tick arrival;
-        ResponseHandler respond;
-    };
-
-    void enqueue(Request req);
-    void tryDispatch();
-    bool coalescibleWithInFlight(const Request &req) const;
-    void startWalk(Request req);
-    void completeWalk(Request req);
+    /** The walk stage's steps that are the IOMMU's own. */
+    WalkHooks hooks();
     /** Consumes req.respond; the request's ids stay readable. */
-    void respondTo(Request &req, AtsResponse resp, Cycles extra);
-    const PageTable *tableFor(ProcessId pid) const;
+    void respondTo(WalkRequest &req, AtsResponse resp, Cycles extra);
     /** Walk latency for (pid, vpn) under the configured walk model. */
     Cycles walkLatency(ProcessId pid, Vpn vpn);
-    void multicastGroup(const Request &req, const AtsResponse &resp,
-                        const PecEntry &entry);
+    void multicastGroup(const WalkRequest &req, const AtsResponse &resp);
 
     IommuParams params_;
     Pcie &pcie_;
@@ -232,24 +202,13 @@ class Iommu : public SimObject, public DomainOwned
     /** Page-walk cache over upper-level radix prefixes (timed walks). */
     std::unique_ptr<Tlb> pwc_;
     FillSink fill_sink_;
-
-    /** Bounded PW-queue plus the unbounded PCIe-side overflow buffer. */
-    std::deque<Request> pw_queue_;
-    std::deque<Request> overflow_;
-    /** VPNs currently being walked (for scheduling + PEC timing). */
-    std::vector<std::pair<ProcessId, Vpn>> in_flight_;
-    std::uint32_t busy_ptws_ = 0;
-
-    /** Fair scheduling: per-process last-dispatch stamps. */
-    std::map<ProcessId, std::uint64_t> last_served_;
-    std::uint64_t serve_stamp_ = 0;
+    WalkStage stage_;
 
     VpnProbe vpn_probe_;
     Counter ats_requests_;
     Counter walks_;
     Counter coalesced_;
     Counter tlb_hits_;
-    Counter deferrals_;
     Counter multicasts_;
     Counter pwc_hits_;
     Counter pwc_misses_;
@@ -257,7 +216,6 @@ class Iommu : public SimObject, public DomainOwned
     Counter detaches_;
     FaultHandler fault_handler_;
     Accumulator processing_time_;
-    Accumulator queue_depth_;
 };
 
 } // namespace barre

@@ -93,8 +93,10 @@ TEST(Csv, WriteCsvEmitsHeaderPlusRows)
 {
     std::ostringstream os;
     RunMetrics a, b;
-    a.app = "x";
-    b.app = "y";
+    // Move-assign: GCC 12's -O3 -Wrestrict misfires on assigning a
+    // literal to a default-constructed std::string member here.
+    a.app = std::string("x");
+    b.app = std::string("y");
     writeCsv(os, {a, b});
     std::string text = os.str();
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);

@@ -11,7 +11,11 @@
  * retry event and one lookup event per parked request); those of the
  * multicast, migration and churn cells with every parked request
  * re-running its lookup at each wake. Waking a parked herd more
- * cheaply must leave every one of them unchanged.
+ * cheaply must leave every one of them unchanged. The walk-stage cells
+ * (GMMU platform, fair PW scheduling, timed walks, IOMMU TLB, demand
+ * paging, unbounded walkers) were recorded while the IOMMU and the
+ * GMMUs each kept their own PW-queue, walkers and PEC scan; sharing one
+ * walk stage must leave them unchanged too.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +50,22 @@ struct CellRun
     std::uint64_t digest = 0;
     RunMetrics metrics;
     std::uint64_t multicast_pushes = 0;
+    /** The `--stats` dump the digest covers. */
+    std::string dump;
+
+    /** Counter @p name of the dump. */
+    std::uint64_t
+    stat(const std::string &name) const
+    {
+        std::istringstream is(dump);
+        std::string key;
+        double value = 0;
+        while (is >> key >> value)
+            if (key == name)
+                return static_cast<std::uint64_t>(value);
+        ADD_FAILURE() << name << " is not in the stats dump";
+        return 0;
+    }
 };
 
 /**
@@ -67,6 +87,7 @@ runCell(SystemConfig cfg, const ScenarioSpec &spec, const std::string &label,
     EXPECT_GT(r.metrics.mshr_retries, 0u) << label << ": no request parked";
     std::ostringstream os;
     sys.dumpStats(os);
+    r.dump = os.str();
     os << csvRow(r.metrics) << '\n';
     r.digest = fnv1a(os.str());
     return r;
@@ -175,4 +196,89 @@ TEST(HerdIdentity, FBarreTenantChurn)
     const ScenarioSpec spec = parseScenarioSpec("poisson:8:2:7");
     expectDigests(SystemConfig::fbarreCfg(2),
                   {Cell{spec, spec.label(), 0x96f2bced437be0abull}});
+}
+
+// The GMMU platform (MGvm, §VII-F): per-chiplet walkers with local and
+// remote walks. Under Barre each GMMU's PEC scan serves queued group
+// members with calculated PFNs.
+TEST(HerdIdentity, GmmuBaseline)
+{
+    SystemConfig cfg = SystemConfig::baselineAts();
+    cfg.use_gmmu = true;
+    for (const CellRun &r :
+         expectDigests(cfg, {solo("gups", 0x916ab1551008b5fcull),
+                           solo("bicg", 0x1358ca86bb084531ull)}))
+        EXPECT_GT(r.stat("gmmu.remote_walks"), 0u);
+}
+
+TEST(HerdIdentity, GmmuBarre)
+{
+    SystemConfig cfg = SystemConfig::barreCfg();
+    cfg.use_gmmu = true;
+    for (const CellRun &r :
+         expectDigests(cfg, {solo("gups", 0xa66f57c99d170528ull)}))
+        EXPECT_GT(r.stat("gmmu.pec_calculated"), 0u);
+}
+
+TEST(HerdIdentity, GmmuFBarreMerge2)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.use_gmmu = true;
+    for (const CellRun &r :
+         expectDigests(cfg, {solo("gups", 0x3aa273ab42b7123aull),
+                           solo("bicg", 0x1eefbb1626d1f79full)}))
+        EXPECT_GT(r.stat("gmmu.local_walks"), 0u);
+}
+
+// Per-tenant fair PW-queue dispatch composed with coalescing-aware
+// deferral, while tenants arrive and exit.
+TEST(HerdIdentity, FBarreFairPwSched)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.iommu.fair_pw_sched = true;
+    const ScenarioSpec spec = parseScenarioSpec("poisson:8:2:7");
+    for (const CellRun &r :
+         expectDigests(cfg, {Cell{spec, spec.label(), 0xeac9f7590caa4f21ull}}))
+        EXPECT_GT(r.stat("iommu.sched_deferrals"), 0u);
+}
+
+// Walk latency from the page-walk cache instead of the flat 500 cycles.
+TEST(HerdIdentity, FBarreTimedWalks)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.iommu.timed_walks = true;
+    expectDigests(cfg, {solo("gups", 0x82ad5b8a7acd136eull),
+                        solo("bicg", 0x5ea83df9b5bb0f11ull)});
+}
+
+// IOMMU TLB hits skip the PW-queue; walked and calculated PFNs fill it.
+TEST(HerdIdentity, FBarreIommuTlb)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.iommu.tlb_enabled = true;
+    for (const CellRun &r :
+         expectDigests(cfg, {solo("gups", 0x70944c11bc293e30ull),
+                           solo("bicg", 0xd66fe5e56412fa47ull)}))
+        EXPECT_GT(r.stat("iommu.tlb_hits"), 0u);
+}
+
+// A walk that finds no PTE faults the page in and completes after the
+// fault latency, outside its walker.
+TEST(HerdIdentity, FBarreDemandPaging)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.driver.demand_paging = true;
+    for (const CellRun &r :
+         expectDigests(cfg, {solo("gups", 0xcdd72a3b6f8edbacull),
+                           solo("bicg", 0x9db9053af0949a2bull)}))
+        EXPECT_GT(r.stat("iommu.page_faults"), 0u);
+}
+
+// ptws = 0: unbounded walkers and no PW-queue bound (Fig 1's infinite).
+TEST(HerdIdentity, FBarreUnboundedWalkers)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.iommu.ptws = 0;
+    expectDigests(cfg, {solo("gups", 0x2d1185ff7d309faeull),
+                        solo("bicg", 0x1f6b37e15d0eb504ull)});
 }

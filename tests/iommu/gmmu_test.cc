@@ -7,6 +7,7 @@
 
 #include "driver/gpu_driver.hh"
 #include "iommu/gmmu.hh"
+#include "sim/invariant.hh"
 
 #include "stats_of.hh"
 
@@ -141,6 +142,33 @@ TEST(Gmmu, BarreCoalescesQueuedGroupMembers)
     EXPECT_EQ(stats.count("gmmu.pec_calculated"), 3u);
     for (auto [v, pfn] : results)
         EXPECT_EQ(pfn, rig.drv.pageTable(1).walk(v)->pfn());
+}
+
+// A GMMU's PEC scan checks each calculated PFN against the page table
+// (invariant builds), as the IOMMU's does: they are one walk stage.
+TEST(Gmmu, CalculatedPfnAuditFires)
+{
+    if (!invariants_enabled)
+        GTEST_SKIP() << "the PFN audit needs BARRE_CHECK_INVARIANTS";
+    Rig rig(true);
+    GmmuParams p = rig.params(true);
+    p.ptws_per_chiplet = 1;
+    GmmuSystem gmmu(rig.eq, "gmmu", p, 4, rig.noc, rig.map,
+                    [](ProcessId, Vpn) { return ChipletId{0}; });
+    gmmu.attachPageTable(rig.drv.pageTable(1));
+    for (const auto &e : rig.drv.pecEntries())
+        gmmu.pecBuffer().insert(e);
+    // Remap a group member a frame off, keeping its coalescing bits:
+    // the PEC calculation no longer matches the page table.
+    PageTable &pt = rig.drv.pageTable(1);
+    const Vpn victim = rig.alloc.start_vpn + 3;
+    const auto pte = pt.walk(victim);
+    ASSERT_TRUE(pte.has_value());
+    pt.map(victim, pte->pfn() + 1, pte->coalInfo());
+    // One walker: the victim queues behind its group's first walk.
+    for (Vpn v : {rig.alloc.start_vpn, victim})
+        gmmu.translate(1, v, 0, [](const AtsResponse &) {});
+    EXPECT_THROW(rig.eq.run(), std::logic_error);
 }
 
 TEST(Gmmu, UnknownProcessPanics)

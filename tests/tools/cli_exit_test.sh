@@ -3,7 +3,7 @@
 # end in exit code 1 with a "fatal: ..." message naming the problem on
 # stderr, never in std::terminate's SIGABRT (rc 134). Also checks that
 # barre_sim's output does not depend on where --mode stands among the
-# other flags.
+# other flags, and that each mode name means one config.
 #
 # Usage: cli_exit_test.sh <barre_sim> <sweep> <merge_csv> <figures>
 set -u -o pipefail
@@ -42,6 +42,12 @@ expect_fatal "--scale: 'x' is not a number" "$sweep" --scale x
 expect_fatal "not a sweep shard file" "$merge" "$work/bad_shard.csv"
 expect_fatal "unknown figure 'no_such_figure'" "$figures" no_such_figure
 expect_fatal "BARRE_SCALE: 'x' is not a number" env BARRE_SCALE=x "$figures" tab2_params
+expect_fatal "unknown mode 'nope'" "$sim" --mode nope
+expect_fatal "unknown mode 'nope'" "$sweep" --modes nope
+expect_fatal "iommu.multicast needs Barre translation" \
+    "$sim" --mode baseline --multicast --app gups --scale 0.02
+expect_fatal "iommu.multicast needs Barre translation" \
+    "$sim" --mode barre --gmmu --multicast --app gups --scale 0.02
 
 # expect_same_output <args A> -- <args B>: barre_sim prints the same
 # for both command lines.
@@ -64,15 +70,21 @@ expect_same_output() {
 small=(--app gups --scale 0.02)
 expect_same_output --ptws 64 --mode baseline "${small[@]}" -- \
     --mode baseline --ptws 64 "${small[@]}"
-expect_same_output --merge 2 --mode fbarre "${small[@]}" -- \
+expect_same_output --merge 1 --mode fbarre "${small[@]}" -- \
+    --mode fbarre --merge 1 "${small[@]}"
+# One meaning per mode name: fbarre is F-Barre-2Merge, fbarre4 is
+# F-Barre-4Merge ...
+expect_same_output --mode fbarre "${small[@]}" -- \
     --mode fbarre --merge 2 "${small[@]}"
-# ... and --merge still takes effect: F-Barre without it runs NoMerge.
-if cmp -s <("$sim" --mode fbarre --merge 2 "${small[@]}" --stats) \
+expect_same_output --mode fbarre4 "${small[@]}" -- \
+    --mode fbarre --merge 4 "${small[@]}"
+# ... and --merge still takes effect: --merge 1 runs NoMerge.
+if cmp -s <("$sim" --mode fbarre --merge 1 "${small[@]}" --stats) \
           <("$sim" --mode fbarre "${small[@]}" --stats); then
-    echo "FAIL --merge 2 changed nothing under --mode fbarre"
+    echo "FAIL --merge 1 changed nothing under --mode fbarre"
     fail=1
 else
-    echo "ok   --merge 2 takes effect under --mode fbarre"
+    echo "ok   --merge 1 takes effect under --mode fbarre"
 fi
 
 exit "$fail"

@@ -5,7 +5,7 @@
  * Run any Table-I application (or an imported trace) under any
  * translation configuration and print metrics or the full stats dump.
  *
- *   barre_sim --app atax --mode fbarre --merge 2
+ *   barre_sim --app atax --mode fbarre --merge 1
  *   barre_sim --app gups --mode baseline --ptws 32 --stats
  *   barre_sim --scenario cov+atax --mode fbarre
  *   barre_sim --scenario 'mvt*0.5@2000+poisson:8:2:7'
@@ -46,7 +46,9 @@ usage()
         "  --seed S            churn RNG seed (default 1)\n"
         "  --trace FILE        replay an access trace instead\n"
         "  --record-trace FILE write the app's trace and exit\n"
-        "  --mode M            baseline|valkyrie|least|barre|fbarre\n"
+        "  --mode M            baseline|valkyrie|least|barre|fbarre|\n"
+        "                      fbarre4 (fbarre = F-Barre-2Merge,\n"
+        "                      fbarre4 = F-Barre-4Merge)\n"
         "  --merge N           F-Barre merge limit (1/2/4)\n"
         "  --chiplets N        GPU chiplets (default 4)\n"
         "  --ptws N            IOMMU walkers, 0 = infinite\n"
@@ -56,49 +58,14 @@ usage()
         "  --gmmu              GMMU platform (MGvm)\n"
         "  --iommu-tlb         add the 2048-entry IOMMU TLB\n"
         "  --demand-paging     map pages at first touch\n"
-        "  --multicast         speculative PFN multicast (ablation)\n"
+        "  --multicast         speculative PFN multicast (ablation;\n"
+        "                      barre/fbarre without --gmmu only)\n"
         "  --domains N         event domains (0 or 1 = one, serial)\n"
         "  --sim-threads N     workers advancing the domains (0 = auto)\n"
         "  --scale F           workload scale factor (default 1.0)\n"
         "  --validate          check every translation vs page table\n"
         "  --stats             dump all component stats after the run\n"
         "  --list              list the application suite and exit\n");
-}
-
-TranslationMode
-parseMode(const std::string &m)
-{
-    if (m == "baseline")
-        return TranslationMode::baseline;
-    if (m == "valkyrie")
-        return TranslationMode::valkyrie;
-    if (m == "least")
-        return TranslationMode::least;
-    if (m == "barre")
-        return TranslationMode::barre;
-    if (m == "fbarre")
-        return TranslationMode::fbarre;
-    barre_fatal("unknown mode '%s'", m.c_str());
-}
-
-/** The named config --mode starts from. */
-SystemConfig
-baseConfig(TranslationMode m)
-{
-    switch (m) {
-      case TranslationMode::baseline:
-        return SystemConfig::baselineAts();
-      case TranslationMode::valkyrie:
-        return SystemConfig::valkyrieCfg();
-      case TranslationMode::least:
-        return SystemConfig::leastCfg();
-      case TranslationMode::barre:
-        return SystemConfig::barreCfg();
-      case TranslationMode::fbarre:
-        // F-Barre-NoMerge unless --merge says otherwise.
-        return SystemConfig::fbarreCfg(1);
-    }
-    barre_panic("unhandled translation mode");
 }
 
 MappingPolicyKind
@@ -140,7 +107,7 @@ barreSimMain(int argc, char **argv)
     std::uint64_t seed = 1;
     std::string trace_file;
     std::string record_file;
-    TranslationMode mode = TranslationMode::baseline;
+    SystemConfig base = SystemConfig::baselineAts();
     // Every other config flag overrides the --mode base, wherever it
     // stands on the command line.
     std::vector<std::function<void(SystemConfig &)>> overrides;
@@ -182,7 +149,7 @@ barreSimMain(int argc, char **argv)
         } else if (arg == "--record-trace") {
             record_file = next();
         } else if (arg == "--mode") {
-            mode = parseMode(next());
+            base = configForMode(next());
         } else if (arg == "--merge") {
             set([v = parseUnsignedArg(next(), "--merge")](SystemConfig &c) {
                 c.driver.merge_limit = v;
@@ -233,7 +200,7 @@ barreSimMain(int argc, char **argv)
         }
     }
 
-    SystemConfig cfg = baseConfig(mode);
+    SystemConfig cfg = base;
     for (const auto &o : overrides)
         o(cfg);
 

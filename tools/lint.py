@@ -34,6 +34,10 @@ correctness story depends on:
   one-event-engine QuadHeap< appears in src/ only in src/sim/domain.hh,
                    so EventQueue's per-domain heaps stay the one event
                    engine and a second queue cannot grow back.
+  one-walk-queue   deque< appears in src/iommu/ only in
+                   src/iommu/walk_stage.{hh,cc}, so the walk stage stays
+                   the one PW-queue / walker / PEC-scan path of the IOMMU
+                   and the GMMUs and a second PW-queue cannot grow back.
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
@@ -245,10 +249,10 @@ class Linter:
                         f"{home}; use runOnThreads/parallelFor/"
                         f"defaultWorkers")
 
-    def check_single_home(self, rule, pattern, homes, message):
-        """Report @p pattern anywhere in src/ outside the @p homes."""
+    def check_single_home(self, rule, pattern, homes, message, scope="src"):
+        """Report @p pattern anywhere in @p scope outside the @p homes."""
         regex = re.compile(pattern)
-        for path in self.files(["src/**/*.hh", "src/**/*.cc"]):
+        for path in self.files([f"{scope}/**/*.hh", f"{scope}/**/*.cc"]):
             if path.relative_to(self.root).as_posix() in homes:
                 continue
             raw_lines = path.read_text().splitlines()
@@ -271,6 +275,13 @@ class Linter:
             "one-event-engine", r"\bQuadHeap\s*<", {"src/sim/domain.hh"},
             "event heaps live only in src/sim/domain.hh; schedule "
             "through EventQueue")
+
+    def check_one_walk_queue(self):
+        self.check_single_home(
+            "one-walk-queue", r"\bdeque\s*<",
+            {"src/iommu/walk_stage.hh", "src/iommu/walk_stage.cc"},
+            "PW-queues live only in src/iommu/walk_stage.*; queue walks "
+            "through WalkStage", scope="src/iommu")
 
     def check_domain_ownership(self):
         lint = self.root / "tools" / "domain_lint.py"
@@ -316,6 +327,7 @@ class Linter:
         self.check_host_threads()
         self.check_one_l2_miss_path()
         self.check_one_event_engine()
+        self.check_one_walk_queue()
         self.check_domain_ownership()
         if format_check:
             self.check_format()

@@ -49,24 +49,6 @@ split(const std::string &s)
     return out;
 }
 
-SystemConfig
-configFor(const std::string &mode)
-{
-    if (mode == "baseline")
-        return SystemConfig::baselineAts();
-    if (mode == "valkyrie")
-        return SystemConfig::valkyrieCfg();
-    if (mode == "least")
-        return SystemConfig::leastCfg();
-    if (mode == "barre")
-        return SystemConfig::barreCfg();
-    if (mode == "fbarre")
-        return SystemConfig::fbarreCfg(2);
-    if (mode == "fbarre4")
-        return SystemConfig::fbarreCfg(4);
-    barre_fatal("unknown mode '%s'", mode.c_str());
-}
-
 std::string
 join(const std::vector<std::string> &xs)
 {
@@ -124,7 +106,7 @@ sweepMain(int argc, char **argv)
 
     std::vector<NamedConfig> cfgs;
     for (const auto &mode : modes) {
-        SystemConfig cfg = configFor(mode);
+        SystemConfig cfg = configForMode(mode);
         cfg.workload_scale = scale;
         cfgs.push_back({mode, cfg});
     }
