@@ -58,118 +58,135 @@ void
 Chiplet::access(CuId cu, ProcessId pid, Addr vaddr,
                 EventQueue::Callback done)
 {
-    Vpn vpn = vpnOf(vaddr, params_.page_size);
-    const Tick t0 = curTick();
+    InFlight a;
+    a.done = std::move(done);
+    a.addr = vaddr;
+    a.t0 = curTick();
+    a.cu = cu;
+    a.pid = pid;
+    const std::uint32_t slot = inflight_.acquire(std::move(a));
     after(params_.l1_tlb.lookup_latency,
-          [this, cu, pid, vaddr, vpn, t0,
-           done = std::move(done)]() mutable {
-              if (auto te = l1_tlbs_[cu]->lookup(pid, vpn)) {
-                  dataAccess(cu, pid, vaddr, *te, t0, std::move(done));
-                  return;
-              }
-              // Valkyrie: probe sibling L1 TLBs inside the chiplet.
-              if (params_.sibling_l1_probe) {
-                  for (std::uint32_t s = 0; s < params_.cus; ++s) {
-                      if (s == cu)
-                          continue;
-                      if (auto te = l1_tlbs_[s]->peek(pid, vpn)) {
-                          ++sibling_hits_;
-                          l1_tlbs_[cu]->insert(*te);
-                          after(params_.sibling_probe_latency,
-                                [this, cu, pid, vaddr, te = *te, t0,
-                                 done = std::move(done)]() mutable {
-                                    dataAccess(cu, pid, vaddr, te, t0,
-                                               std::move(done));
-                                });
-                          return;
-                      }
-                  }
-              }
-              ++l2_demand_accesses_;
-              translateAtL2(cu, pid, vaddr, vpn, t0, std::move(done));
-          });
+          inlineOnly([this, slot] { lookupL1(slot); }));
 }
 
 void
-Chiplet::translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
-                       Tick t0, EventQueue::Callback done)
+Chiplet::lookupL1(std::uint32_t slot)
 {
-    auto fill = [this, cu, pid, vaddr, t0,
-                 done = std::move(done)](const TlbEntry &te) mutable {
-        l1_tlbs_[cu]->insert(te);
-        dataAccess(cu, pid, vaddr, te, t0, std::move(done));
-    };
+    InFlight &a = inflight_[slot];
+    const Vpn vpn = vpnOf(a.addr, params_.page_size);
+    if (auto te = l1_tlbs_[a.cu]->lookup(a.pid, vpn)) {
+        dataAccess(slot, *te);
+        return;
+    }
+    // Valkyrie: probe sibling L1 TLBs inside the chiplet.
+    if (params_.sibling_l1_probe) {
+        for (std::uint32_t s = 0; s < params_.cus; ++s) {
+            if (s == a.cu)
+                continue;
+            if (auto te = l1_tlbs_[s]->peek(a.pid, vpn)) {
+                ++sibling_hits_;
+                l1_tlbs_[a.cu]->insert(*te);
+                a.sibling_pfn = te->pfn;
+                after(params_.sibling_probe_latency,
+                      inlineOnly([this, slot] {
+                          // peek() matched (pid, vpn) exactly.
+                          const InFlight &a = inflight_[slot];
+                          dataAccess(slot,
+                                     {a.pid, vpnOf(a.addr, params_.page_size),
+                                      a.sibling_pfn, {}, true});
+                      }));
+                return;
+            }
+        }
+    }
+    ++l2_demand_accesses_;
+    translateAtL2(slot);
+}
+
+void
+Chiplet::translateAtL2(std::uint32_t slot)
+{
+    const InFlight &a = inflight_[slot];
+    const Vpn vpn = vpnOf(a.addr, params_.page_size);
+    auto fill = inlineOnly([this, slot](const TlbEntry &te) {
+        l1_tlbs_[inflight_[slot].cu]->insert(te);
+        dataAccess(slot, te);
+    });
     // The package-shared block serves the L2 stage host-side; the fill
     // fires back here once its response arrives.
     if (shared_svc_)
-        shared_svc_->lookupFrom(id_, pid, vpn, std::move(fill));
+        shared_svc_->lookupFrom(id_, a.pid, vpn, std::move(fill));
     else
-        owned_l2_->lookup(id_, pid, vpn, std::move(fill));
+        owned_l2_->lookup(id_, a.pid, vpn, std::move(fill));
+}
+
+template <typename F>
+void
+Chiplet::serveRemoteData(Addr paddr, F done)
+{
+    after(params_.l2_cache.hit_latency, inlineOnly([this, paddr, done] {
+              if (l2_cache_->access(paddr)) {
+                  done();
+                  return;
+              }
+              dram_->access(done);
+          }));
 }
 
 void
-Chiplet::dataAccess(CuId cu, ProcessId pid, Addr vaddr, const TlbEntry &te,
-                    Tick t0, EventQueue::Callback done)
+Chiplet::dataAccess(std::uint32_t slot, const TlbEntry &te)
 {
+    InFlight &a = inflight_[slot];
     if (lat_probe_)
-        lat_probe_(pid, curTick() - t0);
-    Addr offset = pageOffset(vaddr, params_.page_size);
-    Addr paddr = paddrOf(te.pfn, offset, params_.page_size);
-    ChipletId owner = map_.chipletOf(te.pfn);
+        lat_probe_(a.pid, curTick() - a.t0);
+    Addr offset = pageOffset(a.addr, params_.page_size);
+    a.addr = paddrOf(te.pfn, offset, params_.page_size);
+    const ChipletId owner = map_.chipletOf(te.pfn);
 
     Cycles stall = 0;
     if (migrator_) {
-        stall = migrator_->recordAccess(curTick(), pid, te.vpn, id_,
+        stall = migrator_->recordAccess(curTick(), a.pid, te.vpn, id_,
                                         owner);
     }
 
-    if (l1_caches_[cu]->access(paddr)) {
-        after(stall + params_.l1_cache.hit_latency, std::move(done));
+    if (l1_caches_[a.cu]->access(a.addr)) {
+        after(stall + params_.l1_cache.hit_latency, retire(slot));
         return;
     }
 
     if (owner == id_) {
         ++local_data_;
         after(stall + params_.l2_cache.hit_latency,
-              [this, paddr, done = std::move(done)]() mutable {
-                  if (l2_cache_->access(paddr)) {
-                      done();
+              inlineOnly([this, slot] {
+                  if (l2_cache_->access(inflight_[slot].addr)) {
+                      retire(slot)();
                       return;
                   }
-                  dram_->access(std::move(done));
-              });
+                  dram_->access(retire(slot));
+              }));
         return;
     }
 
     ++remote_data_;
     barre_assert(owner < peers_.size() && peers_[owner] != nullptr,
                  "peer %u not wired", owner);
-    Chiplet *peer = peers_[owner];
-    after(stall, [this, peer, paddr, done = std::move(done)]() mutable {
+    // The request and the peer's service run in the peer's domain:
+    // they carry the peer and the address by value, and only the reply
+    // comes back here for the slot.
+    after(stall, inlineOnly([this, slot, peer = peers_[owner]] {
+        const Addr paddr = inflight_[slot].addr;
         noc_.send(id_, peer->id(), params_.remote_req_bytes,
-                  [this, peer, paddr, done = std::move(done)]() mutable {
+                  inlineOnly([this, peer, paddr, slot] {
                       peer->serveRemoteData(
-                          paddr,
-                          [this, peer, done = std::move(done)]() mutable {
+                          paddr, inlineOnly([this, peer, slot] {
                               noc_.send(peer->id(), id_,
                                         params_.remote_resp_bytes,
-                                        std::move(done));
-                          });
-                  });
-    });
-}
-
-void
-Chiplet::serveRemoteData(Addr paddr, EventQueue::Callback done)
-{
-    after(params_.l2_cache.hit_latency,
-          [this, paddr, done = std::move(done)]() mutable {
-              if (l2_cache_->access(paddr)) {
-                  done();
-                  return;
-              }
-              dram_->access(std::move(done));
-          });
+                                        inlineOnly([this, slot] {
+                                            retire(slot)();
+                                        }));
+                          }));
+                  }));
+    }));
 }
 
 void

@@ -26,6 +26,7 @@
 #include "mem/memory_map.hh"
 #include "noc/interconnect.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 #include "tlb/tlb.hh"
 
 namespace barre
@@ -122,9 +123,6 @@ class Chiplet : public SimObject
     void access(CuId cu, ProcessId pid, Addr vaddr,
                 EventQueue::Callback done);
 
-    /** Serve a data access arriving from a peer chiplet. */
-    void serveRemoteData(Addr paddr, EventQueue::Callback done);
-
     /**
      * Install an unsolicited translation (IOMMU multicast push, §IV-B
      * ablation; Valkyrie prefetch) in the L2 TLB this chiplet uses. No
@@ -197,11 +195,31 @@ class Chiplet : public SimObject
     /// @}
 
   private:
-    void translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
-                       Tick t0, EventQueue::Callback done);
-    void dataAccess(CuId cu, ProcessId pid, Addr vaddr,
-                    const TlbEntry &te, Tick t0,
-                    EventQueue::Callback done);
+    /** One access in flight from a CU; its events capture {this, slot}. */
+    struct InFlight
+    {
+        EventQueue::Callback done;
+        /** The virtual address until the data access, then the
+         *  physical one. */
+        Addr addr = 0;
+        Tick t0 = 0; ///< issue tick, for the latency probe
+        /** A sibling L1's PFN, across the probe delay. */
+        Pfn sibling_pfn = 0;
+        CuId cu = 0;
+        ProcessId pid = 0;
+    };
+
+    void lookupL1(std::uint32_t slot);
+    void translateAtL2(std::uint32_t slot);
+    void dataAccess(std::uint32_t slot, const TlbEntry &te);
+    /** Serve a data access arriving from a peer chiplet; @p done is
+     *  the requester's small reply closure. */
+    template <typename F> void serveRemoteData(Addr paddr, F done);
+    /** Free @p slot and hand back its completion. */
+    EventQueue::Callback retire(std::uint32_t slot)
+    {
+        return inflight_.release(slot).done;
+    }
 
     std::uint32_t pageShift() const
     {
@@ -232,6 +250,8 @@ class Chiplet : public SimObject
     L2TlbStage *l2_ = nullptr;
     std::unique_ptr<Cache> l2_cache_;
     std::unique_ptr<Dram> dram_;
+
+    SlotTable<InFlight> inflight_;
 
     Counter sibling_hits_;
     Counter remote_data_;

@@ -15,7 +15,7 @@ FBarreService::FBarreService(EventQueue &eq, std::string name,
                              TranslationService &fallback)
     : SimObject(eq, std::move(name)), params_(params),
       chiplets_(chiplets), noc_(noc), map_(map), fallback_(fallback),
-      l2_tlbs_(chiplets, nullptr)
+      l2_tlbs_(chiplets, nullptr), waiting_(chiplets)
 {
     for (std::uint32_t c = 0; c < chiplets; ++c) {
         engines_.push_back(std::make_unique<FilterEngine>(
@@ -140,8 +140,12 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
     Cycles local_lat = 0;
     if (auto local = tryCalcAt(src, pid, vpn, false, local_lat)) {
         ++local_hits_;
-        after(local_lat, [done = std::move(done),
-                          resp = std::move(*local)]() { done(resp); });
+        const std::uint32_t slot =
+            waiting_[src].acquire(Waiting{std::move(done), *local});
+        after(local_lat, inlineOnly([this, src, slot] {
+                  Waiting w = waiting_[src].release(slot);
+                  w.done(w.resp);
+              }));
         return;
     }
 
@@ -150,14 +154,20 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
         if (auto peer = engines_[src]->predictSharer(pid, vpn)) {
             ++remote_probes_;
             ChipletId p = *peer;
-            auto at_peer = [this, pid, vpn, src, p,
-                            done = std::move(done)]() mutable {
+            // The probe runs in p's domain and carries the request by
+            // value; the completion waits here for the reply or NACK.
+            const std::uint32_t slot =
+                waiting_[src].acquire(Waiting{std::move(done)});
+            auto at_peer = inlineOnly([this, pid, vpn, src, p, slot] {
                 Cycles peer_lat = 0;
                 auto resp = tryCalcAt(p, pid, vpn, true, peer_lat);
                 if (resp) {
                     ++remote_hits_;
-                    auto reply = [done = std::move(done),
-                                  r = std::move(*resp)]() { done(r); };
+                    // The response crosses back by value, like an ATS
+                    // response: too large for the inline buffer.
+                    auto reply = [this, src, slot, r = std::move(*resp)] {
+                        waiting_[src].release(slot).done(r);
+                    };
                     if (params_.oracle_sharing) {
                         // Fixed-latency hop back to the requester; runs
                         // under src's tag so the continuation fills
@@ -176,24 +186,22 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
                     return;
                 }
                 // Misprediction: NACK, then the conventional path.
-                auto fall = [this, pid, vpn, src,
-                             done = std::move(done)]() mutable {
+                auto fall = inlineOnly([this, pid, vpn, src, slot] {
                     ++fallbacks_;
-                    fallback_.translate(pid, vpn, src, std::move(done));
-                };
+                    fallback_.translate(pid, vpn, src,
+                                        waiting_[src].release(slot).done);
+                });
                 if (params_.oracle_sharing) {
                     eventQueue().scheduleCross(
                         chipletTag(src),
                         curTick() + peer_lat + params_.oracle_latency,
-                        std::move(fall));
+                        fall);
                 } else {
-                    after(peer_lat, [this, p, src,
-                                     fall = std::move(fall)]() mutable {
-                        noc_.send(p, src, params_.nack_bytes,
-                                  std::move(fall));
-                    });
+                    after(peer_lat, inlineOnly([this, p, src, fall] {
+                              noc_.send(p, src, params_.nack_bytes, fall);
+                          }));
                 }
-            };
+            });
             if (params_.oracle_sharing) {
                 // The oracle models a fixed-latency query with no NoC
                 // resource usage, but the peek still executes the

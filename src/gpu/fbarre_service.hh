@@ -30,6 +30,7 @@
 #include "sim/domain.hh"
 #include "sim/domain_guard.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace barre
@@ -164,6 +165,14 @@ class FBarreService : public SimObject,
     void sendFilterUpdates(ChipletId from, bool add, ProcessId pid,
                            std::vector<Vpn> vpns);
 
+    /** A requester's translation waiting in its own domain: the
+     *  completion and, for a local calculation, its response. */
+    struct Waiting
+    {
+        Iommu::ResponseHandler done;
+        AtsResponse resp{};
+    };
+
     FBarreParams params_;
     bool shared_bypass_ = false;
     std::uint32_t chiplets_;
@@ -173,6 +182,8 @@ class FBarreService : public SimObject,
     std::vector<std::unique_ptr<FilterEngine>> engines_;
     std::vector<std::unique_ptr<PecBuffer>> pec_buffers_;
     std::vector<Tlb *> l2_tlbs_;
+    /** Per requesting chiplet; touched only in that chiplet's domain. */
+    std::vector<SlotTable<Waiting>> waiting_;
 
     // One service instance is bumped from every chiplet's sequencing
     // context, so these shard per tag (TagCounter degenerates to a

@@ -95,10 +95,15 @@ class L2TlbStage : public SimObject
     void
     lookup(ChipletId src, ProcessId pid, Vpn vpn, C cont)
     {
-        after(tlb_.params().lookup_latency,
-              [this, src, pid, vpn, cont = std::move(cont)]() mutable {
-                  step(src, pid, vpn, std::move(cont));
-              });
+        auto k = [this, src, pid, vpn, cont = std::move(cont)]() mutable {
+            step(src, pid, vpn, std::move(cont));
+        };
+        // A continuation of two words (a chiplet's {this, slot}) keeps
+        // the lookup event inside InlineFn's buffer.
+        static_assert(fitsInlineBuffer<decltype(k)>() ||
+                          !fitsInlineBuffer<C, 16>(),
+                      "a two-word continuation must keep lookup inline");
+        after(tlb_.params().lookup_latency, std::move(k));
     }
 
     /**

@@ -158,7 +158,9 @@ WalkStage::startWalk(WalkRequest req)
 {
     in_flight_.emplace_back(req.pid, req.vpn);
     const Cycles latency = hooks_.start(req);
-    after(latency, [this, req = std::move(req)]() mutable {
+    const std::uint32_t slot = walking_.acquire(std::move(req));
+    after(latency, inlineOnly([this, slot] {
+        WalkRequest req = walking_.release(slot);
         const auto walk = std::make_pair(req.pid, req.vpn);
         finish(std::move(req));
         auto it = std::find(in_flight_.begin(), in_flight_.end(), walk);
@@ -166,7 +168,7 @@ WalkStage::startWalk(WalkRequest req)
                      name().c_str());
         in_flight_.erase(it);
         dispatch();
-    });
+    }));
 }
 
 void

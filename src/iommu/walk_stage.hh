@@ -31,6 +31,7 @@
 #include "sim/flat_map.hh"
 #include "sim/inline_fn.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace barre
@@ -151,6 +152,8 @@ class WalkStage : public SimObject, public DomainOwned
     std::deque<WalkRequest> overflow_;
     /** What the busy walkers are walking, one entry each. */
     std::vector<std::pair<ProcessId, Vpn>> in_flight_;
+    /** The busy walkers' requests; a walk's done event holds the slot. */
+    SlotTable<WalkRequest> walking_;
 
     /** Fair scheduling: per-process last-dispatch stamps. */
     std::map<ProcessId, std::uint64_t> last_served_;

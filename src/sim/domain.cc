@@ -55,27 +55,79 @@ void
 EventQueue::auditDomain(std::uint32_t d) const
 {
     const Domain &dom = domains_[d];
-    // 1 = named by a heap record, 2 = on the free list. A fired top
-    // awaiting replacement (runEpoch's hole) names a freed slot.
+    // 1 = named by a record, 2 = on the free list.
     std::vector<std::uint8_t> use(dom.slab.size(), 0);
-    for (const Record &r : dom.heap) {
-        if (dom.hole && &r == &dom.heap.top())
-            continue;
-        barre_assert(r.when >= dom.now,
-                     "domain %u heap entry at tick %llu is in the past "
-                     "(now %llu)",
-                     d, (unsigned long long)r.when,
-                     (unsigned long long)dom.now);
-        barre_assert(tag_domain_[r.tag] == d,
-                     "domain %u holds an event for tag %u (domain %u)",
-                     d, unsigned(r.tag), tag_domain_[r.tag]);
-        barre_assert(r.slot < use.size() && use[r.slot] == 0 &&
-                         dom.slab[r.slot],
+    auto claim = [&](std::uint32_t s, Tick when, SeqTag tag) {
+        barre_assert(s < use.size() && use[s] == 0 && dom.slab[s],
                      "domain %u record names slab slot %u, which holds "
                      "no live callback of its own",
-                     d, r.slot);
-        use[r.slot] = 1;
+                     d, s);
+        barre_assert(when >= dom.now,
+                     "domain %u record at tick %llu is in the past "
+                     "(now %llu)",
+                     d, (unsigned long long)when,
+                     (unsigned long long)dom.now);
+        barre_assert(tag_domain_[tag] == d,
+                     "domain %u holds an event for tag %u (domain %u)",
+                     d, unsigned(tag), tag_domain_[tag]);
+        use[s] = 1;
+    };
+
+    std::size_t near = 0;
+    for (std::uint32_t b = 0; b < kWindow; ++b) {
+        const auto &bk = dom.buckets[b];
+        const bool bit = (dom.occupied[b / 64] >> (b % 64)) & 1;
+        barre_assert(bit == (bk.head != kNil),
+                     "domain %u bucket %u: occupancy bit %d but %s", d, b,
+                     int(bit), bk.head != kNil ? "records" : "empty");
+        std::uint32_t prev = kNil;
+        for (std::uint32_t s = bk.head; s != kNil; s = dom.nodes[s].next) {
+            barre_assert(s < dom.nodes.size() && dom.nodes[s].prev == prev &&
+                             ++near <= dom.slab.size(),
+                         "domain %u bucket %u: broken link at slot %u", d,
+                         b, s);
+            const Node &n = dom.nodes[s];
+            claim(s, n.when, n.tag);
+            barre_assert(n.when - dom.now < kWindow &&
+                             n.when % kWindow == b,
+                         "domain %u record at tick %llu is misfiled in "
+                         "bucket %u (window [%llu, +%u))",
+                         d, (unsigned long long)n.when, b,
+                         (unsigned long long)dom.now, kWindow);
+            if (prev != kNil) {
+                const Node &p = dom.nodes[prev];
+                barre_assert(p.when == n.when &&
+                                 (p.birth < n.birth ||
+                                  (p.birth == n.birth && p.key < n.key)),
+                             "domain %u bucket %u is out of (birth, key) "
+                             "order at slot %u",
+                             d, b, s);
+            }
+            prev = s;
+        }
+        barre_assert(bk.tail == prev, "domain %u bucket %u: tail %u is "
+                                      "not its last record %u",
+                     d, b, bk.tail, prev);
     }
+    barre_assert(near == dom.near, "domain %u counts %zu near records, "
+                                   "its buckets hold %zu",
+                 d, dom.near, near);
+
+    for (const Record &r : dom.far) {
+        claim(r.slot, r.when, r.tag);
+        const Node &n = dom.nodes[r.slot];
+        barre_assert(r.when - dom.now >= kWindow,
+                     "domain %u far record at tick %llu lies inside the "
+                     "window [%llu, +%u)",
+                     d, (unsigned long long)r.when,
+                     (unsigned long long)dom.now, kWindow);
+        barre_assert(n.when == r.when && n.birth == r.birth &&
+                         n.key == r.key && n.tag == r.tag,
+                     "domain %u far record disagrees with slot %u", d,
+                     r.slot);
+    }
+    dom.far.auditOrder("event domain far heap");
+
     for (std::uint32_t s : dom.free) {
         barre_assert(s < use.size() && use[s] == 0 && !dom.slab[s],
                      "domain %u free list names slab slot %u, which a "
@@ -83,11 +135,11 @@ EventQueue::auditDomain(std::uint32_t d) const
                      d, s);
         use[s] = 2;
     }
-    const std::size_t live = dom.heap.size() - dom.hole;
-    barre_assert(live + dom.free.size() == dom.slab.size(),
+    const std::size_t live = dom.near + dom.far.size();
+    barre_assert(live + dom.free.size() == dom.slab.size() &&
+                     dom.nodes.size() == dom.slab.size(),
                  "domain %u: %zu records + %zu free slots != slab of %zu",
                  d, live, dom.free.size(), dom.slab.size());
-    dom.heap.auditOrder("event domain");
 }
 
 } // namespace barre

@@ -1,8 +1,8 @@
 /**
  * @file
- * The event engine: sequencing tags, per-domain event heaps with their
- * callbacks in a slab, and the cross-domain staging that lets domains
- * advance in parallel.
+ * The event engine: sequencing tags, per-domain event queues (a per-tick
+ * near window in front of a far heap) with their callbacks in a slab,
+ * and the cross-domain staging that lets domains advance in parallel.
  *
  * The simulated system is split into *tags* — the finest units that are
  * never divided across threads (the host/IOMMU side is tag 0, chiplet c
@@ -42,6 +42,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -201,11 +203,23 @@ class ArbHook
 };
 
 /**
- * The event queue of one simulated system: one 4-ary heap of firing
- * records per domain ordered by the composite key, the callbacks those
- * records name in a per-domain slab, per-tag key counters and firing
- * digests, and one outbox per sending domain that stages cross-domain
- * sends until the epoch barrier drains it.
+ * The event queue of one simulated system: per domain, the pending
+ * firing records ordered by the composite key, the callbacks those
+ * records name in a slab, per-tag key counters and firing digests, and
+ * one outbox per sending domain that stages cross-domain sends until
+ * the epoch barrier drains it.
+ *
+ * Each domain files its records in two places. Records due inside the
+ * near window [now, now + kWindow) sit in per-tick buckets: doubly
+ * linked lists threaded through the slab, each in (birth, key) order,
+ * with an occupancy bitmap to find the next tick. Records due later
+ * wait in a 4-ary heap, the far backstop. The window's base is the
+ * domain clock, which moves only when a record fires, never on a peek:
+ * a staged arrival at or past an epoch horizon always lands at or after
+ * it. Each move of the clock pulls the far records that now fall inside
+ * the window into their buckets. Both halves keep the exact
+ * (when, birth, key) order; the window makes push and pop O(1) for the
+ * short delays that dominate a run.
  *
  * A default-constructed queue is one domain whose tag set grows on
  * demand; run() drains it. enableTags() gives it a System's partition
@@ -226,6 +240,9 @@ class EventQueue
 {
   public:
     using Callback = InlineFn<void()>;
+
+    /** Ticks covered by a domain's near window. */
+    static constexpr std::uint32_t kWindow = 1024;
 
     EventQueue() : tag_domain_(1, 0), domains_(1), ctr_(1), digest_(1) {}
 
@@ -294,7 +311,7 @@ class EventQueue
     {
         std::size_t n = 0;
         for (const Domain &d : domains_)
-            n += d.heap.size() - d.hole + d.out.size() + d.arb_out.size();
+            n += d.near + d.far.size() + d.out.size() + d.arb_out.size();
         return n;
     }
 
@@ -438,24 +455,32 @@ class EventQueue
         ctx.engine = this;
         ctx.domain = d;
         std::uint64_t fired = 0;
-        while (!dom.heap.empty() && dom.heap.top().when < horizon) {
-            const Record r = dom.heap.top();
-            // Move the callback out first: it may schedule into this
-            // slab, which can reallocate, and its slot is free again.
-            // The fired record stays on top as a hole that the
-            // callback's first push into this domain fills: one sift
-            // instead of a pop and a push. Unfilled, it is popped after
-            // the callback, also when the callback throws.
-            Callback cb = std::move(dom.slab[r.slot]);
-            dom.free.push_back(r.slot);
-            dom.hole = true;
-            HoleScope pop_unfilled{dom};
-            dom.now = r.when;
-            ctx.tag = r.tag;
-            ctx.ev_birth = r.birth;
-            ctx.ev_key = r.key;
+        for (;;) {
+            std::uint32_t s;
+            if (dom.near != 0) {
+                const std::uint32_t b = firstBucket(dom);
+                s = dom.buckets[b].head;
+                if (dom.nodes[s].when >= horizon)
+                    break;
+                unlinkHead(dom, b);
+            } else if (!dom.far.empty() && dom.far.top().when < horizon) {
+                s = dom.far.pop().slot;
+            } else {
+                break;
+            }
+            // Move the callback out and free its slot first: the
+            // callback may schedule into this slab, which can
+            // reallocate and reuse the slot.
+            const Node n = dom.nodes[s];
+            Callback cb = std::move(dom.slab[s]);
+            dom.free.push_back(s);
+            if (n.when != dom.now)
+                advance(dom, n.when);
+            ctx.tag = n.tag;
+            ctx.ev_birth = n.birth;
+            ctx.ev_key = n.key;
             ctx.op_ctr = 0;
-            digestFire(r);
+            digestFire(n);
             cb();
             ++fired;
             BARRE_AUDIT_EVERY(dom.audit_tick, kAuditPeriod,
@@ -468,7 +493,7 @@ class EventQueue
     /**
      * Barrier-phase replay: sort all staged arbitration ops into
      * global key order, resolve each through its hook, and move every
-     * staged event into its destination domain's heap. Runs on one
+     * staged event into its destination domain's queue. Runs on one
      * thread while all workers wait.
      */
     void drainStaged();
@@ -478,9 +503,14 @@ class EventQueue
     nextEventTick() const
     {
         Tick t = max_tick;
-        for (const Domain &d : domains_)
-            if (!d.heap.empty())
-                t = std::min(t, d.heap.top().when);
+        for (const Domain &d : domains_) {
+            if (d.near != 0) {
+                const std::uint32_t head = d.buckets[firstBucket(d)].head;
+                t = std::min(t, d.nodes[head].when);
+            } else if (!d.far.empty()) {
+                t = std::min(t, d.far.top().when);
+            }
+        }
         return t;
     }
 
@@ -501,12 +531,15 @@ class EventQueue
     }
 
     /**
-     * Deep audit of every domain (see sim/invariant.hh): the 4-ary
-     * heap order on (when, birth, key), no record in the past or owned
-     * by another domain's tag, every record naming a live callback in
-     * the slab, no free-list slot named by a record or listed twice,
-     * and heap plus free list covering the slab exactly. Panics
-     * (throws) on violation. O(pending).
+     * Deep audit of every domain (see sim/invariant.hh): every near
+     * record in its own tick's bucket inside [now, now + kWindow), each
+     * bucket's links consistent and strictly (birth, key)-ordered, a
+     * bitmap bit set exactly for the non-empty buckets, the far heap
+     * ordered on (when, birth, key) and holding nothing inside the
+     * window, no record owned by another domain's tag, every record
+     * naming a live callback in the slab, no free-list slot named by a
+     * record or listed twice, and records plus free slots covering the
+     * slab exactly. Panics (throws) on violation. O(pending + kWindow).
      */
     void
     auditInvariants() const
@@ -517,7 +550,7 @@ class EventQueue
 
     /**
      * Test hook: toggle @p slot 's membership in domain 0's free list
-     * behind the heap's back — freeing a live callback's slot, or
+     * behind the queue's back — freeing a live callback's slot, or
      * leaking a free one — so invariant tests can assert
      * auditInvariants() fires.
      */
@@ -530,6 +563,24 @@ class EventQueue
             free.push_back(slot);
         else
             free.erase(it);
+    }
+
+    /**
+     * Test hook: move domain 0's first near record into the next
+     * tick's bucket without changing its tick, so invariant tests can
+     * assert auditInvariants() fires on a misfiled record.
+     * @pre domain 0 has a record in its near window
+     */
+    void
+    debugMisfileNear()
+    {
+        Domain &dom = domains_[0];
+        barre_assert(dom.near != 0, "no near record to misfile");
+        const std::uint32_t b = firstBucket(dom);
+        const std::uint32_t s = dom.buckets[b].head;
+        unlinkHead(dom, b);
+        const std::uint32_t next = (b + 1) % kWindow;
+        linkAfter(dom, next, dom.buckets[next].tail, s);
     }
 
     /**
@@ -558,10 +609,15 @@ class EventQueue
 
   private:
 
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kWords = kWindow / 64;
+    static_assert(kWindow % 64 == 0);
+
     /**
-     * One pending event's firing record: fires in (when, birth, key)
-     * order; its callback waits in the domain's slab at @c slot, so
-     * heap sifts move 32 bytes and never a callback.
+     * One pending event's firing record, as the far heap keeps it: it
+     * fires in (when, birth, key) order; its callback waits in the
+     * domain's slab at @c slot, so heap sifts move 32 bytes and never
+     * a callback.
      */
     struct Record
     {
@@ -587,6 +643,27 @@ class EventQueue
         }
     };
 
+    /**
+     * A slab slot's record: the firing key of the callback at the same
+     * index, plus its links in its tick's bucket while it is near.
+     */
+    struct Node
+    {
+        Tick when;
+        Tick birth;
+        std::uint64_t key;
+        std::uint32_t prev; ///< earlier record of the bucket, or kNil
+        std::uint32_t next; ///< later record of the bucket, or kNil
+        SeqTag tag;
+    };
+
+    /** First and last slot of one tick's records, or kNil. */
+    struct TickBucket
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
     /** A cross-domain send awaiting the epoch barrier. */
     struct Staged
     {
@@ -610,13 +687,18 @@ class EventQueue
 
     struct alignas(64) Domain
     {
-        QuadHeap<Record, RecordBefore> heap;
-        /** Callbacks of the heap's records; free slots are empty. */
+        /** Near records by tick: tick t's bucket is t % kWindow. */
+        std::array<TickBucket, kWindow> buckets{};
+        /** Bit b set iff buckets[b] is non-empty. */
+        std::array<std::uint64_t, kWords> occupied{};
+        std::size_t near = 0; ///< records in the buckets
+        /** Records due at or after now + kWindow. */
+        QuadHeap<Record, RecordBefore> far;
+        /** Callbacks of the pending records; free slots are empty. */
         std::vector<Callback> slab;
+        std::vector<Node> nodes; ///< by slab slot
         std::vector<std::uint32_t> free; ///< reusable slab slots
         Tick now = 0;
-        /** The heap's top was fired and awaits replacement. */
-        bool hole = false;
         std::uint64_t fired = 0;
         std::uint64_t audit_tick = 0;
         /** Cross-domain sends staged this epoch (drained at the
@@ -644,39 +726,110 @@ class EventQueue
         return a.op_idx < b.op_idx;
     }
 
-    /** Park @p cb in a free slab slot of @p dom and queue @p r for it. */
+    /** Park @p cb in a free slab slot of @p dom and file @p r for it:
+     *  in its tick's bucket if it is near, on the far heap if not. */
     static void
     push(Domain &dom, Record r, Callback cb)
     {
+        const Node n{r.when, r.birth, r.key, kNil, kNil, r.tag};
         if (dom.free.empty()) {
             r.slot = std::uint32_t(dom.slab.size());
             dom.slab.push_back(std::move(cb));
+            dom.nodes.push_back(n);
         } else {
             r.slot = dom.free.back();
             dom.free.pop_back();
             dom.slab[r.slot] = std::move(cb);
+            dom.nodes[r.slot] = n;
         }
-        if (dom.hole) {
-            dom.hole = false;
-            dom.heap.replaceTop(r);
-        } else {
-            dom.heap.push(r);
-        }
+        if (r.when - dom.now < kWindow)
+            fileNear(dom, r.slot);
+        else
+            dom.far.push(r);
     }
 
-    /** Pops runEpoch's fired record if no push replaced it. */
-    struct HoleScope
+    /**
+     * Insert near slot @p s into its tick's bucket, walking from the
+     * tail: a record born now (the common case) goes last at once. One
+     * that fires before records already queued for its tick (born
+     * later in a domain that ran ahead, or at the same birth by a lower
+     * tag) moves up past them.
+     */
+    static void
+    fileNear(Domain &dom, std::uint32_t s)
     {
-        Domain &dom;
+        const Node &n = dom.nodes[s];
+        const std::uint32_t b = std::uint32_t(n.when % kWindow);
+        std::uint32_t at = dom.buckets[b].tail;
+        while (at != kNil && (n.birth < dom.nodes[at].birth ||
+                              (n.birth == dom.nodes[at].birth &&
+                               n.key < dom.nodes[at].key)))
+            at = dom.nodes[at].prev;
+        linkAfter(dom, b, at, s);
+    }
 
-        ~HoleScope()
-        {
-            if (dom.hole) {
-                dom.hole = false;
-                dom.heap.pop();
-            }
+    /** Link slot @p s into bucket @p b after slot @p at (kNil: first). */
+    static void
+    linkAfter(Domain &dom, std::uint32_t b, std::uint32_t at,
+              std::uint32_t s)
+    {
+        TickBucket &bk = dom.buckets[b];
+        Node &n = dom.nodes[s];
+        n.prev = at;
+        n.next = at == kNil ? bk.head : dom.nodes[at].next;
+        (at == kNil ? bk.head : dom.nodes[at].next) = s;
+        (n.next == kNil ? bk.tail : dom.nodes[n.next].prev) = s;
+        dom.occupied[b / 64] |= std::uint64_t{1} << (b % 64);
+        ++dom.near;
+    }
+
+    /** Take the first record out of non-empty bucket @p b. */
+    static void
+    unlinkHead(Domain &dom, std::uint32_t b)
+    {
+        TickBucket &bk = dom.buckets[b];
+        bk.head = dom.nodes[bk.head].next;
+        if (bk.head == kNil) {
+            bk.tail = kNil;
+            dom.occupied[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        } else {
+            dom.nodes[bk.head].prev = kNil;
         }
-    };
+        --dom.near;
+    }
+
+    /**
+     * The bucket of the earliest near tick: the first occupied bucket
+     * from now's, wrapping once round the window.
+     * @pre dom.near != 0
+     */
+    static std::uint32_t
+    firstBucket(const Domain &dom)
+    {
+        const std::uint32_t start = std::uint32_t(dom.now % kWindow);
+        std::uint32_t w = start / 64;
+        std::uint64_t bits =
+            dom.occupied[w] & (~std::uint64_t{0} << (start % 64));
+        while (bits == 0) {
+            w = (w + 1) % kWords;
+            bits = dom.occupied[w];
+        }
+        return w * 64 + std::uint32_t(std::countr_zero(bits));
+    }
+
+    /**
+     * Move @p dom 's clock to @p t, the tick of the record firing now,
+     * and pull the far records the window now covers into their
+     * buckets. They arrive in firing order into buckets that held only
+     * ticks before @p t, which are all fired.
+     */
+    static void
+    advance(Domain &dom, Tick t)
+    {
+        dom.now = t;
+        while (!dom.far.empty() && dom.far.top().when - t < kWindow)
+            fileNear(dom, dom.far.pop().slot);
+    }
 
     /**
      * Run @p f as the host tag: scheduling from outside any execution
@@ -714,7 +867,7 @@ class EventQueue
     }
 
     void
-    digestFire(const Record &r)
+    digestFire(const Node &r)
     {
         std::uint64_t h = digest_[r.tag].v;
         h = mix(h, r.when);

@@ -3,11 +3,14 @@
  * A move-only type-erased callable with small-buffer optimisation.
  *
  * InlineFn<R(Args...)> replaces std::function on the event hot path:
- * the common simulator capture — two or three pointers plus a couple of
- * scalars — is stored inline in a 48-byte buffer, so scheduling an
- * event performs no heap allocation. Larger callables (deeply nested
- * continuation lambdas) transparently fall back to the heap, which is
- * no worse than what std::function did for them.
+ * a callable of up to six pointers of captured state is stored inline
+ * in a 48-byte buffer, so scheduling it performs no heap allocation.
+ * Larger callables fall back to the heap. That is for cold paths only:
+ * a hot-path continuation parks its state (another InlineFn, a response)
+ * in a slot table its owner keeps and captures the slot index, and
+ * passes through inlineOnly(), which refuses at compile time a callable
+ * that would not fit. A closure built in one event domain may die in
+ * another, so no per-thread pool can stand in for that.
  *
  * Differences from std::function, on purpose:
  *   - move-only: events are consumed exactly once, and banning copies
@@ -32,6 +35,31 @@ namespace barre
 
 /** Default inline capacity: room for ~6 pointers of captured state. */
 inline constexpr std::size_t inline_fn_capacity = 48;
+
+/** True when callables of type F fit a @p Cap -byte inline buffer. */
+template <typename F, std::size_t Cap = inline_fn_capacity>
+constexpr bool
+fitsInlineBuffer()
+{
+    using Fn = std::decay_t<F>;
+    return sizeof(Fn) <= Cap && alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+}
+
+/**
+ * Pass @p fn through unchanged, refusing at compile time a callable
+ * that would take InlineFn's heap fallback: hot-path continuations
+ * wrap themselves in it.
+ */
+template <typename F>
+constexpr std::decay_t<F>
+inlineOnly(F &&fn)
+{
+    static_assert(fitsInlineBuffer<F>(),
+                  "hot-path continuation exceeds InlineFn's inline "
+                  "buffer; park its state in a slot and capture the index");
+    return std::forward<F>(fn);
+}
 
 template <typename Sig, std::size_t Cap = inline_fn_capacity>
 class InlineFn;
@@ -117,10 +145,7 @@ class InlineFn<R(Args...), Cap>
     static constexpr bool
     fitsInline()
     {
-        using Fn = std::decay_t<F>;
-        return sizeof(Fn) <= Cap &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Fn>;
+        return fitsInlineBuffer<F, Cap>();
     }
 
   private:

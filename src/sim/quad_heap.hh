@@ -1,6 +1,7 @@
 /**
  * @file
- * The 4-ary min-heap behind each EventQueue domain (sim/domain.hh).
+ * The 4-ary min-heap behind each EventQueue domain's near window
+ * (sim/domain.hh): it holds the records due past the window.
  *
  * Four children per node halve a binary heap's depth, and both sift
  * loops move a hole instead of swapping, so an entry is relocated once
@@ -63,10 +64,6 @@ class QuadHeap
             siftDown(std::move(tail));
         return out;
     }
-
-    /** Replace the first entry with @p e (a pop then a push, in one
-     *  sift). @pre !empty() */
-    void replaceTop(T e) { siftDown(std::move(e)); }
 
     /** Panic (throw) if an entry fires before its parent; @p what
      *  names the heap in the message. O(size). */

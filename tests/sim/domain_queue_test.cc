@@ -4,16 +4,19 @@
  * same tagged schedule fires in the same order — per-tag ticks, per-tag
  * rng streams, firing digests — no matter how tags are grouped into
  * domains or how many threads advance them. Plus the staged-arbitration
- * replay (shared-link wire state matches serial bitwise) and the
- * horizon audits (a cross-domain event or arbitrated delivery inside
- * the epoch horizon fires the invariant instead of corrupting the
- * run).
+ * replay (shared-link wire state matches serial bitwise), delays at
+ * and past the near window's edge with cross-domain arrivals landing
+ * before a domain's only pending record, and the horizon audits (a
+ * cross-domain event or arbitrated delivery inside the epoch horizon
+ * fires the invariant instead of corrupting the run).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "harness/domain_scheduler.hh"
@@ -29,6 +32,21 @@ namespace
 
 constexpr std::size_t kTags = 5; // host + 4 chiplets
 constexpr Tick kLinkDelay = 33;  // >= lookahead: crossings stay legal
+constexpr Tick kWindow = EventQueue::kWindow;
+
+/** Delays a tag gives its own successors. */
+enum class Mix
+{
+    /** Short hops only: everything stays inside the near window. */
+    short_hops,
+    /**
+     * The host keeps short hops; the chiplet tags mostly wait at or
+     * past the window's edge (W - 1 .. 4W), so their domains often hold
+     * nothing but one record past the epoch horizon while cross-domain
+     * arrivals land before it.
+     */
+    window_edges,
+};
 
 /** Per-tag firing record; each is only written from its own tag's
  *  execution context, so parallel runs need no synchronization. */
@@ -52,10 +70,12 @@ struct DiffDriver
     std::vector<Rng> rngs;
     std::vector<TagRec> rec;
     std::vector<std::uint64_t> budget;
+    Mix mix;
 
     DiffDriver(const std::vector<std::uint32_t> &tag_domain,
-               std::uint32_t domains, std::uint64_t per_tag)
-        : rec(kTags), budget(kTags, per_tag)
+               std::uint32_t domains, std::uint64_t per_tag,
+               Mix mix = Mix::short_hops)
+        : rec(kTags), budget(kTags, per_tag), mix(mix)
     {
         for (std::size_t t = 0; t < kTags; ++t)
             rngs.emplace_back(0xb0ba + t);
@@ -80,9 +100,27 @@ struct DiffDriver
                                      rngs[t].below(64),
                                  [this, dst]() { fire(dst); });
             } else {
-                eq.scheduleAfter(rngs[t].below(128),
-                                 [this, t]() { fire(t); });
+                eq.scheduleAfter(localDelay(t), [this, t]() { fire(t); });
             }
+        }
+    }
+
+    Tick
+    localDelay(SeqTag t)
+    {
+        Rng &rng = rngs[t];
+        if (mix == Mix::short_hops || t == kHostTag)
+            return rng.below(128);
+        switch (rng.below(8)) {
+          case 0:
+            return 0;
+          case 1:
+            return rng.below(128);
+          case 2:
+          case 3:
+            return kWindow - 1 + rng.below(3); // the window's edge
+          default:
+            return kWindow + rng.below(3 * kWindow + 1);
         }
     }
 
@@ -152,6 +190,61 @@ TEST(DomainQueueDiff, FiringOrderIsThreadCountIndependent)
     DiffDriver threaded(kFiveDomains, 5, per_tag);
     threaded.run(5);
     expectIdentical(serial, threaded);
+}
+
+TEST(DomainQueueDiff, WindowEdgesAndLateArrivalsArePartitionIndependent)
+{
+    // Chiplet domains whose only pending record lies past the epoch
+    // horizon receive staged arrivals that land before it; the window
+    // must not have moved on to that record when it was only peeked.
+    constexpr std::uint64_t per_tag = 3000;
+    DiffDriver ref(kOneDomain, 1, per_tag, Mix::window_edges);
+    ref.run(1);
+    ASSERT_GT(ref.eq.fired(), per_tag);
+    ASSERT_GT(ref.eq.now(), 4 * kWindow);
+
+    for (const auto &[plan, domains] :
+         {std::pair{kTwoDomains, 2u}, std::pair{kFourDomains, 4u},
+          std::pair{kFiveDomains, 5u}}) {
+        SCOPED_TRACE(domains);
+        DiffDriver split(plan, domains, per_tag, Mix::window_edges);
+        split.run(1);
+        expectIdentical(ref, split);
+    }
+    DiffDriver threaded(kFiveDomains, 5, per_tag, Mix::window_edges);
+    threaded.run(5);
+    expectIdentical(ref, threaded);
+}
+
+TEST(DomainQueueDiff, StagedArrivalsLandBeforeAPeekedFarRecord)
+{
+    // Domain 1's only record is past the first epoch's horizon, once
+    // on the far heap and once inside the window; the host's staged
+    // sends land before it, at the window's edge and past it.
+    for (const Tick lone : {Tick{3 * kWindow}, Tick{500}}) {
+        SCOPED_TRACE(lone);
+        EventQueue eq;
+        eq.enableTags({0, 1}, 2);
+        std::vector<Tick> fired;
+        {
+            EventQueue::TagScope scope(eq, 1);
+            eq.schedule(lone, [&] { fired.push_back(eq.now()); });
+        }
+        {
+            EventQueue::TagScope scope(eq, kHostTag);
+            eq.schedule(0, [&] {
+                for (const Tick at : {Tick{40}, Tick{kWindow - 1},
+                                      Tick{kWindow}, Tick{kWindow + 40}})
+                    eq.scheduleCross(1, at,
+                                     [&] { fired.push_back(eq.now()); });
+            });
+        }
+        DomainScheduler::run(eq, kLinkDelay, 1);
+        std::vector<Tick> want{40, kWindow - 1, kWindow, kWindow + 40,
+                               lone};
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(fired, want);
+    }
 }
 
 /** A contended shared wire: arbitration must replay in the exact order

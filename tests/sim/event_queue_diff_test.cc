@@ -7,13 +7,16 @@
  * workload spread over several tags of one domain, with cross-tag
  * sends; under plain (when, seq) order for the same workload on one
  * tag; each under every delay mix (general, IOMMU-shaped,
- * uniform-horizon). Preloaded schedules fire in the order of a stable
- * sort of (tick, schedule index).
+ * uniform-horizon, and one straddling the near window's edge).
+ * Preloaded schedules fire in the order of a stable sort of (tick,
+ * schedule index), and same-birth pushes from a lower tag fire before
+ * records already queued for their tick, near or far.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +74,25 @@ Tick
 uniformHorizonDelay(Rng &rng)
 {
     return rng.below(16384);
+}
+
+/**
+ * Straddles the near window: same tick, inside it, and from its edge
+ * out to four windows. Far records migrate into the window as the
+ * clock moves, and buckets are reused as the window wraps.
+ */
+Tick
+windowStraddleDelay(Rng &rng)
+{
+    constexpr Tick w = EventQueue::kWindow;
+    switch (rng.below(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return 1 + rng.below(w - 1);
+      default:
+        return w + rng.below(3 * w + 1);
+    }
 }
 
 /**
@@ -261,7 +283,8 @@ const struct
     DelayFn delay;
 } kMixes[] = {{"mixed", mixedDelay},
               {"iommu-burst", iommuBurstDelay},
-              {"uniform-horizon", uniformHorizonDelay}};
+              {"uniform-horizon", uniformHorizonDelay},
+              {"window-straddle", windowStraddleDelay}};
 
 TEST(EventQueueDiff, MillionEventRandomScheduleFiresIdentically)
 {
@@ -330,6 +353,41 @@ TEST(EventQueueDiff, PreloadedMixedDelaysFireInIdenticalOrder)
     eq.run();
     EXPECT_TRUE(fired == ref);
     EXPECT_EQ(eq.now(), *std::max_element(ticks.begin(), ticks.end()));
+}
+
+TEST(EventQueueDiff, SameBirthLowerTagGoesBeforeQueuedRecords)
+{
+    // At tick 10, tag 4's event (born 0) fires before tag 1's (born
+    // 5). Each schedules one record per target tick, born 10. Tag 1's
+    // key is lower, so its record fires first at every target although
+    // it was pushed later: near, at the window's last tick and its
+    // first far tick, and from the far heap.
+    constexpr Tick w = EventQueue::kWindow;
+    const std::vector<Tick> targets{10, 11, 10 + w - 1, 10 + w,
+                                    10 + 3 * w};
+    EventQueue eq;
+    std::vector<std::pair<Tick, SeqTag>> fired;
+    auto send = [&](SeqTag from, Tick birth) {
+        EventQueue::TagScope scope(eq, from);
+        eq.schedule(birth, [&] {
+            eq.schedule(10, [&] {
+                for (const Tick t : targets) {
+                    eq.schedule(t, [&] {
+                        fired.emplace_back(eq.now(), currentExecTag());
+                    });
+                }
+            });
+        });
+    };
+    send(4, 0);
+    send(1, 5);
+    eq.run();
+    std::vector<std::pair<Tick, SeqTag>> want;
+    for (const Tick t : targets) {
+        want.emplace_back(t, 1);
+        want.emplace_back(t, 4);
+    }
+    EXPECT_EQ(fired, want);
 }
 
 TEST(EventQueueDiff, RepeatedDrainsAgreeAcrossModes)

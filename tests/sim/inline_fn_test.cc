@@ -49,6 +49,31 @@ TEST(InlineFn, SmallCapturesAreStoredInline)
                   "three-word captures must not allocate");
 }
 
+TEST(InlineFn, InlineOnlyPassesASlotCaptureThrough)
+{
+    // The hot-path shape: an owner pointer and a slot index.
+    struct Owner
+    {
+        std::vector<int> slots{0, 0, 0};
+    } owner;
+    const std::uint32_t slot = 2;
+    auto k = inlineOnly([o = &owner, slot]() { ++o->slots[slot]; });
+    static_assert(InlineFn<void()>::fitsInline<decltype(k)>());
+    InlineFn<void()> fn(std::move(k));
+    fn();
+    EXPECT_EQ(owner.slots[2], 1);
+
+    // What inlineOnly() refuses: a continuation that carries another
+    // InlineFn (the pattern it replaces) overflows the buffer.
+    struct Nested
+    {
+        InlineFn<void()> done;
+        void operator()() const {}
+    };
+    static_assert(!fitsInlineBuffer<Nested>());
+    static_assert(fitsInlineBuffer<decltype(k)>());
+}
+
 TEST(InlineFn, ForwardsArgumentsAndReturnsValues)
 {
     InlineFn<int(int, int)> add([](int a, int b) { return a + b; });

@@ -331,6 +331,43 @@ TEST(EventQueueAudit, CorruptedSlabFreeListFires)
     eq.run();
 }
 
+TEST(EventQueueAudit, MisfiledNearRecordFires)
+{
+    EventQueue eq;
+    eq.scheduleAfter(10, [] {});
+    eq.scheduleAfter(10, [] {});
+    eq.scheduleAfter(3 * EventQueue::kWindow, [] {});
+    EXPECT_NO_THROW(eq.auditInvariants());
+    // The first tick-10 record moves to tick 11's bucket, keeping its
+    // tick: it now sits in another tick's bucket.
+    eq.debugMisfileNear();
+    EXPECT_THROW(eq.auditInvariants(), std::logic_error);
+}
+
+TEST(EventQueueAudit, WindowAndFarHeapPassAcrossTheEdge)
+{
+    EventQueue eq;
+    const Tick w = EventQueue::kWindow;
+    int fired = 0;
+    int extra = 0;
+    // Delays on both sides of the window's edge and several windows
+    // out: records migrate from the far heap and buckets are reused.
+    for (int i = 0; i < 300; ++i) {
+        eq.scheduleAfter(static_cast<Cycles>((i * 97) % (4 * w)), [&, i] {
+            ++fired;
+            eq.auditInvariants();
+            if (i % 3 == 0)
+                eq.scheduleAfter(w - 1 + (i / 3) % 3, [&] { ++extra; });
+        });
+    }
+    eq.auditInvariants();
+    eq.run();
+    eq.auditInvariants();
+    EXPECT_EQ(fired, 300);
+    EXPECT_EQ(extra, 100);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
 TEST(EventQueueAudit, OrderedHeapAndFastLanePass)
 {
     EventQueue eq;

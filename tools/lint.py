@@ -19,8 +19,8 @@ correctness story depends on:
                    std::unique_ptr/containers.
   event-path-fn    no std::function in simulated-hardware code (src/
                    minus harness/ and workloads/): event callbacks are
-                   sim/inline_fn.hh InlineFn so the per-event schedule
-                   path never heap-allocates. std::function remains
+                   sim/inline_fn.hh InlineFn, which stores the
+                   per-access continuations inline. std::function remains
                    fine in the host-side runner/pool infrastructure.
   host-threads     std::thread, std::jthread and hardware_concurrency
                    appear in src/, bench/ and tools/ only in
@@ -31,9 +31,10 @@ correctness story depends on:
                    src/gpu/l2_tlb_stage.{hh,cc}, so the L2 TLB stage
                    stays the one lookup/park/merge/fill path and a
                    second copy of it cannot grow back.
-  one-event-engine QuadHeap< appears in src/ only in src/sim/domain.hh,
-                   so EventQueue's per-domain heaps stay the one event
-                   engine and a second queue cannot grow back.
+  one-event-engine QuadHeap< and TickBucket (the near window's per-tick
+                   bucket) appear in src/ only in src/sim/domain.hh, so
+                   EventQueue's per-domain window and heap stay the one
+                   event engine and a second queue cannot grow back.
   one-walk-queue   deque< appears in src/iommu/ only in
                    src/iommu/walk_stage.{hh,cc}, so the walk stage stays
                    the one PW-queue / walker / PEC-scan path of the IOMMU
@@ -272,9 +273,10 @@ class Linter:
 
     def check_one_event_engine(self):
         self.check_single_home(
-            "one-event-engine", r"\bQuadHeap\s*<", {"src/sim/domain.hh"},
-            "event heaps live only in src/sim/domain.hh; schedule "
-            "through EventQueue")
+            "one-event-engine", r"\bQuadHeap\s*<|\bTickBucket\b",
+            {"src/sim/domain.hh"},
+            "event heaps and tick buckets live only in src/sim/domain.hh; "
+            "schedule through EventQueue")
 
     def check_one_walk_queue(self):
         self.check_single_home(
