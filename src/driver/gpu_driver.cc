@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
@@ -48,6 +49,21 @@ GpuDriver::pageTable(ProcessId pid)
         }
     }
     return *slot;
+}
+
+const PageTable &
+GpuDriver::pageTable(ProcessId pid) const
+{
+    auto it = page_tables_.find(pid);
+    barre_assert(it != page_tables_.end(), "no page table for process %u",
+                 pid);
+    return *it->second;
+}
+
+PageTable &
+GpuDriver::existingTable(ProcessId pid)
+{
+    return const_cast<PageTable &>(std::as_const(*this).pageTable(pid));
 }
 
 FrameAllocator &
@@ -289,7 +305,7 @@ GpuDriver::faultIn(ProcessId pid, Vpn vpn)
     domainCheck("faultIn");
     barre_assert(params_.demand_paging,
                  "faultIn outside demand-paging mode");
-    PageTable &pt = pageTable(pid);
+    PageTable &pt = existingTable(pid);
     if (pt.walk(vpn))
         return {}; // raced an earlier fault for the same group
 
@@ -335,7 +351,7 @@ GpuDriver::migratePage(ProcessId pid, Vpn vpn, ChipletId dest)
 {
     domainCheck("migratePage");
     barre_assert(dest < map_.numChiplets(), "bad destination chiplet");
-    PageTable &pt = pageTable(pid);
+    PageTable &pt = existingTable(pid);
     auto pte = pt.walk(vpn);
     if (!pte)
         return std::nullopt;

@@ -84,7 +84,13 @@ class GpuDriver : public DomainOwned
     const MemoryMap &memoryMap() const { return map_; }
     const DriverParams &params() const { return params_; }
 
+    /** @p pid 's page table, created on first use. */
     PageTable &pageTable(ProcessId pid);
+    /**
+     * @p pid 's existing page table. Never inserts, so chiplet-side
+     * readers may call it while the host runs.
+     */
+    const PageTable &pageTable(ProcessId pid) const;
     FrameAllocator &allocator(ChipletId chiplet);
 
     /** Allocate and map a buffer of @p pages pages. */
@@ -178,6 +184,8 @@ class GpuDriver : public DomainOwned
                   std::uint32_t width);
 
     const PecEntry *findPecEntry(ProcessId pid, Vpn vpn) const;
+    /** @p pid 's existing page table, for mid-run updates. */
+    PageTable &existingTable(ProcessId pid);
 
     const MemoryMap &map_;
     DriverParams params_;

@@ -15,7 +15,7 @@ FBarreService::FBarreService(EventQueue &eq, std::string name,
                              TranslationService &fallback)
     : SimObject(eq, std::move(name)), params_(params),
       chiplets_(chiplets), noc_(noc), map_(map), fallback_(fallback),
-      l2_tlbs_(chiplets, nullptr), waiting_(chiplets)
+      l2_tlbs_(chiplets, nullptr), waiting_(chiplets), replies_(chiplets)
 {
     for (std::uint32_t c = 0; c < chiplets; ++c) {
         engines_.push_back(std::make_unique<FilterEngine>(
@@ -163,11 +163,6 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
                 auto resp = tryCalcAt(p, pid, vpn, true, peer_lat);
                 if (resp) {
                     ++remote_hits_;
-                    // The response crosses back by value, like an ATS
-                    // response: too large for the inline buffer.
-                    auto reply = [this, src, slot, r = std::move(*resp)] {
-                        waiting_[src].release(slot).done(r);
-                    };
                     if (params_.oracle_sharing) {
                         // Fixed-latency hop back to the requester; runs
                         // under src's tag so the continuation fills
@@ -175,13 +170,18 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
                         eventQueue().scheduleCross(
                             chipletTag(src),
                             curTick() + peer_lat + params_.oracle_latency,
-                            std::move(reply));
+                            replyTo(src, slot, std::move(*resp)));
                     } else {
-                        after(peer_lat, [this, p, src,
-                                         reply = std::move(reply)]() mutable {
-                            noc_.send(p, src, params_.reply_bytes,
-                                      std::move(reply));
-                        });
+                        // The response waits out peer_lat in p's own
+                        // slot; only the NoC crossing carries it.
+                        const std::uint32_t r = replies_[p].acquire(
+                            Reply{src, slot, std::move(*resp)});
+                        after(peer_lat, inlineOnly([this, p, r] {
+                                  Reply rep = replies_[p].release(r);
+                                  noc_.send(p, rep.src, params_.reply_bytes,
+                                            replyTo(rep.src, rep.slot,
+                                                    std::move(rep.resp)));
+                              }));
                     }
                     return;
                 }
@@ -222,6 +222,16 @@ FBarreService::translate(ProcessId pid, Vpn vpn, ChipletId src,
     // Step 3: conventional path.
     ++fallbacks_;
     fallback_.translate(pid, vpn, src, std::move(done));
+}
+
+EventQueue::Callback
+FBarreService::replyTo(ChipletId src, std::uint32_t slot, AtsResponse resp)
+{
+    // The response crosses back by value, like an ATS response: too
+    // large for the inline buffer.
+    return [this, src, slot, resp = std::move(resp)] {
+        waiting_[src].release(slot).done(resp);
+    };
 }
 
 void

@@ -173,6 +173,19 @@ class FBarreService : public SimObject,
         AtsResponse resp{};
     };
 
+    /** A peer's answer waiting out its lookup latency before it is
+     *  sent back to requester @p src 's waiting slot. */
+    struct Reply
+    {
+        ChipletId src = 0;
+        std::uint32_t slot = 0;
+        AtsResponse resp{};
+    };
+
+    /** The event that hands @p resp to @p src 's waiting @p slot. */
+    EventQueue::Callback replyTo(ChipletId src, std::uint32_t slot,
+                                 AtsResponse resp);
+
     FBarreParams params_;
     bool shared_bypass_ = false;
     std::uint32_t chiplets_;
@@ -184,6 +197,8 @@ class FBarreService : public SimObject,
     std::vector<Tlb *> l2_tlbs_;
     /** Per requesting chiplet; touched only in that chiplet's domain. */
     std::vector<SlotTable<Waiting>> waiting_;
+    /** Per answering peer; touched only in that peer's domain. */
+    std::vector<SlotTable<Reply>> replies_;
 
     // One service instance is bumped from every chiplet's sequencing
     // context, so these shard per tag (TagCounter degenerates to a

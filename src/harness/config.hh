@@ -82,12 +82,8 @@ struct SystemConfig
      * and is the reference every multi-domain run is proven
      * bitwise-identical to. >= 2 gives the host its own domain and
      * round-robins chiplets over the rest. Clamped to chiplets + 1.
-     * The two configurations with read-side races across domain
-     * boundaries (migration's PTE surgery under GMMU-side walks, and
-     * validated demand paging — see System::partitionBlocker) warn and
-     * run as one domain; everything else — including plain demand
-     * paging and every service layered on the shared L2 TLB —
-     * partitions.
+     * Every configuration System accepts partitions; demand paging and
+     * migration are IOMMU-platform only (fatal with use_gmmu).
      */
     std::uint32_t sim_domains = 0;
 

@@ -56,6 +56,14 @@ System::System(SystemConfigHandle cfg)
     if (cfg_.iommu.multicast && (!cfg_.iommu.barre || cfg_.use_gmmu))
         barre_fatal("iommu.multicast needs Barre translation on the "
                     "IOMMU platform (mode barre or fbarre, no GMMU)");
+    // Demand paging and migration change PTEs mid-run; both are modeled
+    // on the IOMMU platform only, where every page walk is host-side.
+    if (cfg_.driver.demand_paging && cfg_.use_gmmu)
+        barre_fatal("demand paging is modeled on the IOMMU platform "
+                    "only (no GMMU)");
+    if (cfg_.migration.enabled && cfg_.use_gmmu)
+        barre_fatal("migration is modeled on the IOMMU platform only "
+                    "(no GMMU)");
     std::uint64_t frames =
         cfg_.mem_bytes_per_chiplet >> pageShift(cfg_.page_size);
     map_ = std::make_unique<MemoryMap>(cfg_.chiplets, frames);
@@ -102,8 +110,6 @@ System::System(SystemConfigHandle cfg)
         shared_tlb_svc_->setService(active_service_);
 
     if (cfg_.driver.demand_paging) {
-        barre_assert(!cfg_.use_gmmu,
-                     "demand paging is modeled on the IOMMU platform");
         iommu_->setFaultHandler([this](ProcessId pid, Vpn vpn) {
             driver_->faultIn(pid, vpn);
         });
@@ -142,9 +148,13 @@ System::System(SystemConfigHandle cfg)
     }
 
     if (cfg_.validate_translations && !cfg_.migration.enabled) {
-        auto check = [this](ProcessId pid, Vpn vpn, Pfn pfn,
-                            bool calculated) {
-            auto pte = driver_->pageTable(pid).walk(vpn);
+        // Runs chiplet-side while the host may fault pages in; each
+        // check reads a PTE installed before its translation left the
+        // host (DESIGN.md §8).
+        const GpuDriver &driver = *driver_;
+        auto check = [&driver](ProcessId pid, Vpn vpn, Pfn pfn,
+                               bool calculated) {
+            auto pte = driver.pageTable(pid).walk(vpn);
             barre_assert(pte.has_value(),
                          "translation for unmapped vpn 0x%llx",
                          (unsigned long long)vpn);
@@ -242,42 +252,11 @@ System::buildService()
         c->setService(active_service_);
 }
 
-const char *
-System::partitionBlocker(const SystemConfig &cfg)
-{
-    // Anything that reaches across a chiplet (or chiplet/host) boundary
-    // synchronously — without going through a latency-bearing link —
-    // would be racy and non-deterministic under partitioned execution.
-    // Every translation service (including layered on the shared L2
-    // TLB), migration (including shared-TLB shootdowns), demand
-    // paging, and the F-Barre oracle now cross over message paths;
-    // only the read-side races below remain — both invisible to the
-    // write-instrumented domain guard, hence blocked by construction
-    // rather than by audit.
-    if (cfg.driver.demand_paging && cfg.validate_translations &&
-        !cfg.migration.enabled) {
-        // Chiplet-side validators walk the page table the host-side
-        // fault handler is mutating mid-run.
-        return "validated demand paging's chiplet-side table walks";
-    }
-    if (cfg.migration.enabled && cfg.use_gmmu)
-        return "migration's PTE surgery under GMMU-side walks";
-    return nullptr;
-}
-
 void
 System::setupPartition()
 {
-    std::uint32_t domains =
+    const std::uint32_t domains =
         std::clamp(cfg_.sim_domains, 1u, cfg_.chiplets + 1);
-    if (domains > 1) {
-        if (const char *why = partitionBlocker(cfg_)) {
-            barre_warn("sim_domains=%u ignored: %s crosses domain "
-                       "boundaries synchronously; running as one domain",
-                       cfg_.sim_domains, why);
-            domains = 1;
-        }
-    }
 
     const std::size_t tags = std::size_t(cfg_.chiplets) + 1;
     std::vector<std::uint32_t> tag_domain(tags, 0);

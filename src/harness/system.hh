@@ -115,8 +115,6 @@ class System
     /** The epoch lookahead the partition plan computed: max_tick when
      *  no link crosses a domain boundary (one domain). */
     Tick pdesLookahead() const { return lookahead_; }
-    /** Why @p cfg cannot be partitioned, or nullptr if it can. */
-    static const char *partitionBlocker(const SystemConfig &cfg);
     /// @}
 
   private:

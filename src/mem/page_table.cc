@@ -4,20 +4,25 @@ namespace barre
 {
 
 PageTable::Node *
+PageTable::install(std::atomic<Node *> &slot)
+{
+    nodes_.push_back(std::make_unique<Node>());
+    Node *node = nodes_.back().get();
+    slot.store(node, std::memory_order_release);
+    return node;
+}
+
+PageTable::Node *
 PageTable::ensurePath(Vpn vpn)
 {
-    if (!root_) {
-        root_ = std::make_unique<Node>();
-        ++node_count_;
-    }
-    Node *node = root_.get();
+    // Only the writer installs, so its own relaxed reads are current.
+    Node *node = root_.load(std::memory_order_relaxed);
+    if (!node)
+        node = install(root_);
     for (int level = levels - 1; level > 0; --level) {
-        NodePtr &slot = node->children[indexAt(vpn, level)];
-        if (!slot) {
-            slot = std::make_unique<Node>();
-            ++node_count_;
-        }
-        node = slot.get();
+        std::atomic<Node *> &slot = node->children[indexAt(vpn, level)];
+        Node *child = slot.load(std::memory_order_relaxed);
+        node = child ? child : install(slot);
     }
     return node;
 }
@@ -25,39 +30,45 @@ PageTable::ensurePath(Vpn vpn)
 const PageTable::Node *
 PageTable::findLeafNode(Vpn vpn) const
 {
-    const Node *node = root_.get();
+    const Node *node = root_.load(std::memory_order_acquire);
     for (int level = levels - 1; level > 0 && node; --level) {
         node_accesses_.fetch_add(1, std::memory_order_relaxed);
-        node = node->children[indexAt(vpn, level)].get();
+        node = node->children[indexAt(vpn, level)].load(
+            std::memory_order_acquire);
     }
     if (node)
         node_accesses_.fetch_add(1, std::memory_order_relaxed);
     return node;
 }
 
+std::atomic<std::uint64_t> *
+PageTable::leafWord(Vpn vpn)
+{
+    if (!findLeafNode(vpn))
+        return nullptr;
+    // Re-find mutably via ensurePath (the path exists).
+    return &ensurePath(vpn)->ptes[indexAt(vpn, 0)];
+}
+
 void
 PageTable::map(Vpn vpn, Pfn pfn, const CoalInfo &ci)
 {
     domainCheck("map");
-    Node *leaf = ensurePath(vpn);
-    Pte &slot = leaf->ptes[indexAt(vpn, 0)];
-    if (!slot.present())
+    std::atomic<std::uint64_t> &word = ensurePath(vpn)->ptes[indexAt(vpn, 0)];
+    if (!Pte::fromRaw(word.load(std::memory_order_relaxed)).present())
         ++mapped_;
-    slot = Pte::make(pfn, ci);
+    word.store(Pte::make(pfn, ci).raw(), std::memory_order_relaxed);
 }
 
 bool
 PageTable::unmap(Vpn vpn)
 {
     domainCheck("unmap");
-    const Node *leaf = findLeafNode(vpn);
-    if (!leaf)
+    std::atomic<std::uint64_t> *word = leafWord(vpn);
+    if (!word ||
+        !Pte::fromRaw(word->load(std::memory_order_relaxed)).present())
         return false;
-    // findLeafNode is const; re-find mutably via ensurePath (path exists).
-    Pte &slot = ensurePath(vpn)->ptes[indexAt(vpn, 0)];
-    if (!slot.present())
-        return false;
-    slot = Pte{};
+    word->store(Pte{}.raw(), std::memory_order_relaxed);
     --mapped_;
     return true;
 }
@@ -68,7 +79,8 @@ PageTable::walk(Vpn vpn) const
     const Node *leaf = findLeafNode(vpn);
     if (!leaf)
         return std::nullopt;
-    const Pte &pte = leaf->ptes[indexAt(vpn, 0)];
+    const Pte pte = Pte::fromRaw(
+        leaf->ptes[indexAt(vpn, 0)].load(std::memory_order_relaxed));
     if (!pte.present())
         return std::nullopt;
     return pte;
@@ -78,13 +90,14 @@ bool
 PageTable::updateCoalInfo(Vpn vpn, const CoalInfo &ci)
 {
     domainCheck("updateCoalInfo");
-    const Node *leaf = findLeafNode(vpn);
-    if (!leaf)
+    std::atomic<std::uint64_t> *word = leafWord(vpn);
+    if (!word)
         return false;
-    Pte &slot = ensurePath(vpn)->ptes[indexAt(vpn, 0)];
-    if (!slot.present())
+    Pte pte = Pte::fromRaw(word->load(std::memory_order_relaxed));
+    if (!pte.present())
         return false;
-    slot.setCoalInfo(ci);
+    pte.setCoalInfo(ci);
+    word->store(pte.raw(), std::memory_order_relaxed);
     return true;
 }
 

@@ -6,6 +6,14 @@
  * walk() traverses four levels, counting node touches so page-walk locality
  * can be reported. Walk *timing* is applied by the IOMMU's page table
  * walkers (the paper configures 500-cycle walks), not here.
+ *
+ * One writer (the host: driver mapping, demand faults, migration) and
+ * any number of concurrent walkers (chiplet-side translation checks in
+ * a partitioned run) may use a table at once. Child pointers are
+ * published with release and followed with acquire, so a walker that
+ * reaches a node sees it fully built; PTE words are loaded and stored
+ * atomically (relaxed), so a walk reads a whole entry, old or new.
+ * Nodes are never freed before the table is.
  */
 
 #pragma once
@@ -15,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "mem/pte.hh"
 #include "mem/types.hh"
@@ -25,7 +34,7 @@ namespace barre
 {
 
 // domain-owner:host — the driver installs/removes mappings; walk() is
-// the sanctioned concurrent read path (atomic touch counter below).
+// the sanctioned concurrent read path (see the file comment).
 class PageTable : public DomainOwned
 {
   public:
@@ -68,17 +77,15 @@ class PageTable : public DomainOwned
     }
 
     /** Total radix nodes allocated (tree footprint). */
-    std::uint64_t nodeCount() const { return node_count_; }
+    std::uint64_t nodeCount() const { return nodes_.size(); }
 
   private:
-    struct Node;
-    using NodePtr = std::unique_ptr<Node>;
-
     struct Node
     {
-        // Interior levels use children; the leaf level uses ptes.
-        std::array<NodePtr, entries_per_node> children{};
-        std::array<Pte, entries_per_node> ptes{};
+        // Interior levels use children; the leaf level uses ptes (raw
+        // Pte words). Both are read by concurrent walkers.
+        std::array<std::atomic<Node *>, entries_per_node> children{};
+        std::array<std::atomic<std::uint64_t>, entries_per_node> ptes{};
     };
 
     static int
@@ -89,17 +96,21 @@ class PageTable : public DomainOwned
                                 (entries_per_node - 1));
     }
 
+    /** Allocate a node and publish it in @p slot. */
+    Node *install(std::atomic<Node *> &slot);
     Node *ensurePath(Vpn vpn);
     const Node *findLeafNode(Vpn vpn) const;
+    /** The leaf PTE word of @p vpn, or nullptr if its path is absent. */
+    std::atomic<std::uint64_t> *leafWord(Vpn vpn);
 
     ProcessId pid_;
-    NodePtr root_;
+    std::atomic<Node *> root_{nullptr};
+    /** Owns every node; walkers only follow the atomic pointers. */
+    std::vector<std::unique_ptr<Node>> nodes_;
     std::uint64_t mapped_ = 0;
-    // Atomic: partitioned-sim domains walk a shared page table
-    // concurrently (reads are safe; this touch counter is the only
-    // mutation). Increments commute, so the total stays deterministic.
+    // Bumped by concurrent walkers; increments commute, so the total
+    // stays deterministic.
     mutable std::atomic<std::uint64_t> node_accesses_{0};
-    std::uint64_t node_count_ = 0;
 };
 
 } // namespace barre

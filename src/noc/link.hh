@@ -35,19 +35,6 @@ class Link : public SimObject, public ArbHook
     {}
 
     /**
-     * Send @p bytes; @p deliver fires on arrival at the far end, in
-     * the sender's own sequencing context.
-     * @return the delivery tick.
-     */
-    Tick
-    send(std::uint64_t bytes, EventQueue::Callback deliver)
-    {
-        Tick arrive = arbitrate(curTick(), bytes);
-        eventQueue().schedule(arrive, std::move(deliver));
-        return arrive;
-    }
-
-    /**
      * Send @p bytes to the component sequenced as tag @p dst. The link
      * is owned by the sender (only the sending tag contends for the
      * wire), so arbitration resolves inline; the delivery executes as

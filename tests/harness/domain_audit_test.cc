@@ -2,15 +2,12 @@
  * @file
  * The domain-ownership audit (sim/domain_guard.hh).
  *
- * Three layers of proof:
+ * Two layers of proof:
  *  - Corruption tests: a component touched from the wrong execution
  *    context actually throws in panic mode, and $BARRE_DOMAIN_AUDIT
  *    accepts exactly off and panic.
- *  - Blocked configs: the configurations partitionBlocker() still
- *    refuses run panic-clean — their blockers are read races the
- *    write-instrumented guard cannot witness.
- *  - Clean configs: every partitionable configuration runs panic-clean
- *    under sim_domains>1 and bitwise identical to the serial reference
+ *  - Clean configs: every configuration runs panic-clean under
+ *    sim_domains>1 and bitwise identical to the serial reference
  *    (sim_domains=1).
  */
 
@@ -106,71 +103,6 @@ TEST(DomainGuard, ResolveModeParsesEnv)
               invariants_enabled ? panic : off);
 }
 
-/** Run @p cfg small with the audit pre-armed in panic mode. */
-void
-auditRun(SystemConfig cfg)
-{
-    cfg.workload_scale = 0.02;
-    System sys(std::move(cfg));
-    sys.domainGuard().setMode(DomainAuditMode::panic);
-    sys.loadScenario(ScenarioSpec::solo("cov"));
-    (void)sys.run();
-}
-
-struct BlockedConfig
-{
-    const char *name;
-    SystemConfig cfg;
-};
-
-std::vector<BlockedConfig>
-blockedConfigs()
-{
-    // The message-path conversions retired every write-side crossing —
-    // valkyrie/least/fbarre (plain and layered on the shared L2 TLB),
-    // migration (including shared-TLB shootdowns), and demand paging
-    // all live in PartitionableConfigsAuditCleanAndBitwiseIdentical
-    // now. The two configs still blocked both race on *reads* (a
-    // chiplet walking the page table while the host mutates it), which
-    // the write-instrumented guard cannot witness: their runs must
-    // stay panic-clean.
-    std::vector<BlockedConfig> out;
-
-    SystemConfig demand = SystemConfig::baselineAts();
-    demand.driver.demand_paging = true;
-    demand.validate_translations = true;
-    out.push_back({"demand_paging+validate", demand});
-
-    SystemConfig mg = SystemConfig::baselineAts();
-    mg.use_gmmu = true;
-    mg.mode = TranslationMode::barre;
-    mg.migration.enabled = true;
-    mg.migration.threshold = 4;
-    mg.driver.policy = MappingPolicyKind::round_robin;
-    out.push_back({"migration+gmmu", mg});
-    return out;
-}
-
-TEST(DomainAudit, BlockedConfigsAreReadRaceOnly)
-{
-    // Every remaining blocker is a read-side race the write-
-    // instrumented guard cannot witness — so a blocked config that
-    // *does* panic has grown a new synchronous write path, and one
-    // whose blocker disappears from partitionBlocker without review
-    // would wrongly partition. Pin both directions: the runs stay
-    // panic-clean AND the blocker is still in force.
-    for (auto &bc : blockedConfigs()) {
-        EXPECT_NO_THROW(auditRun(bc.cfg))
-            << bc.name << " panicked — a synchronous write-side "
-            << "crossing appeared; route it over a Link/message path "
-            << "(DESIGN.md §8)";
-        EXPECT_NE(System::partitionBlocker(bc.cfg), nullptr)
-            << bc.name << " is no longer blocked — if its read race "
-            << "was actually removed, move it to the partitionable "
-            << "identity suite";
-    }
-}
-
 struct CleanRun
 {
     std::string csv;
@@ -227,6 +159,9 @@ TEST(DomainAudit, PartitionableConfigsAuditCleanAndBitwiseIdentical)
     SystemConfig demand = SystemConfig::baselineAts();
     demand.driver.demand_paging = true;
     cfgs.emplace_back("demand_paging", demand);
+    // Chiplet-side validators walk the table the host faults into.
+    demand.validate_translations = true;
+    cfgs.emplace_back("demand_paging+validate", demand);
     SystemConfig sv = SystemConfig::valkyrieCfg();
     sv.shared_l2_tlb = true;
     cfgs.emplace_back("shared+valkyrie", sv);

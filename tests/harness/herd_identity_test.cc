@@ -50,6 +50,7 @@ struct CellRun
     std::uint64_t digest = 0;
     RunMetrics metrics;
     std::uint64_t multicast_pushes = 0;
+    bool partitioned = false;
     /** The `--stats` dump the digest covers. */
     std::string dump;
 
@@ -84,6 +85,7 @@ runCell(SystemConfig cfg, const ScenarioSpec &spec, const std::string &label,
     r.metrics = sys.run();
     r.metrics.app = label;
     r.multicast_pushes = sys.iommu().multicastPushes();
+    r.partitioned = sys.partitioned();
     EXPECT_GT(r.metrics.mshr_retries, 0u) << label << ": no request parked";
     std::ostringstream os;
     sys.dumpStats(os);
@@ -109,7 +111,8 @@ solo(const char *app, std::uint64_t want)
 
 /**
  * Run every cell under @p cfg at one and at five event domains; both
- * must give the cell's digest. @return the serial runs, in order.
+ * must give the cell's digest, and the five-domain run must partition.
+ * @return the serial runs, in order.
  */
 std::vector<CellRun>
 expectDigests(const SystemConfig &cfg, std::initializer_list<Cell> cells)
@@ -118,8 +121,9 @@ expectDigests(const SystemConfig &cfg, std::initializer_list<Cell> cells)
     for (const Cell &c : cells) {
         runs.push_back(runCell(cfg, c.spec, c.label, 1));
         EXPECT_EQ(runs.back().digest, c.want) << c.label;
-        EXPECT_EQ(runCell(cfg, c.spec, c.label, 5).digest, c.want)
-            << c.label << " over five domains";
+        const CellRun part = runCell(cfg, c.spec, c.label, 5);
+        EXPECT_EQ(part.digest, c.want) << c.label << " over five domains";
+        EXPECT_TRUE(part.partitioned) << c.label << " ran as one domain";
     }
     return runs;
 }
@@ -272,6 +276,19 @@ TEST(HerdIdentity, FBarreDemandPaging)
          expectDigests(cfg, {solo("gups", 0xcdd72a3b6f8edbacull),
                            solo("bicg", 0x9db9053af0949a2bull)}))
         EXPECT_GT(r.stat("iommu.page_faults"), 0u);
+}
+
+// Checking every translation against the page table changes nothing
+// it reports: the digests are FBarreDemandPaging's, though the checks
+// walk the table from the chiplets' domains while the host faults
+// pages into it.
+TEST(HerdIdentity, FBarreDemandPagingValidated)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg(2);
+    cfg.driver.demand_paging = true;
+    cfg.validate_translations = true;
+    expectDigests(cfg, {solo("gups", 0xcdd72a3b6f8edbacull),
+                        solo("bicg", 0x9db9053af0949a2bull)});
 }
 
 // ptws = 0: unbounded walkers and no PW-queue bound (Fig 1's infinite).

@@ -1,18 +1,21 @@
 /**
  * @file
- * The documented partition fallback, config by config: every
- * non-partitionable configuration asked to partition must emit the
- * `sim_domains=… ignored` warning exactly once, run as one domain, and
- * produce results bit-identical to sim_domains=1.
- * Conversely, every configuration the message-path work unblocked must
- * partition without a warning — a config can never both partition and
- * warn.
+ * Every configuration System accepts partitions: asked for several
+ * event domains, it splits into them without a warning and produces
+ * results bit-identical to sim_domains=1. Validated demand paging, whose
+ * chiplet-side checks walk the page table while the host faults pages
+ * in, is pinned here in CSV, stats and per-tag firing digests with the
+ * domain guard in panic mode. Migration and demand paging are modeled
+ * on the IOMMU platform only; asking for either under the GMMU is a
+ * clean fatal at construction.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/csv.hh"
 #include "harness/system.hh"
@@ -24,35 +27,41 @@ using namespace barre;
 namespace
 {
 
-struct FallbackOut
+struct RunOut
 {
     std::string csv;
     std::string stats;
+    std::vector<std::uint64_t> digests;
     bool partitioned = false;
+    /** Lines the construction and run logged to stderr. */
     int warnings = 0;
 };
 
-FallbackOut
-runCfg(SystemConfig cfg, std::uint32_t domains)
+RunOut
+runCfg(SystemConfig cfg, std::uint32_t domains, std::uint32_t threads = 1,
+       const char *app = "cov")
 {
     cfg.workload_scale = 0.02;
     cfg.sim_domains = domains;
+    cfg.sim_threads = threads;
 
-    FallbackOut out;
+    RunOut out;
     beginLogBuffer();
     System sys(std::move(cfg));
+    sys.domainGuard().setMode(DomainAuditMode::panic);
+    sys.loadScenario(ScenarioSpec::solo(app));
+    RunMetrics m = sys.run();
     LogBlock log = endLogBuffer();
     for (const auto &line : log.lines)
-        if (line.text.find("ignored:") != std::string::npos)
+        if (line.to_stderr)
             ++out.warnings;
 
-    sys.loadScenario(ScenarioSpec::solo("cov"));
-    RunMetrics m = sys.run();
-
+    m.app = app;
     out.csv = csvRow(m);
     std::ostringstream os;
     sys.dumpStats(os);
     out.stats = os.str();
+    out.digests = sys.eventQueue().fireDigests();
     out.partitioned = sys.partitioned();
     return out;
 }
@@ -86,12 +95,6 @@ cfgFor(const std::string &name)
         cfg.driver.demand_paging = true;
         return cfg;
     }
-    if (name == "demand_paging+validate") {
-        SystemConfig cfg = SystemConfig::baselineAts();
-        cfg.driver.demand_paging = true;
-        cfg.validate_translations = true;
-        return cfg;
-    }
     if (name == "shared+valkyrie") {
         SystemConfig cfg = SystemConfig::valkyrieCfg();
         cfg.shared_l2_tlb = true;
@@ -107,59 +110,68 @@ cfgFor(const std::string &name)
         cfg.shared_l2_tlb = true;
         return cfg;
     }
-    if (name == "shared+migration") {
-        SystemConfig cfg = SystemConfig::baselineAts();
-        cfg.shared_l2_tlb = true;
-        cfg.migration.enabled = true;
-        cfg.migration.threshold = 4;
-        cfg.driver.policy = MappingPolicyKind::round_robin;
-        return cfg;
-    }
-    // migration+gmmu
+    // shared+migration
     SystemConfig cfg = SystemConfig::baselineAts();
-    cfg.use_gmmu = true;
-    cfg.mode = TranslationMode::barre;
+    cfg.shared_l2_tlb = true;
     cfg.migration.enabled = true;
     cfg.migration.threshold = 4;
     cfg.driver.policy = MappingPolicyKind::round_robin;
     return cfg;
 }
 
-class PartitionFallback : public ::testing::TestWithParam<const char *>
-{};
-
-TEST_P(PartitionFallback, WarnsOnceAndMatchesSerialBitwise)
+void
+expectIdentical(const RunOut &serial, const RunOut &part,
+                const std::string &what)
 {
-    const SystemConfig cfg = cfgFor(GetParam());
-
-    const FallbackOut serial = runCfg(cfg, 1);
-    EXPECT_FALSE(serial.partitioned);
-    EXPECT_EQ(serial.warnings, 0);
-
-    const FallbackOut fell_back = runCfg(cfg, 5);
-    EXPECT_FALSE(fell_back.partitioned) << "config partitioned anyway";
-    EXPECT_EQ(fell_back.warnings, 1)
-        << "the fallback warning must fire exactly once";
-    EXPECT_EQ(serial.csv, fell_back.csv);
-    EXPECT_EQ(serial.stats, fell_back.stats);
+    EXPECT_FALSE(serial.partitioned) << what;
+    EXPECT_TRUE(part.partitioned) << what << " ran as one domain";
+    EXPECT_EQ(part.warnings, 0) << what;
+    EXPECT_EQ(serial.csv, part.csv) << what;
+    EXPECT_EQ(serial.stats, part.stats) << what;
+    EXPECT_TRUE(serial.digests == part.digests) << what;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBlockedConfigs, PartitionFallback,
-                         ::testing::Values("demand_paging+validate",
-                                           "migration+gmmu"));
+TEST(PartitionIdentity, ValidatedDemandPagingMatchesOneDomain)
+{
+    SystemConfig cfg = SystemConfig::baselineAts();
+    cfg.driver.demand_paging = true;
+    cfg.validate_translations = true;
+    for (const char *app : {"cov", "gups"}) {
+        const RunOut serial = runCfg(cfg, 1, 1, app);
+        for (std::uint32_t threads : {2u, 5u}) {
+            expectIdentical(serial, runCfg(cfg, 5, threads, app),
+                            std::string(app) + " sim_threads=" +
+                                std::to_string(threads));
+        }
+    }
+}
+
+TEST(PartitionIdentity, MigrationUnderGmmuIsFatal)
+{
+    SystemConfig cfg = SystemConfig::baselineAts();
+    cfg.use_gmmu = true;
+    cfg.mode = TranslationMode::barre;
+    cfg.migration.enabled = true;
+    EXPECT_THROW(System{cfg}, FatalError);
+}
+
+TEST(PartitionIdentity, DemandPagingUnderGmmuIsFatal)
+{
+    SystemConfig cfg = SystemConfig::baselineAts();
+    cfg.use_gmmu = true;
+    cfg.mode = TranslationMode::barre;
+    cfg.driver.demand_paging = true;
+    EXPECT_THROW(System{cfg}, FatalError);
+}
 
 class PartitionUnblocked : public ::testing::TestWithParam<const char *>
 {};
 
 TEST_P(PartitionUnblocked, PartitionsWithoutWarning)
 {
-    const FallbackOut out = runCfg(cfgFor(GetParam()), 4);
-    // The warn-once fallback path for this config is gone: it splits
-    // into domains and stays silent. (Partitioning while also warning
-    // would mean a stale warn path survived the unblocking.)
-    EXPECT_TRUE(out.partitioned) << "config fell back to one domain";
-    EXPECT_EQ(out.warnings, 0)
-        << "a config must never both partition and warn";
+    const RunOut out = runCfg(cfgFor(GetParam()), 4);
+    EXPECT_TRUE(out.partitioned) << "config ran as one domain";
+    EXPECT_EQ(out.warnings, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllUnblockedConfigs, PartitionUnblocked,

@@ -4,9 +4,8 @@
  * F-Barre run produces byte-identical metrics (csvRow), stats dumps,
  * and per-tag firing digests across the whole partition matrix —
  * sim_domains {1, 2, 4, 8} × sim_threads {1, 2, 8}. Also covers the
- * PDES-compatible feature set (GMMU platform, multicast, validation)
- * and the documented fallback: non-partitionable configurations run
- * as one domain and match sim_domains=0 exactly.
+ * PDES-compatible feature set (GMMU platform, multicast, validation,
+ * validated demand paging).
  */
 
 #include <gtest/gtest.h>
@@ -128,11 +127,11 @@ TEST(PdesDeterminism, MulticastAndValidationRunPartitioned)
     expectIdentical(ref, got, "multicast+validate domains=4");
 }
 
-TEST(PdesDeterminism, NonPartitionableConfigFallsBackToLegacy)
+TEST(PdesDeterminism, ValidatedDemandPagingPartitions)
 {
-    // Plain demand paging partitions now; adding chiplet-side
-    // validation reintroduces the read race (validators walk the page
-    // table the host-side fault handler mutates) and must fall back.
+    // Chiplet-side validators walk the page table while the host-side
+    // fault handler installs PTEs: the run still partitions, and every
+    // thread count gives the one-domain result.
     SystemConfig serial;
     serial.mode = TranslationMode::baseline;
     serial.driver.demand_paging = true;
@@ -142,12 +141,17 @@ TEST(PdesDeterminism, NonPartitionableConfigFallsBackToLegacy)
     const RunOut ref = runCfg(serial);
     EXPECT_FALSE(ref.partitioned);
 
-    SystemConfig cfg = serial;
-    cfg.sim_domains = 4; // must warn and fall back, not partition
-    const RunOut got = runCfg(cfg);
-    EXPECT_FALSE(got.partitioned);
-    EXPECT_EQ(ref.csv, got.csv);
-    EXPECT_EQ(ref.stats, got.stats);
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+        SystemConfig cfg = serial;
+        cfg.sim_domains = 4;
+        cfg.sim_threads = threads;
+        const RunOut got = runCfg(cfg);
+        EXPECT_TRUE(got.partitioned);
+        expectIdentical(ref, got,
+                        ("demand_paging+validate threads=" +
+                         std::to_string(threads))
+                            .c_str());
+    }
 }
 
 /**

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "harness/pool.hh"
 #include "mem/page_table.hh"
 #include "sim/rng.hh"
 
@@ -118,4 +121,46 @@ TEST(PageTable, RandomizedMapWalkConsistency)
         auto pte = pt.walk(it->first);
         ASSERT_TRUE(pte.has_value());
     }
+}
+
+TEST(PageTable, WalksWhileAnotherThreadMaps)
+{
+    // One writer installs mappings (building new subtrees as it goes)
+    // while a second thread walks: a walk of a published mapping finds
+    // it, and a walk racing its install sees nothing or the whole PTE,
+    // never a torn one. Run under the tsan preset, this is the race
+    // check for chiplet-side walks during host-side faults.
+    constexpr std::uint64_t n = 4000;
+    auto vpnOf = [](std::uint64_t i) {
+        return Vpn{(i * 37) ^ ((i & 7) << 27)};
+    };
+    auto pfnOf = [](std::uint64_t i) { return Pfn{i * 3 + 1}; };
+    PageTable pt;
+    std::atomic<std::uint64_t> published{0};
+    std::atomic<std::uint64_t> bad{0};
+    runOnThreads(2, [&](std::size_t t) {
+        if (t == 0) {
+            for (std::uint64_t i = 0; i < n; ++i) {
+                CoalInfo ci;
+                ci.bitmap = 0b11;
+                ci.interOrder = static_cast<std::uint8_t>(i & 1);
+                pt.map(vpnOf(i), pfnOf(i), ci);
+                published.store(i + 1, std::memory_order_release);
+            }
+            return;
+        }
+        std::uint64_t seen = 0;
+        while (seen < n) {
+            seen = published.load(std::memory_order_acquire);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                auto pte = pt.walk(vpnOf(i));
+                const bool whole = pte && pte->pfn() == pfnOf(i) &&
+                                   pte->coalInfo().interOrder == (i & 1);
+                if (i < seen ? !whole : (pte && !whole))
+                    bad.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+    });
+    EXPECT_EQ(bad.load(), 0u);
+    EXPECT_EQ(pt.mappedPages(), n);
 }

@@ -18,7 +18,7 @@ TEST(Link, DeliversAfterSerializationPlusLatency)
     EventQueue eq;
     Link link(eq, "l", LinkParams{64.0, 32});
     Tick at = 0;
-    link.send(64, [&] { at = eq.now(); });
+    link.sendTo(kHostTag, 64, [&] { at = eq.now(); });
     eq.run();
     EXPECT_EQ(at, 1u + 32u); // 1 cycle serialize + 32 latency
     EXPECT_EQ(link.messages().value(), 1u);
@@ -30,8 +30,8 @@ TEST(Link, BackToBackMessagesQueueOnTheWire)
     EventQueue eq;
     Link link(eq, "l", LinkParams{64.0, 10});
     std::vector<Tick> at;
-    for (int i = 0; i < 3; ++i)
-        link.send(128, [&] { at.push_back(eq.now()); }); // 2 cy each
+    for (int i = 0; i < 3; ++i) // 2 cycles each
+        link.sendTo(kHostTag, 128, [&] { at.push_back(eq.now()); });
     eq.run();
     ASSERT_EQ(at.size(), 3u);
     EXPECT_EQ(at[0], 12u);
@@ -44,7 +44,7 @@ TEST(Link, TinyMessageStillTakesACycle)
     EventQueue eq;
     Link link(eq, "l", LinkParams{768.0, 0});
     Tick at = 0;
-    link.send(1, [&] { at = eq.now(); });
+    link.sendTo(kHostTag, 1, [&] { at = eq.now(); });
     eq.run();
     EXPECT_EQ(at, 1u);
 }
@@ -54,8 +54,9 @@ TEST(Link, FifoOrderPreserved)
     EventQueue eq;
     Link link(eq, "l", LinkParams{8.0, 5});
     std::vector<int> order;
-    link.send(64, [&] { order.push_back(1); }); // 8 cycles
-    link.send(8, [&] { order.push_back(2); });  // 1 cycle, queued after
+    // 8 cycles, then 1 cycle queued after it.
+    link.sendTo(kHostTag, 64, [&] { order.push_back(1); });
+    link.sendTo(kHostTag, 8, [&] { order.push_back(2); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -152,14 +153,14 @@ TEST(Link, SerializationCyclesFractionalRateFallsBackToCeil)
 
 TEST(Link, SendMatchesSerializationCyclesAtBoundaries)
 {
-    // End-to-end: the wire occupancy Link::send charges must be the
+    // End-to-end: the wire occupancy Link::sendTo charges must be the
     // exact ceiling at the byte sizes straddling a rate multiple.
     for (std::uint64_t bytes : {63u, 64u, 65u, 127u, 128u, 129u}) {
         EventQueue eq;
         Link link(eq, "l", LinkParams{64.0, 0});
         Tick first = 0, second = 0;
-        link.send(bytes, [&] { first = eq.now(); });
-        link.send(64, [&] { second = eq.now(); });
+        link.sendTo(kHostTag, bytes, [&] { first = eq.now(); });
+        link.sendTo(kHostTag, 64, [&] { second = eq.now(); });
         eq.run();
         const Tick ser = serializationCycles(bytes, 64.0);
         EXPECT_EQ(first, ser) << "bytes=" << bytes;

@@ -48,6 +48,10 @@ expect_fatal "iommu.multicast needs Barre translation" \
     "$sim" --mode baseline --multicast --app gups --scale 0.02
 expect_fatal "iommu.multicast needs Barre translation" \
     "$sim" --mode barre --gmmu --multicast --app gups --scale 0.02
+expect_fatal "demand paging is modeled on the IOMMU platform only" \
+    "$sim" --gmmu --demand-paging --app gups --scale 0.02
+expect_fatal "migration is modeled on the IOMMU platform only" \
+    "$sim" --gmmu --migration --app gups --scale 0.02
 
 # expect_same_output <args A> -- <args B>: barre_sim prints the same
 # for both command lines.

@@ -6,7 +6,10 @@
 # (--domains 5), whether the partitioned epochs run on the worker pool
 # or on the calling thread alone (--sim-threads 1). A gups run, which
 # parks tens of thousands of requests on full L2-TLB MSHR files, repeats
-# the identity check over the batched retry path.
+# the identity check over the batched retry path. A gups run with
+# demand paging and --validate, whose chiplet-side checks walk the page
+# table while the host faults pages in, must partition silently (no
+# warn: line) and dump the same stats as one domain.
 #
 # Usage: stats_cli_test.sh <barre_sim>
 set -u -o pipefail
@@ -66,5 +69,20 @@ check "gups: requests parked on full MSHRs ($retries)" \
 check "gups: domains 1 and 5 dump identical stats" test "$g1" = "$g5"
 check "gups: domains 5 on one worker dumps identical stats" \
     test "$g5t1" = "$g5"
+
+v1="$(dump_of gups 1 --demand-paging --validate)" ||
+    { echo "FAIL validated demand paging --domains 1 run"; exit 1; }
+v5_all="$("$sim" --app gups --mode fbarre --scale 0.05 --domains 5 \
+    --demand-paging --validate --stats 2>&1)" ||
+    { echo "FAIL validated demand paging --domains 5 run"; exit 1; }
+v5="$(awk 'NF == 0 { block = ""; next } { block = block $0 "\n" }
+           END { printf "%s", block }' <<< "$v5_all")"
+faults="$(awk '$1 == "iommu.page_faults" { print $2 }' <<< "$v1")"
+check "demand paging: pages faulted in (${faults:-0})" \
+    test "${faults:-0}" -gt 0
+check "demand paging + validate: domains 5 prints no warning" \
+    test -z "$(grep 'warn:' <<< "$v5_all")"
+check "demand paging + validate: domains 1 and 5 dump identical stats" \
+    test "$v1" = "$v5"
 
 exit "$fail"

@@ -54,10 +54,12 @@ usage()
         "  --ptws N            IOMMU walkers, 0 = infinite\n"
         "  --page-size S       4k|64k|2m\n"
         "  --policy P          lasp|coda|chunking|rr\n"
-        "  --migration         enable ACUD page migration\n"
+        "  --migration         enable ACUD page migration (IOMMU\n"
+        "                      platform only: fatal with --gmmu)\n"
         "  --gmmu              GMMU platform (MGvm)\n"
         "  --iommu-tlb         add the 2048-entry IOMMU TLB\n"
-        "  --demand-paging     map pages at first touch\n"
+        "  --demand-paging     map pages at first touch (IOMMU\n"
+        "                      platform only: fatal with --gmmu)\n"
         "  --multicast         speculative PFN multicast (ablation;\n"
         "                      barre/fbarre without --gmmu only)\n"
         "  --domains N         event domains (0 or 1 = one, serial)\n"
