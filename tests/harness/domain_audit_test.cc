@@ -2,10 +2,13 @@
  * @file
  * The domain-ownership audit (sim/domain_guard.hh).
  *
- * Two layers of proof:
+ * Three layers of proof:
  *  - Corruption tests: a component touched from the wrong execution
  *    context actually throws in panic mode, and $BARRE_DOMAIN_AUDIT
  *    accepts exactly off and panic.
+ *  - Formerly blocked configs: the configurations that once fell back
+ *    to one domain because they raced on reads now partition and run
+ *    panic-clean on several threads, or are refused at construction.
  *  - Clean configs: every configuration runs panic-clean under
  *    sim_domains>1 and bitwise identical to the serial reference
  *    (sim_domains=1).
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +26,7 @@
 #include "harness/csv.hh"
 #include "harness/system.hh"
 #include "sim/invariant.hh"
+#include "sim/logging.hh"
 #include "tlb/tlb.hh"
 #include "workloads/suite.hh"
 
@@ -101,6 +106,45 @@ TEST(DomainGuard, ResolveModeParsesEnv)
     EXPECT_EQ(DomainGuard::resolveMode(off, false), off);
     EXPECT_EQ(DomainGuard::resolveMode(off, true),
               invariants_enabled ? panic : off);
+}
+
+TEST(DomainAudit, BlockedConfigsAreReadRaceOnly)
+{
+    // Validated demand paging used to be refused partitioning: its
+    // chiplet-side validators read the page table while the host-side
+    // fault handler writes it. That crossing is read-only — the table
+    // is safe for one writer and concurrent walkers — so it must stay
+    // panic-clean when the domains really do run on several threads.
+    // A panic here means a synchronous write-side crossing appeared;
+    // route it over a Link/message path (DESIGN.md §8).
+    SystemConfig demand = SystemConfig::baselineAts();
+    demand.driver.demand_paging = true;
+    demand.validate_translations = true;
+    demand.workload_scale = 0.02;
+    demand.sim_domains = 4;
+    for (std::uint32_t threads : {1u, 4u}) {
+        SystemConfig cfg = demand;
+        cfg.sim_threads = threads;
+        EXPECT_NO_THROW({
+            System sys(std::move(cfg));
+            sys.domainGuard().setMode(DomainAuditMode::panic);
+            sys.loadScenario(ScenarioSpec::solo("cov"));
+            (void)sys.run();
+            EXPECT_TRUE(sys.partitioned()) << "ran as one domain";
+        }) << "demand_paging+validate sim_threads=" << threads;
+    }
+
+    // The other formerly blocked config, migration under the GMMU, is
+    // not modeled: it must be refused before any domain runs rather
+    // than partition with an unaudited page-table race.
+    SystemConfig mg = SystemConfig::baselineAts();
+    mg.use_gmmu = true;
+    mg.mode = TranslationMode::barre;
+    mg.migration.enabled = true;
+    mg.migration.threshold = 4;
+    mg.driver.policy = MappingPolicyKind::round_robin;
+    mg.sim_domains = 4;
+    EXPECT_THROW(System{mg}, FatalError);
 }
 
 struct CleanRun
