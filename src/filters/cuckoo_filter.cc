@@ -2,12 +2,47 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <cstring>
 #include <utility>
 
 #include "sim/logging.hh"
 
 namespace barre
 {
+
+namespace
+{
+
+/**
+ * @p p, hidden from the optimizer. A kick indexes a row pointer (the
+ * slot table offset by the victim way, drawn off the chain) with the
+ * carried bucket base; without this the compiler folds the way into
+ * the base and puts that add on the chain.
+ */
+std::uint32_t *
+opaque(std::uint32_t *p)
+{
+    asm("" : "+r"(p));
+    return p;
+}
+
+/**
+ * The low half of the 32-bit word at @p w, read by a zero-extending
+ * 16-bit load of its own, so the kick chain is that load plus one XOR.
+ */
+std::uint32_t
+lowHalfAt(const std::uint32_t *w)
+{
+    constexpr std::size_t offset =
+        std::endian::native == std::endian::little ? 0 : 2;
+    std::uint16_t half;
+    std::memcpy(&half, reinterpret_cast<const unsigned char *>(w) + offset,
+                sizeof half);
+    return half;
+}
+
+} // namespace
 
 CuckooFilter::CuckooFilter(const CuckooFilterParams &p)
     : params_(p), kick_rng_(p.salt ^ 0xcafef00dull)
@@ -18,21 +53,35 @@ CuckooFilter::CuckooFilter(const CuckooFilterParams &p)
     barre_assert(params_.fingerprint_bits >= 1 &&
                  params_.fingerprint_bits <= 16,
                  "fingerprint must be 1..16 bits");
+    if (params_.ways > kMaxWays)
+        barre_fatal("cuckoo filter with %u ways: at most %u are supported",
+                    params_.ways, kMaxWays);
     row_mask_ = params_.rows - 1;
-    // (next() * 2^k) >> 64 == next() >> (64 - k): Rng::below's draw
-    // without the wide multiply. ways == 1 keeps below() (shift 64).
+    // The kick's victim draw: ways == 1 keeps below() (shift 64).
     if (params_.ways > 1 && std::has_single_bit(params_.ways))
         victim_shift_ = 64 - std::countr_zero(params_.ways);
-    // Buckets sit a power-of-two number of slots apart, so a kick finds
-    // its bucket with a shift; ways past `ways` are never used.
+    // Buckets sit a power-of-two number of slots apart, so a bucket's
+    // base is its index shifted and the XOR of two bases is the XOR of
+    // their indices shifted; ways past `ways` are never used. With rows
+    // a power of two, the padded table exceeds kMaxSlots exactly when
+    // rows x ways does.
     stride_bits_ = std::countr_zero(std::bit_ceil(params_.ways));
-    alt_xor_.resize(std::size_t{1} << params_.fingerprint_bits);
-    for (std::size_t fp = 1; fp < alt_xor_.size(); ++fp)
-        alt_xor_[fp] =
-            static_cast<std::uint32_t>(mixHash(fp, params_.salt)) &
-            row_mask_;
-    slots_.assign(std::size_t{params_.rows} << stride_bits_, Slot{});
-    free_ways_.assign(params_.rows, params_.ways);
+    const std::uint64_t padded = std::uint64_t{params_.rows} << stride_bits_;
+    if (padded > kMaxSlots)
+        barre_fatal("cuckoo filter of %u rows x %u ways: at most %llu "
+                    "slots are supported",
+                    params_.rows, params_.ways,
+                    (unsigned long long)kMaxSlots);
+    word_of_.resize(std::size_t{1} << params_.fingerprint_bits);
+    for (std::size_t fp = 1; fp < word_of_.size(); ++fp) {
+        const auto alt =
+            static_cast<Word>(mixHash(fp, params_.salt)) & row_mask_;
+        word_of_[fp] =
+            static_cast<Word>(fp) << kFpShift | alt << stride_bits_;
+    }
+    slots_.assign(padded, Word{0});
+    free_ways_.assign(params_.rows,
+                      static_cast<std::uint8_t>(params_.ways));
 }
 
 CuckooFilter::Fingerprint
@@ -46,90 +95,64 @@ CuckooFilter::fingerprintOf(std::uint64_t item) const
 }
 
 std::uint32_t
-CuckooFilter::bucketOf(std::uint64_t item) const
+CuckooFilter::baseOf(std::uint64_t item) const
 {
-    return static_cast<std::uint32_t>(mixHash(item, params_.salt)) &
-           row_mask_;
-}
-
-std::uint32_t
-CuckooFilter::victimWay(Rng &rng) const
-{
-    if (victim_shift_ != 0)
-        return static_cast<std::uint32_t>(rng.next() >> victim_shift_);
-    return static_cast<std::uint32_t>(rng.below(params_.ways));
-}
-
-CuckooFilter::Slot &
-CuckooFilter::slot(std::uint32_t bucket, std::uint32_t way)
-{
-    return slots_[(std::size_t{bucket} << stride_bits_) + way];
-}
-
-const CuckooFilter::Slot &
-CuckooFilter::slot(std::uint32_t bucket, std::uint32_t way) const
-{
-    return slots_[(std::size_t{bucket} << stride_bits_) + way];
+    return (static_cast<std::uint32_t>(mixHash(item, params_.salt)) &
+            row_mask_)
+           << stride_bits_;
 }
 
 void
 CuckooFilter::debugCorruptSlot(std::uint32_t bucket, std::uint32_t way,
                                std::uint16_t fp)
 {
-    Slot &s = slot(bucket, way);
-    s.fp = fp;
-    if (fp == empty_fp)
-        s.alt = 0;
+    Word &w = slots_[(std::size_t{bucket} << stride_bits_) + way];
+    w = fp == empty_fp ? 0 : Word{fp} << kFpShift | (w & kBaseXorMask);
+}
+
+std::uint32_t
+CuckooFilter::findWay(std::uint32_t base, Fingerprint fp) const
+{
+    // Scan from the last way down so the select keeps the first match.
+    const Word *bucket = &slots_[base];
+    std::uint32_t way = params_.ways;
+    for (std::uint32_t w = params_.ways; w-- > 0;)
+        way = fpOf(bucket[w]) == fp ? w : way;
+    return way;
 }
 
 bool
-CuckooFilter::tryPlace(std::uint32_t bucket, const Slot &s)
+CuckooFilter::tryPlace(std::uint32_t base, Word w)
 {
-    if (free_ways_[bucket] == 0)
+    std::uint8_t &free = free_ways_[base >> stride_bits_];
+    if (free == 0)
         return false;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (slot(bucket, w).fp == empty_fp) {
-            slot(bucket, w) = s;
-            --free_ways_[bucket];
-            ++occupied_;
-            return true;
-        }
-    }
-    return false;
+    slots_[base + findWay(base, empty_fp)] = w;
+    --free;
+    ++occupied_;
+    return true;
 }
 
 bool
-CuckooFilter::bucketHas(std::uint32_t bucket, Fingerprint fp) const
+CuckooFilter::removeFrom(std::uint32_t base, Fingerprint fp)
 {
-    for (std::uint32_t w = 0; w < params_.ways; ++w)
-        if (slot(bucket, w).fp == fp)
-            return true;
-    return false;
-}
-
-bool
-CuckooFilter::removeFrom(std::uint32_t bucket, Fingerprint fp)
-{
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (slot(bucket, w).fp == fp) {
-            slot(bucket, w) = Slot{};
-            ++free_ways_[bucket];
-            --occupied_;
-            return true;
-        }
-    }
-    return false;
+    std::uint32_t way = findWay(base, fp);
+    if (way == params_.ways)
+        return false;
+    slots_[base + way] = 0;
+    ++free_ways_[base >> stride_bits_];
+    --occupied_;
+    return true;
 }
 
 bool
 CuckooFilter::insert(std::uint64_t item)
 {
-    Fingerprint fp = fingerprintOf(item);
-    std::uint32_t i1 = bucketOf(item);
-    Slot carry{alt_xor_[fp], fp};
-    std::uint32_t i2 = i1 ^ carry.alt;
+    Word carry = word_of_[fingerprintOf(item)];
+    std::uint32_t b1 = baseOf(item);
+    std::uint32_t b2 = b1 ^ (carry & kBaseXorMask);
 
-    if (tryPlace(i1, carry) || tryPlace(i2, carry)) {
+    if (tryPlace(b1, carry) || tryPlace(b2, carry)) {
         BARRE_AUDIT(shadowInsert(item));
         BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
                           auditNoFalseNegatives());
@@ -138,36 +161,56 @@ CuckooFilter::insert(std::uint64_t item)
 
     // Both buckets full: relocate a victim, alternating buckets. Every
     // bucket the chain visits is full, so each swap trades the carried
-    // fingerprint for a resident one and only the free count of the
-    // bucket it ends on can be non-zero. The chain runs on a local copy
-    // of the RNG so its state stays in registers.
+    // word for a resident one and only the free count of the bucket it
+    // ends on can be non-zero. The chain carries the bucket base, so
+    // each step depends on one load (the resident's base XOR) and one
+    // XOR. It runs on locals (a copy of the RNG, the geometry), so the
+    // slot stores cannot force their reload.
+    static_assert(kBaseXorMask == 0xffff, "lowHalfAt reads the base XOR");
     Rng rng = kick_rng_;
-    std::uint32_t bucket = (rng.next() & 1) ? i2 : i1;
+    Word *const slots = slots_.data();
+    const std::uint8_t *const free_ways = free_ways_.data();
+    const std::uint32_t stride = stride_bits_;
+    const std::uint32_t victim_shift = victim_shift_;
+    const std::uint32_t ways = params_.ways;
+    const std::uint32_t max_kicks = params_.max_kicks;
+    std::size_t base = (rng.next() & 1) ? b2 : b1;
     std::uint32_t kick = 0;
-    for (; kick < params_.max_kicks; ++kick) {
-        std::swap(carry, slot(bucket, victimWay(rng)));
-        bucket ^= carry.alt;
-        if (free_ways_[bucket] != 0)
+    for (; kick < max_kicks; ++kick) {
+        // (next() * 2^k) >> 64 == next() >> (64 - k): Rng::below's
+        // draw without the wide multiply.
+        const auto way =
+            victim_shift != 0
+                ? static_cast<std::uint32_t>(rng.next() >> victim_shift)
+                : static_cast<std::uint32_t>(rng.below(ways));
+        Word *const slot = opaque(slots + way) + base;
+        const std::uint32_t base_xor = lowHalfAt(slot);
+        std::swap(carry, *slot);
+        base ^= base_xor;
+        if (free_ways[base >> stride] != 0)
             break;
     }
     kick_rng_ = rng;
-    if (kick < params_.max_kicks) {
-        tryPlace(bucket, carry);
+    if (kick < max_kicks) {
+        tryPlace(static_cast<std::uint32_t>(base), carry);
         BARRE_AUDIT(shadowInsert(item));
         BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
                           auditNoFalseNegatives());
         return true;
     }
-    // Filter too full; the displaced fingerprint is dropped. This makes
+    // Filter too full; the carried fingerprint is dropped. This makes
     // the failure lossy (a prior item may now miss), matching hardware
     // filters that bound insertion work. Callers treat this as an
     // unfortunate-but-safe event (filters are hints, verified at the TLB).
-    // The inserted item itself landed in the table along the kick chain;
-    // any shadow item sharing the dropped fingerprint may be the loser,
-    // so all of them leave the audit's tracking set.
+    // With a kick budget the new item's fingerprint entered the table
+    // on the first swap and the dropped one is whatever the chain
+    // carried last (which may be that same fingerprint, kicked again);
+    // at max_kicks == 0 nothing was swapped and the dropped fingerprint
+    // is the new item's own. Either way any shadow item sharing it may
+    // be the loser, so all of them leave the audit's tracking set.
     ++lossy_;
     BARRE_AUDIT(shadowInsert(item));
-    BARRE_AUDIT(shadowPurgeFingerprint(carry.fp));
+    BARRE_AUDIT(shadowPurgeFingerprint(fpOf(carry)));
     return false;
 }
 
@@ -175,17 +218,19 @@ bool
 CuckooFilter::contains(std::uint64_t item) const
 {
     Fingerprint fp = fingerprintOf(item);
-    std::uint32_t i1 = bucketOf(item);
-    return bucketHas(i1, fp) || bucketHas(i1 ^ alt_xor_[fp], fp);
+    std::uint32_t b1 = baseOf(item);
+    std::uint32_t b2 = b1 ^ (word_of_[fp] & kBaseXorMask);
+    return findWay(b1, fp) != params_.ways ||
+           findWay(b2, fp) != params_.ways;
 }
 
 bool
 CuckooFilter::erase(std::uint64_t item)
 {
     Fingerprint fp = fingerprintOf(item);
-    std::uint32_t i1 = bucketOf(item);
-    bool removed =
-        removeFrom(i1, fp) || removeFrom(i1 ^ alt_xor_[fp], fp);
+    std::uint32_t b1 = baseOf(item);
+    bool removed = removeFrom(b1, fp) ||
+                   removeFrom(b1 ^ (word_of_[fp] & kBaseXorMask), fp);
     if (removed) {
         BARRE_AUDIT(shadowErase(item));
         BARRE_AUDIT_EVERY(audit_tick_, kAuditPeriod,
@@ -197,8 +242,9 @@ CuckooFilter::erase(std::uint64_t item)
 void
 CuckooFilter::clear()
 {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    std::fill(free_ways_.begin(), free_ways_.end(), params_.ways);
+    std::fill(slots_.begin(), slots_.end(), Word{0});
+    std::fill(free_ways_.begin(), free_ways_.end(),
+              static_cast<std::uint8_t>(params_.ways));
     occupied_ = 0;
     lossy_ = 0;
     shadow_.clear();
@@ -211,18 +257,24 @@ CuckooFilter::auditNoFalseNegatives() const
     for (std::uint32_t b = 0; b < params_.rows; ++b) {
         std::uint32_t empty = 0;
         for (std::uint32_t w = 0; w < params_.ways; ++w) {
-            const Slot &s = slot(b, w);
-            std::uint32_t want =
-                s.fp == empty_fp ? 0 : alt_xor_[s.fp];
-            barre_assert(s.alt == want,
+            const Word s = slots_[(std::size_t{b} << stride_bits_) + w];
+            barre_assert(fpOf(s) < word_of_.size(),
+                         "cuckoo slot (%u, %u) holds fingerprint %u, "
+                         "wider than %u bits",
+                         b, w, unsigned{fpOf(s)},
+                         params_.fingerprint_bits);
+            const Word want = word_of_[fpOf(s)];
+            barre_assert(s == want,
                          "cuckoo slot (%u, %u) holds alt XOR %u, its "
                          "fingerprint %u needs %u",
-                         b, w, s.alt, unsigned{s.fp}, want);
-            empty += s.fp == empty_fp;
+                         b, w, (s & kBaseXorMask) >> stride_bits_,
+                         unsigned{fpOf(s)},
+                         (want & kBaseXorMask) >> stride_bits_);
+            empty += fpOf(s) == empty_fp;
         }
         barre_assert(free_ways_[b] == empty,
                      "cuckoo bucket %u free count %u != %u empty ways",
-                     b, free_ways_[b], empty);
+                     b, unsigned{free_ways_[b]}, empty);
         filled += params_.ways - empty;
     }
     barre_assert(filled == occupied_,
@@ -243,7 +295,7 @@ void
 CuckooFilter::shadowInsert(std::uint64_t item)
 {
     if (shadow_.empty())
-        shadow_.resize(alt_xor_.size());
+        shadow_.resize(word_of_.size());
     shadow_[fingerprintOf(item)].push_back(item);
 }
 

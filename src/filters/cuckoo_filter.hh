@@ -10,12 +10,18 @@
  * two buckets, i1 = H(x) and i2 = i1 xor H(fingerprint). Table II
  * configures 9-bit fingerprints, 4-way buckets, 256 rows (1024 slots).
  *
- * The host-side layout is wider than the modelled one (storageBits()):
- * H(fingerprint) comes from a per-instance table, each slot carries it
- * next to its fingerprint, and each bucket keeps a free-slot count, so
- * a kick that lands on a full bucket costs one dependent load. Results,
- * table contents and the kick RNG sequence are those of the plain
- * layout.
+ * The host-side layout is wider than the modelled one (storageBits()).
+ * Each slot is one 32-bit word: the fingerprint in the high 16 bits and,
+ * in the low 16, the XOR that takes the slot's bucket base (the index
+ * of the bucket's first slot) to the fingerprint's other bucket base.
+ * A per-instance table holds every fingerprint's whole word, and each
+ * bucket keeps a one-byte free-slot count. A kick then carries a bucket
+ * base and its dependent chain is one load plus one XOR; contains,
+ * erase and placement find their way with one branchless scan of the
+ * bucket. The 16-bit offset and the 8-bit count bound the geometry to
+ * 65,536 slots and 255 ways; the constructor refuses anything larger.
+ * Results, table contents and the kick RNG sequence are those of the
+ * plain layout.
  */
 
 #pragma once
@@ -99,20 +105,20 @@ class CuckooFilter
      * Deep audit (sim/invariant.hh): every item successfully inserted
      * and not yet erased or displaced by a lossy full-filter insert
      * must still be locatable — the filter's no-false-negative
-     * guarantee — and the per-bucket free counts, the packed alt-bucket
-     * XORs and the occupancy counter must match the table. The shadow
-     * tracking behind the first check is only maintained under
-     * BARRE_CHECK_INVARIANTS; the table checks run in every build.
-     * Panics (throws) on violation.
+     * guarantee — and the per-bucket free counts, every slot word's
+     * packed base XOR and the occupancy counter must match the table.
+     * The shadow tracking behind the first check is only maintained
+     * under BARRE_CHECK_INVARIANTS; the table checks run in every
+     * build. Panics (throws) on violation.
      */
     void auditNoFalseNegatives() const;
 
     /**
      * Test hook: overwrite one slot's fingerprint with @p fp (0 wipes
      * the slot) behind the bookkeeping's back. The bucket's free count,
-     * the occupancy counter and, for a non-zero @p fp, the slot's
-     * packed alt-bucket XOR keep their old values, so invariant tests
-     * can assert auditNoFalseNegatives() fires.
+     * the occupancy counter and, for a non-zero @p fp, the slot word's
+     * packed base XOR keep their old values, so invariant tests can
+     * assert auditNoFalseNegatives() fires.
      */
     void debugCorruptSlot(std::uint32_t bucket, std::uint32_t way,
                           std::uint16_t fp = 0);
@@ -121,39 +127,50 @@ class CuckooFilter
     using Fingerprint = std::uint16_t; // holds up to 16-bit fingerprints
 
     /**
-     * One slot of the host-side table: a fingerprint and, packed next
-     * to it, the XOR that takes it to its other bucket, so a kick reads
-     * both with one load. Empty slots are all-zero.
+     * One slot of the host-side table: the fingerprint above kFpShift
+     * and, below it, the XOR from this slot's bucket base to the
+     * fingerprint's other bucket base, so a kick reads both with one
+     * load. Empty slots are all-zero.
      */
-    struct Slot
-    {
-        std::uint32_t alt = 0;
-        Fingerprint fp = empty_fp;
-    };
+    using Word = std::uint32_t;
 
     static constexpr Fingerprint empty_fp = 0;
+    static constexpr unsigned kFpShift = 16;
+    static constexpr Word kBaseXorMask = (Word{1} << kFpShift) - 1;
+    /** Largest slot table a kBaseXorMask offset can address. */
+    static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kFpShift;
+    /** Largest way count a per-bucket std::uint8_t free count holds. */
+    static constexpr std::uint32_t kMaxWays = 255;
     static constexpr std::uint64_t kAuditPeriod = 256;
 
+    static Fingerprint fpOf(Word w) { return Fingerprint(w >> kFpShift); }
+
     Fingerprint fingerprintOf(std::uint64_t item) const;
-    std::uint32_t bucketOf(std::uint64_t item) const;
-    std::uint32_t victimWay(Rng &rng) const;
+    /** Slot index of the first way of @p item's primary bucket. */
+    std::uint32_t baseOf(std::uint64_t item) const;
 
-    Slot &slot(std::uint32_t bucket, std::uint32_t way);
-    const Slot &slot(std::uint32_t bucket, std::uint32_t way) const;
-
-    bool tryPlace(std::uint32_t bucket, const Slot &s);
-    bool removeFrom(std::uint32_t bucket, Fingerprint fp);
-    bool bucketHas(std::uint32_t bucket, Fingerprint fp) const;
+    /**
+     * The first way of the bucket at @p base holding @p fp (empty_fp:
+     * the first empty way), or params_.ways if none. One select per
+     * way and no branch on the slots' contents.
+     */
+    std::uint32_t findWay(std::uint32_t base, Fingerprint fp) const;
+    bool tryPlace(std::uint32_t base, Word w);
+    bool removeFrom(std::uint32_t base, Fingerprint fp);
 
     CuckooFilterParams params_;
     std::uint32_t row_mask_;
     /** 64 - log2(ways) when ways is a power of two above 1, else 0. */
     std::uint32_t victim_shift_ = 0;
     std::uint32_t stride_bits_ = 0; ///< log2 of slots per bucket in slots_
-    /** Per fingerprint: mixHash(fp, salt) & row_mask_, fp's bucket XOR. */
-    std::vector<std::uint32_t> alt_xor_;
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_ways_; ///< per bucket: empty slots
+    /**
+     * Per fingerprint: its slot word, whose base XOR is
+     * (mixHash(fp, salt) & row_mask_) << stride_bits_. Entry 0 is the
+     * empty word.
+     */
+    std::vector<Word> word_of_;
+    std::vector<Word> slots_;
+    std::vector<std::uint8_t> free_ways_; ///< per bucket: empty slots
     std::uint64_t occupied_ = 0;
     std::uint64_t lossy_ = 0;
     Rng kick_rng_;

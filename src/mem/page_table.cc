@@ -31,23 +31,19 @@ const PageTable::Node *
 PageTable::findLeafNode(Vpn vpn) const
 {
     const Node *node = root_.load(std::memory_order_acquire);
-    for (int level = levels - 1; level > 0 && node; --level) {
-        node_accesses_.fetch_add(1, std::memory_order_relaxed);
+    for (int level = levels - 1; level > 0 && node; --level)
         node = node->children[indexAt(vpn, level)].load(
             std::memory_order_acquire);
-    }
-    if (node)
-        node_accesses_.fetch_add(1, std::memory_order_relaxed);
     return node;
 }
 
 std::atomic<std::uint64_t> *
 PageTable::leafWord(Vpn vpn)
 {
-    if (!findLeafNode(vpn))
-        return nullptr;
-    // Re-find mutably via ensurePath (the path exists).
-    return &ensurePath(vpn)->ptes[indexAt(vpn, 0)];
+    // The walkers' descent, once; the nodes it finds are the writer's
+    // own, so handing one back mutable is sound.
+    Node *node = const_cast<Node *>(findLeafNode(vpn));
+    return node ? &node->ptes[indexAt(vpn, 0)] : nullptr;
 }
 
 void

@@ -3,9 +3,8 @@
  * Per-process 4-level radix page table (x86-64 shaped).
  *
  * The table is functionally real: map/unmap install PTEs in radix nodes and
- * walk() traverses four levels, counting node touches so page-walk locality
- * can be reported. Walk *timing* is applied by the IOMMU's page table
- * walkers (the paper configures 500-cycle walks), not here.
+ * walk() traverses four levels. Walk *timing* is applied by the IOMMU's page
+ * table walkers (the paper configures 500-cycle walks), not here.
  *
  * One writer (the host: driver mapping, demand faults, migration) and
  * any number of concurrent walkers (chiplet-side translation checks in
@@ -69,13 +68,6 @@ class PageTable : public DomainOwned
     /** Number of installed leaf translations. */
     std::uint64_t mappedPages() const { return mapped_; }
 
-    /** Radix nodes touched by all walks so far (4 per successful walk). */
-    std::uint64_t
-    nodeAccesses() const
-    {
-        return node_accesses_.load(std::memory_order_relaxed);
-    }
-
     /** Total radix nodes allocated (tree footprint). */
     std::uint64_t nodeCount() const { return nodes_.size(); }
 
@@ -100,7 +92,10 @@ class PageTable : public DomainOwned
     Node *install(std::atomic<Node *> &slot);
     Node *ensurePath(Vpn vpn);
     const Node *findLeafNode(Vpn vpn) const;
-    /** The leaf PTE word of @p vpn, or nullptr if its path is absent. */
+    /**
+     * The leaf PTE word of @p vpn, or nullptr if its path is absent.
+     * One descent, allocating nothing.
+     */
     std::atomic<std::uint64_t> *leafWord(Vpn vpn);
 
     ProcessId pid_;
@@ -108,9 +103,6 @@ class PageTable : public DomainOwned
     /** Owns every node; walkers only follow the atomic pointers. */
     std::vector<std::unique_ptr<Node>> nodes_;
     std::uint64_t mapped_ = 0;
-    // Bumped by concurrent walkers; increments commute, so the total
-    // stays deterministic.
-    mutable std::atomic<std::uint64_t> node_accesses_{0};
 };
 
 } // namespace barre

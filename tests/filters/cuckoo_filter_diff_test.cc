@@ -1,7 +1,9 @@
 /**
  * @file
  * Differential and golden tests for the cuckoo filter's host-side
- * layout (alt-bucket table, per-bucket free counts, packed slots).
+ * layout (32-bit slot words carrying their other bucket's offset, a
+ * per-fingerprint word table, per-bucket free counts, branchless
+ * bucket probes).
  *
  * RefCuckooFilter is the filter as it stood before that layout: one
  * 16-bit fingerprint per slot, the alt-bucket hash recomputed on every
@@ -23,6 +25,7 @@
 
 #include "filters/cuckoo_filter.hh"
 #include "filters/hash.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 using namespace barre;
@@ -390,6 +393,47 @@ TEST(CuckooFilterDiff, MatchesReferenceAcrossRowCounts)
         if (HasFatalFailure())
             return;
     }
+}
+
+TEST(CuckooFilterDiff, MatchesReferenceAtLargestGeometries)
+{
+    // The slot word's 16-bit base XOR addresses 65,536 slots and the
+    // one-byte free count holds 255 ways: fill each extreme with 16-bit
+    // fingerprints, whose slot words use every bit.
+    struct Geometry
+    {
+        std::uint32_t rows, ways;
+    };
+    const Geometry geometries[] = {{16384, 4}, {65536, 1}, {256, 255}};
+    unsigned n = 0;
+    for (const Geometry &g : geometries) {
+        CuckooFilterParams p;
+        p.rows = g.rows;
+        p.ways = g.ways;
+        p.fingerprint_bits = 16;
+        p.salt = kSalts[n % std::size(kSalts)];
+        expectSameAsReference(p, 1.0, 4000 + n++);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(CuckooFilterDiff, RefusesGeometriesPastTheSlotWord)
+{
+    // One size past each limit: twice the largest table, one way more
+    // than a free count holds, and a 3-way table whose padded buckets
+    // (4 slots apart) would need a 17-bit offset.
+    CuckooFilterParams p;
+    p.rows = 32768;
+    EXPECT_THROW(CuckooFilter f(p), FatalError);
+    p.rows = 1;
+    p.ways = 256;
+    EXPECT_THROW(CuckooFilter f(p), FatalError);
+    p.rows = 32768;
+    p.ways = 3;
+    EXPECT_THROW(CuckooFilter f(p), FatalError);
+    p.rows = 16384;
+    EXPECT_NO_THROW(CuckooFilter f(p));
 }
 
 TEST(CuckooFilterGolden, DefaultGeometryLossyStreamDigest)

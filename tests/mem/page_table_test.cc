@@ -96,15 +96,6 @@ TEST(PageTable, DistantVpnsAllocateSeparateSubtrees)
     EXPECT_EQ(pt.walk(0x0)->pfn(), 0x1u);
 }
 
-TEST(PageTable, WalksTouchFourLevels)
-{
-    PageTable pt;
-    pt.map(0x1, 0x1);
-    std::uint64_t before = pt.nodeAccesses();
-    pt.walk(0x1);
-    EXPECT_EQ(pt.nodeAccesses() - before, 4u);
-}
-
 TEST(PageTable, RandomizedMapWalkConsistency)
 {
     PageTable pt;

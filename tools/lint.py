@@ -39,6 +39,14 @@ correctness story depends on:
                    src/iommu/walk_stage.{hh,cc}, so the walk stage stays
                    the one PW-queue / walker / PEC-scan path of the IOMMU
                    and the GMMUs and a second PW-queue cannot grow back.
+  atomic-rmw       no atomic read-modify-write (fetch_add, fetch_sub,
+                   fetch_or, fetch_and, exchange, compare_exchange_*,
+                   as members or atomic_* free functions) in src/
+                   outside src/harness/: the model keeps its counters
+                   per domain, and a locked RMW on a line that every
+                   chiplet's thread shares costs more than the work it
+                   counts. The harness's pool and scheduler are the
+                   one home for cross-thread synchronization.
   domain-owner     tools/domain_lint.py: every simulated-hardware class
                    carries a // domain-owner:host|chiplet|shared
                    annotation and direct cross-ownership members carry
@@ -285,6 +293,26 @@ class Linter:
             "PW-queues live only in src/iommu/walk_stage.*; queue walks "
             "through WalkStage", scope="src/iommu")
 
+    def check_atomic_rmw(self):
+        rmw_re = re.compile(
+            r"(?:\.|->)\s*(?:fetch_(?:add|sub|or|and|xor)|exchange"
+            r"|compare_exchange_(?:weak|strong))\s*\("
+            r"|\batomic_(?:fetch_(?:add|sub|or|and|xor)|exchange"
+            r"|compare_exchange_(?:weak|strong))(?:_explicit)?\s*\(")
+        for path in self.files(["src/**/*.hh", "src/**/*.cc"]):
+            if path.relative_to(self.root).as_posix().startswith(
+                    "src/harness/"):
+                continue
+            raw_lines = path.read_text().splitlines()
+            text = strip_comments_and_strings("\n".join(raw_lines))
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if rmw_re.search(line) and "atomic-rmw" not in \
+                        allowed_rules(raw_lines[lineno - 1]):
+                    self.report(
+                        path, lineno, "atomic-rmw",
+                        "atomic read-modify-write outside src/harness/; "
+                        "keep model counters per domain or owner")
+
     def check_domain_ownership(self):
         lint = self.root / "tools" / "domain_lint.py"
         if not lint.is_file():
@@ -330,6 +358,7 @@ class Linter:
         self.check_one_l2_miss_path()
         self.check_one_event_engine()
         self.check_one_walk_queue()
+        self.check_atomic_rmw()
         self.check_domain_ownership()
         if format_check:
             self.check_format()
