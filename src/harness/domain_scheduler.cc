@@ -13,11 +13,13 @@ namespace
 {
 
 /**
- * A sense-counting barrier for the epoch loops: bounded spin first
+ * A sense-counting barrier for the epoch loop: bounded spin first
  * (epochs are short — microseconds — so parked threads would spend
  * their life in futex calls), then yield so oversubscribed hosts
- * (including single-core CI runners) keep making progress. A worker
- * that fails calls abort() instead of arriving, which releases every
+ * (including single-core CI runners) keep making progress. The last
+ * thread to arrive runs the round's step before it releases the
+ * others. A worker that fails calls abort() instead of arriving, also
+ * when the step it ran threw out of wait(); that releases every
  * waiter, present and future, with wait() returning false.
  */
 class EpochBarrier
@@ -26,11 +28,13 @@ class EpochBarrier
     explicit EpochBarrier(unsigned n) : n_(n) {}
 
     /** @return false once the barrier is aborted: stop the run. */
+    template <class Step>
     bool
-    wait()
+    wait(Step &&step)
     {
         const std::uint64_t gen = gen_.load(std::memory_order_acquire);
         if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+            step();
             // Reset before releasing the generation: every waiter of
             // the next round first observes the new generation, which
             // orders this store before their arrival.
@@ -90,38 +94,41 @@ runEpochs(EventQueue &eng, Tick lookahead, unsigned workers)
     sh.horizon = clampAdd(first, lookahead);
     eng.beginEpoch(sh.horizon);
 
-    auto worker = [&sh](std::size_t w) {
+    // The last worker to finish an epoch closes it: the next epoch
+    // starts at the earliest pending tick anywhere, staged sends
+    // included, so an idle stretch costs one epoch.
+    auto close_epoch = [&sh] {
+        const Tick next = sh.eng.nextEventTick();
+        if (next == max_tick) {
+            sh.done = true;
+        } else {
+            sh.horizon = clampAdd(next, sh.lookahead);
+            sh.eng.beginEpoch(sh.horizon);
+        }
+    };
+
+    auto worker = [&sh, &close_epoch](std::size_t w) {
         try {
             for (;;) {
-                // Phase A: fire this worker's domains below the
+                // Drain and fire this worker's domains below the
                 // horizon. Domain assignment is static (d ≡ w mod
                 // workers), so all per-domain and per-tag state stays
-                // single-writer.
+                // single-writer and each domain's queue stays on one
+                // core.
                 for (std::uint32_t d = std::uint32_t(w); d < sh.domains;
                      d += sh.workers) {
                     sh.eng.runEpoch(d, sh.horizon);
                 }
-                if (!sh.barrier.wait()) // everyone finished the epoch
-                    return;
-                if (w == 0) {
-                    sh.eng.drainStaged();
-                    const Tick next = sh.eng.nextEventTick();
-                    if (next == max_tick) {
-                        sh.done = true;
-                    } else {
-                        sh.horizon = clampAdd(next, sh.lookahead);
-                        sh.eng.beginEpoch(sh.horizon);
-                    }
-                }
-                if (!sh.barrier.wait()) // horizon / done published
+                if (!sh.barrier.wait(close_epoch))
                     return;
                 if (sh.done)
                     return;
             }
         } catch (...) {
             // Release the peers spinning at (or heading for) the
-            // barrier this worker will never reach; runOnThreads
-            // rethrows the error once every worker has returned.
+            // barrier this worker will never reach or release, when
+            // its epoch step threw; runOnThreads rethrows the error
+            // once every worker has returned.
             sh.barrier.abort();
             throw;
         }

@@ -4,21 +4,23 @@
  * scheduler. A one-domain plan (the serial run) drains in one epoch
  * on the calling thread.
  *
- * Domains advance in epochs [S, S + lookahead): every worker fires its
- * domains' events below the horizon in parallel, then all workers meet
- * at a barrier where one thread drains the cross-domain outboxes,
- * replays shared-resource arbitration in key order, and picks the next
- * epoch start — the earliest pending tick anywhere, so idle stretches
- * cost one epoch, not one per lookahead. The global conservative
- * lookahead (min over cross-domain links of 1 serialization cycle +
- * latency) guarantees drained arrivals always land at or beyond the
- * horizon. Events fire in (when, birth, key) order, so CSVs, stats,
- * and per-tag digests are bitwise identical across any domain count ×
- * any thread count.
+ * Domains advance in epochs [S, S + lookahead): every worker drains the
+ * sends staged for its domains in the previous epoch (replaying
+ * shared-resource arbitration in key order) and fires their events
+ * below the horizon, in parallel; then all workers meet at one barrier,
+ * where the last to arrive picks the next epoch start — the earliest
+ * pending tick anywhere, staged sends included, so idle stretches cost
+ * one epoch, not one per lookahead. The global conservative lookahead
+ * (min over cross-domain links of 1 serialization cycle + latency)
+ * guarantees staged arrivals always land at or beyond the horizon.
+ * Events fire in (when, birth, key) order, so CSVs, stats, and per-tag
+ * digests are bitwise identical across any domain count × any thread
+ * count.
  *
- * A worker that throws (e.g. a DomainGuard ownership panic) aborts the
- * barrier, so its peers return instead of waiting for it forever, and
- * run() rethrows the first error on the calling thread.
+ * A worker that throws (e.g. a DomainGuard ownership panic), or a
+ * last arriver whose epoch step throws, aborts the barrier, so its
+ * peers return instead of waiting for it forever, and run() rethrows
+ * the first error on the calling thread.
  *
  * Worker threads come from a process-wide budget: concurrent
  * partitioned runs (e.g. cells inside runMany) each lease a share of
@@ -113,7 +115,8 @@ class DomainScheduler
      *                  domain) pass max_tick: the run is one epoch.
      * @param threads   worker threads to use (clamped to the domain
      *                  count; 0 = defaultWorkers()).
-     * @return events fired during this run.
+     * @return events fired during this run; eq.epochs() then counts
+     *         the run's epochs.
      */
     static std::uint64_t run(EventQueue &eq, Tick lookahead,
                              unsigned threads);

@@ -76,11 +76,22 @@ class Link : public SimObject, public ArbHook
     {
         ++messages_;
         bytes_sent_ += bytes;
-        Tick ser = serializationCycles(bytes, params_.bytes_per_cycle);
-        Tick start = std::max(send_tick, wire_free_);
-        wire_free_ = start + ser;
-        Tick arrive = wire_free_ + params_.latency;
-        return arrive;
+        wire_free_ = std::max(send_tick, wire_free_) +
+                     serializationCycles(bytes, params_.bytes_per_cycle);
+        return wire_free_ + params_.latency;
+    }
+
+    /**
+     * ArbHook: the delivery tick arbitrate() would return for this
+     * send on the wire as it stands, without occupying it. Later sends
+     * only push the wire's free tick out, so it never overshoots.
+     */
+    Tick
+    lowerBound(Tick send_tick, std::uint64_t bytes) const override
+    {
+        return std::max(send_tick, wire_free_) +
+               serializationCycles(bytes, params_.bytes_per_cycle) +
+               params_.latency;
     }
 
     const Counter &messages() const { return messages_; }

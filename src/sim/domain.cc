@@ -1,7 +1,7 @@
 /**
  * @file
- * EventQueue cold paths: the epoch-barrier staging drain and the
- * structural audit.
+ * EventQueue out-of-line paths: a domain's once-per-epoch drain of
+ * its inbound lanes and the structural audit.
  */
 
 #include "sim/domain.hh"
@@ -10,45 +10,59 @@ namespace barre
 {
 
 void
-EventQueue::drainStaged()
+EventQueue::drainInbound(std::uint32_t d)
 {
-    // Gather every staged arbitration op and replay them in the global
-    // order a serial run would have presented them to the shared
-    // resource: by send tick, then by the sending event's composite
-    // key, then by issue order within that event. All components are
-    // partition-independent, so the replay is too.
-    scratch_arb_.clear();
-    for (Domain &dom : domains_) {
-        for (StagedArb &op : dom.arb_out)
-            scratch_arb_.push_back(std::move(op));
-        dom.arb_out.clear();
+    Domain &dom = domains_[d];
+    const unsigned p = parity_ ^ 1;
+    // Plain deliveries carry complete keys; insertion order is
+    // irrelevant to firing order, so a sweep over the senders is
+    // deterministic.
+    dom.replay.clear();
+    for (Domain &src : domains_) {
+        Lane &lane = src.out[p][d];
+        for (Staged &s : lane.sends)
+            push(dom, s.rec, std::move(s.cb));
+        lane.sends.clear();
+        for (StagedArb &a : lane.arbs)
+            dom.replay.push_back(&a);
     }
-    std::sort(scratch_arb_.begin(), scratch_arb_.end(), arbBefore);
-    for (StagedArb &op : scratch_arb_) {
-        // Establish the owner's execution context so any stats the
-        // hook bumps shard onto the owner tag instead of whatever tag
-        // the caller happened to carry.
-        TagScope scope(*this, op.owner);
-        const Tick when = op.hook->arbitrate(op.sent, op.bytes);
+    if (dom.replay.empty())
+        return;
+
+    // Replay the arbitration ops in the global order a serial run would
+    // have presented them to the shared resource: by send tick, then by
+    // the sending event's composite key, then by issue order within
+    // that event. All components are partition-independent, so the
+    // replay is too.
+    std::sort(dom.replay.begin(), dom.replay.end(),
+              [](const StagedArb *a, const StagedArb *b) {
+                  return arbBefore(a->op, b->op);
+              });
+    ExecCtx &ctx = detail::tls_exec;
+    for (StagedArb *a : dom.replay) {
+        // Run as the owner tag, so any stats the hook bumps shard onto
+        // it.
+        ctx.tag = a->owner;
+        ArbHook &hook = *a->op.hook;
+        [[maybe_unused]] Tick bound = 0;
+        BARRE_AUDIT(bound = hook.lowerBound(a->op.sent, a->op.bytes));
+        const Tick when = hook.arbitrate(a->op.sent, a->op.bytes);
         BARRE_AUDIT(barre_assert(
-            when >= horizon_,
+            when >= staged_horizon_,
             "arbitrated delivery at tick %llu (sent %llu) inside the "
             "epoch horizon %llu: lookahead is unsound",
-            (unsigned long long)when, (unsigned long long)op.sent,
-            (unsigned long long)horizon_));
-        push(domains_[tag_domain_[op.owner]],
-             {when, op.sent, op.key, 0, op.owner}, std::move(op.deliver));
+            (unsigned long long)when, (unsigned long long)a->op.sent,
+            (unsigned long long)staged_horizon_));
+        BARRE_AUDIT(barre_assert(
+            when >= bound,
+            "arbitrated delivery at tick %llu below its hook's lower "
+            "bound %llu: the epoch horizon is unsound",
+            (unsigned long long)when, (unsigned long long)bound));
+        push(dom, {when, a->op.sent, a->key, 0, a->owner},
+             std::move(a->deliver));
     }
-    scratch_arb_.clear();
-
-    // Staged plain deliveries carry complete keys; insertion order is
-    // irrelevant to firing order, so a simple per-outbox sweep is
-    // deterministic.
-    for (Domain &dom : domains_) {
-        for (Staged &s : dom.out)
-            push(domains_[tag_domain_[s.rec.tag]], s.rec, std::move(s.cb));
-        dom.out.clear();
-    }
+    for (Domain &src : domains_)
+        src.out[p][d].arbs.clear();
 }
 
 void

@@ -10,10 +10,11 @@
  * advance in lock-step epochs [S, S + lookahead), where `lookahead` is
  * the minimum over all cross-domain links of (1 serialization cycle +
  * propagation latency): nothing sent inside an epoch can land before
- * its horizon. Cross-domain sends stage in the sending domain's outbox
- * until the barrier that ends the epoch, where one thread moves them
- * into their destination heaps. One domain holding every tag is the
- * serial run: it drains in a single epoch.
+ * its horizon. Cross-domain sends stage in the sending domain's outbox,
+ * one lane per destination domain; at the start of the next epoch each
+ * destination moves the lanes addressed to it into its own queue. One
+ * domain holding every tag is the serial run: it drains in a single
+ * epoch.
  *
  * Determinism does not come from drain order but from the firing key.
  * Every event carries a composite key (when, birth, key) where `when`
@@ -35,8 +36,8 @@
  * parallel mode: the sender only knows *when* it sent, not who else
  * did. Those sends are staged as arbitration ops keyed by
  * (send tick, sending event's birth, sending event's key, per-event op
- * index) and replayed through an ArbHook in key order at the epoch
- * barrier.
+ * index) and replayed through an ArbHook in key order by the owner's
+ * domain when it drains its inbound lanes.
  */
 
 #pragma once
@@ -191,12 +192,18 @@ class TagCounter
  * A shared resource that must arbitrate cross-domain sends in global
  * key order (e.g. a Link's wire occupancy). arbitrate() observes the
  * send tick, updates the resource's internal state exactly as an
- * inline send would, and returns the delivery tick.
+ * inline send would, and returns the delivery tick; it is FIFO, so a
+ * later call never delivers before an earlier one. lowerBound() changes
+ * nothing: it returns a tick no later than what arbitrate() would
+ * return for the same send, now or after further calls, and equal to
+ * it on the resource's current state. The epoch barrier bounds the
+ * staged ops' arrivals with it before their owner replays them.
  */
 class ArbHook
 {
   public:
     virtual Tick arbitrate(Tick send_tick, std::uint64_t bytes) = 0;
+    virtual Tick lowerBound(Tick send_tick, std::uint64_t bytes) const = 0;
 
   protected:
     ~ArbHook() = default;
@@ -206,8 +213,8 @@ class ArbHook
  * The event queue of one simulated system: per domain, the pending
  * firing records ordered by the composite key, the callbacks those
  * records name in a slab, per-tag key counters and firing digests, and
- * one outbox per sending domain that stages cross-domain sends until
- * the epoch barrier drains it.
+ * one outbox per sending domain that stages cross-domain sends, one
+ * lane per destination, until the destination drains them.
  *
  * Each domain files its records in two places. Records due inside the
  * near window [now, now + kWindow) sit in per-tick buckets: doubly
@@ -230,11 +237,16 @@ class ArbHook
  *
  * Threading contract: domain d is only ever advanced by one worker at
  * a time (runEpoch), and a tag lives in exactly one domain, so all
- * per-domain and per-tag state is single-writer — including the
- * domain's outbox, which only its own worker appends to. drainStaged()
- * and beginEpoch() run on one thread while the others wait at a
- * barrier, whose release/acquire ordering publishes every append
- * before the drain and every drained event before the next epoch.
+ * per-domain and per-tag state is single-writer. The outbox is double
+ * buffered by epoch parity: in epoch e a domain appends only to its
+ * own lanes of parity e, and runEpoch(d) first drains, as d's worker,
+ * the lanes of parity e - 1 addressed to d, which no one else touches
+ * that epoch (an arbitration op's hook belongs to the owner tag, so
+ * only d's worker replays it). nextEventTick() and beginEpoch() run
+ * on the last worker to reach the one barrier per epoch, while the
+ * others wait; the barrier's release/acquire ordering publishes every
+ * append and every replay before them, and the new horizon and parity
+ * before the next epoch.
  */
 class EventQueue
 {
@@ -244,7 +256,10 @@ class EventQueue
     /** Ticks covered by a domain's near window. */
     static constexpr std::uint32_t kWindow = 1024;
 
-    EventQueue() : tag_domain_(1, 0), domains_(1), ctr_(1), digest_(1) {}
+    EventQueue() : tag_domain_(1, 0), domains_(1), ctr_(1), digest_(1)
+    {
+        sizeLanes();
+    }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -266,6 +281,7 @@ class EventQueue
         const std::size_t tags = tag_domain.size();
         tag_domain_ = std::move(tag_domain);
         domains_ = std::vector<Domain>(domains);
+        sizeLanes();
         ctr_.assign(tags, PaddedU64{});
         digest_.assign(tags, PaddedU64{});
         open_ = false;
@@ -310,8 +326,12 @@ class EventQueue
     pending() const
     {
         std::size_t n = 0;
-        for (const Domain &d : domains_)
-            n += d.near + d.far.size() + d.out.size() + d.arb_out.size();
+        for (const Domain &d : domains_) {
+            n += d.near + d.far.size();
+            for (const std::vector<Lane> &lanes : d.out)
+                for (const Lane &l : lanes)
+                    n += l.sends.size() + l.arbs.size();
+        }
         return n;
     }
 
@@ -353,8 +373,8 @@ class EventQueue
      * delivery key is allocated from the *sending* tag's counter (the
      * caller's context), keeping allocation race-free and partition-
      * independent. Same-domain and non-running sends insert directly;
-     * cross-domain sends during a run stage in the sender's outbox
-     * until the epoch barrier.
+     * cross-domain sends during a run stage in the sender's lane to
+     * the destination domain until the next epoch drains it.
      */
     void
     scheduleCross(SeqTag dst, Tick when, Callback cb)
@@ -381,16 +401,17 @@ class EventQueue
             "the epoch horizon %llu: lookahead is unsound",
             unsigned(dst), (unsigned long long)when,
             (unsigned long long)horizon_));
-        src.out.push_back(Staged{r, std::move(cb)});
+        src.out_min = std::min(src.out_min, when);
+        src.out[parity_][dd].sends.push_back(Staged{r, std::move(cb)});
     }
 
     /**
      * Send through a shared resource owned by tag @p owner. Serial (or
      * single-domain) operation resolves the arbitration inline and
      * returns the delivery tick; parallel operation stages the op for
-     * key-ordered replay at the epoch barrier and returns 0 (the
-     * arrival is unknowable until every competitor that sorts earlier
-     * is visible).
+     * key-ordered replay by the owner's domain at the start of the next
+     * epoch and returns 0 (the arrival is unknowable until every
+     * competitor that sorts earlier is visible).
      */
     Tick
     stageArb(SeqTag owner, ArbHook &hook, std::uint64_t bytes,
@@ -412,10 +433,15 @@ class EventQueue
                  std::move(deliver));
             return arrive;
         }
-        src.arb_out.push_back(StagedArb{sent, ctx.ev_birth, ctx.ev_key,
-                                        ctx.op_ctr++, allocKey(ctx.tag),
-                                        owner, bytes, &hook,
-                                        std::move(deliver)});
+        const ArbOp op{sent, ctx.ev_birth, ctx.ev_key, ctx.op_ctr++, bytes,
+                       &hook};
+        // A domain fires in key order, so its ops arrive here in replay
+        // order and the first one per hook is that hook's earliest.
+        if (std::none_of(src.out_heads.begin(), src.out_heads.end(),
+                         [&](const ArbOp &h) { return h.hook == &hook; }))
+            src.out_heads.push_back(op);
+        src.out[parity_][tag_domain_[owner]].arbs.push_back(
+            StagedArb{op, allocKey(ctx.tag), owner, std::move(deliver)});
         return 0;
     }
 
@@ -433,14 +459,42 @@ class EventQueue
 
     // -- scheduler driving (DomainScheduler / tests) ------------------
 
-    /** Mark the start/end of parallel execution. */
-    void setRunning(bool r) { running_ = r; }
-
-    /** Publish the next epoch's horizon (exclusive upper tick). */
-    void beginEpoch(Tick horizon) { horizon_ = horizon; }
+    /** Mark the start/end of parallel execution; a start zeroes
+     *  epochs(). */
+    void
+    setRunning(bool r)
+    {
+        running_ = r;
+        if (r)
+            epochs_ = 0;
+    }
 
     /**
-     * Fire every event of domain @p d with tick < @p horizon. The
+     * Open the next epoch, whose horizon (exclusive upper tick) is
+     * @p horizon: the lanes staged so far become the ones runEpoch()
+     * drains, and the senders start on the other parity.
+     */
+    void
+    beginEpoch(Tick horizon)
+    {
+        staged_horizon_ = horizon_;
+        horizon_ = horizon;
+        parity_ ^= 1;
+        ++epochs_;
+        for (Domain &d : domains_) {
+            d.out_min = max_tick;
+            d.out_heads.clear();
+        }
+    }
+
+    /** Epochs opened since the last setRunning(true): the epoch count
+     *  of the last DomainScheduler::run on this queue. */
+    std::uint64_t epochs() const { return epochs_; }
+
+    /**
+     * Drain domain @p d 's inbound lanes (the sends staged for it in
+     * the previous epoch, replaying the arbitration ops its tags own),
+     * then fire every event of @p d with tick < @p horizon. The
      * domain's clock advances only to fired events' ticks (never to
      * the horizon itself), so after the run now() lands exactly on the
      * last fired tick.
@@ -454,6 +508,7 @@ class EventQueue
         ExecCtx &ctx = detail::tls_exec;
         ctx.engine = this;
         ctx.domain = d;
+        drainInbound(d);
         std::uint64_t fired = 0;
         for (;;) {
             std::uint32_t s;
@@ -491,14 +546,12 @@ class EventQueue
     }
 
     /**
-     * Barrier-phase replay: sort all staged arbitration ops into
-     * global key order, resolve each through its hook, and move every
-     * staged event into its destination domain's queue. Runs on one
-     * thread while all workers wait.
+     * Earliest pending tick across all domains (max_tick if none),
+     * staged sends included: a plain send's tick, and for each hook the
+     * lower bound of its first staged op in replay order. A hook is
+     * FIFO, so that op arrives first, and its bound is exact on the
+     * hook's current state.
      */
-    void drainStaged();
-
-    /** Earliest pending tick across all domains (max_tick if none). */
     Tick
     nextEventTick() const
     {
@@ -509,6 +562,19 @@ class EventQueue
                 t = std::min(t, d.nodes[head].when);
             } else if (!d.far.empty()) {
                 t = std::min(t, d.far.top().when);
+            }
+            t = std::min(t, d.out_min);
+            for (const ArbOp &h : d.out_heads) {
+                const bool first = std::none_of(
+                    domains_.begin(), domains_.end(), [&](const Domain &o) {
+                        return std::any_of(
+                            o.out_heads.begin(), o.out_heads.end(),
+                            [&](const ArbOp &g) {
+                                return g.hook == h.hook && arbBefore(g, h);
+                            });
+                    });
+                if (first)
+                    t = std::min(t, h.hook->lowerBound(h.sent, h.bytes));
             }
         }
         return t;
@@ -664,25 +730,41 @@ class EventQueue
         std::uint32_t tail = kNil;
     };
 
-    /** A cross-domain send awaiting the epoch barrier. */
+    /** A cross-domain send awaiting its destination's drain. */
     struct Staged
     {
         Record rec;
         Callback cb;
     };
 
-    /** A shared-resource send awaiting key-ordered arbitration. */
-    struct StagedArb
+    /** A shared-resource send: its replay-order key and what its hook
+     *  arbitrates. */
+    struct ArbOp
     {
         Tick sent;             ///< sender clock at send time
         Tick ev_birth;         ///< sending event's birth
         std::uint64_t ev_key;  ///< sending event's key
         std::uint32_t op_idx;  ///< nth op issued by that event
-        std::uint64_t key;     ///< pre-allocated delivery key
-        SeqTag owner;          ///< tag owning the shared resource
         std::uint64_t bytes;
         ArbHook *hook;
+    };
+
+    /** A shared-resource send awaiting key-ordered arbitration. */
+    struct StagedArb
+    {
+        ArbOp op;
+        std::uint64_t key;     ///< pre-allocated delivery key
+        SeqTag owner;          ///< tag owning the shared resource
         Callback deliver;
+    };
+
+    /** One sending domain's staged sends to one destination domain in
+     *  one epoch. Cache-line aligned: destinations clear their lanes of
+     *  one sender concurrently. */
+    struct alignas(64) Lane
+    {
+        std::vector<Staged> sends;
+        std::vector<StagedArb> arbs; ///< in replay order (see stageArb)
     };
 
     struct alignas(64) Domain
@@ -701,10 +783,15 @@ class EventQueue
         Tick now = 0;
         std::uint64_t fired = 0;
         std::uint64_t audit_tick = 0;
-        /** Cross-domain sends staged this epoch (drained at the
-         *  barrier); appended only by this domain's worker. */
-        std::vector<Staged> out;
-        std::vector<StagedArb> arb_out;
+        /** Outbox by epoch parity, then destination domain; this
+         *  domain's worker appends to the current parity's lanes. */
+        std::array<std::vector<Lane>, 2> out;
+        /** Earliest tick of this epoch's staged plain sends. */
+        Tick out_min = max_tick;
+        /** This epoch's first staged op of each hook. */
+        std::vector<ArbOp> out_heads;
+        /** Replay-order scratch for the inbound arbitration ops. */
+        std::vector<StagedArb *> replay;
     };
 
     struct alignas(64) PaddedU64
@@ -715,7 +802,7 @@ class EventQueue
     static constexpr std::uint64_t kAuditPeriod = 4096;
 
     static bool
-    arbBefore(const StagedArb &a, const StagedArb &b)
+    arbBefore(const ArbOp &a, const ArbOp &b)
     {
         if (a.sent != b.sent)
             return a.sent < b.sent;
@@ -883,6 +970,23 @@ class EventQueue
         return h;
     }
 
+    /** Give every domain an empty lane to every domain, per parity. */
+    void
+    sizeLanes()
+    {
+        for (Domain &d : domains_)
+            for (std::vector<Lane> &lanes : d.out)
+                lanes = std::vector<Lane>(domains_.size());
+    }
+
+    /**
+     * Move the sends staged for domain @p d in the previous epoch into
+     * its queue, replaying the arbitration ops in global key order
+     * through their hooks as their owner tags. Runs as @p d 's worker,
+     * inside its execution context.
+     */
+    void drainInbound(std::uint32_t d);
+
     /** Structural audit of one domain (see auditInvariants()). */
     void auditDomain(std::uint32_t d) const;
 
@@ -890,12 +994,15 @@ class EventQueue
     std::vector<Domain> domains_;
     std::vector<PaddedU64> ctr_;    ///< per-tag key counters
     std::vector<PaddedU64> digest_; ///< per-tag firing hash chains
-    /** Drain-time sort buffer; reused so steady state allocates 0. */
-    std::vector<StagedArb> scratch_arb_;
     /** Default-constructed: tags join on demand and run() drains. */
     bool open_ = true;
     bool running_ = false;
     Tick horizon_ = 0;
+    /** Horizon of the epoch whose lanes runEpoch() drains. */
+    Tick staged_horizon_ = 0;
+    /** Outbox parity senders append to this epoch. */
+    unsigned parity_ = 0;
+    std::uint64_t epochs_ = 0;
 };
 
 } // namespace barre

@@ -7,7 +7,9 @@
  * in, is pinned here in CSV, stats and per-tag firing digests with the
  * domain guard in panic mode. Migration and demand paging are modeled
  * on the IOMMU platform only; asking for either under the GMMU is a
- * clean fatal at construction.
+ * clean fatal at construction. A small partitioned F-Barre cell's
+ * epoch count is pinned, so a looser horizon cannot add epochs
+ * silently.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +35,7 @@ struct RunOut
     std::string stats;
     std::vector<std::uint64_t> digests;
     bool partitioned = false;
+    std::uint64_t epochs = 0;
     /** Lines the construction and run logged to stderr. */
     int warnings = 0;
 };
@@ -63,6 +66,7 @@ runCfg(SystemConfig cfg, std::uint32_t domains, std::uint32_t threads = 1,
     out.stats = os.str();
     out.digests = sys.eventQueue().fireDigests();
     out.partitioned = sys.partitioned();
+    out.epochs = sys.eventQueue().epochs();
     return out;
 }
 
@@ -143,6 +147,18 @@ TEST(PartitionIdentity, ValidatedDemandPagingMatchesOneDomain)
                             std::string(app) + " sim_threads=" +
                                 std::to_string(threads));
         }
+    }
+}
+
+TEST(PartitionIdentity, FbarreCellEpochCountIsPinned)
+{
+    const RunOut serial = runCfg(SystemConfig::fbarreCfg(), 1);
+    EXPECT_EQ(serial.epochs, 1u);
+    for (std::uint32_t threads : {1u, 2u, 5u}) {
+        const RunOut part = runCfg(SystemConfig::fbarreCfg(), 5, threads);
+        expectIdentical(serial, part,
+                        "sim_threads=" + std::to_string(threads));
+        EXPECT_EQ(part.epochs, 193u) << threads;
     }
 }
 

@@ -8,6 +8,7 @@
 #include "noc/interconnect.hh"
 #include "noc/link.hh"
 #include "noc/pcie.hh"
+#include "sim/rng.hh"
 
 #include "stats_of.hh"
 
@@ -166,4 +167,56 @@ TEST(Link, SendMatchesSerializationCyclesAtBoundaries)
         EXPECT_EQ(first, ser) << "bytes=" << bytes;
         EXPECT_EQ(second, ser + 1) << "bytes=" << bytes;
     }
+}
+
+TEST(Link, LowerBoundNeverExceedsTheArbitratedArrival)
+{
+    // Random bursts of contended sends: every send's bound is taken on
+    // the wire as it stood before its burst, then the burst arbitrates
+    // in order. The bound must never exceed the arrival; it must equal
+    // it for the burst's first send (the wire is unchanged) and for any
+    // send that finds the wire idle.
+    EventQueue eq;
+    Link link(eq, "l", LinkParams{16.0, 20});
+    Rng rng(0x11ab);
+    Tick sent = 0;
+    Tick wire_free = 0;
+    int idle = 0, below = 0;
+    for (int round = 0; round < 2000; ++round) {
+        sent += rng.below(64); // the wire drains between some bursts
+        const std::uint64_t n = 1 + rng.below(6);
+        std::vector<std::pair<Tick, std::uint64_t>> burst;
+        std::vector<Tick> bound;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            sent += rng.below(8);
+            const std::uint64_t bytes = rng.below(200);
+            burst.emplace_back(sent, bytes);
+            bound.push_back(link.lowerBound(sent, bytes));
+        }
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const auto [at, bytes] = burst[i];
+            const bool wire_idle = at >= wire_free;
+            const Tick arrive = link.arbitrate(at, bytes);
+            wire_free = arrive - 20;
+            ASSERT_LE(bound[i], arrive) << "round " << round;
+            if (i == 0 || wire_idle) {
+                ASSERT_EQ(bound[i], arrive) << "round " << round;
+            }
+            idle += wire_idle;
+            below += bound[i] < arrive;
+        }
+    }
+    EXPECT_GT(idle, 100);
+    EXPECT_GT(below, 100); // contention happened
+}
+
+TEST(Link, LowerBoundLeavesTheWireAlone)
+{
+    EventQueue eq;
+    Link link(eq, "l", LinkParams{64.0, 32});
+    EXPECT_EQ(link.lowerBound(5, 128), 5u + 2u + 32u);
+    EXPECT_EQ(link.lowerBound(5, 128), 5u + 2u + 32u);
+    EXPECT_EQ(link.messages().value(), 0u);
+    EXPECT_EQ(link.arbitrate(5, 128), 5u + 2u + 32u);
+    EXPECT_EQ(link.lowerBound(5, 64), 7u + 1u + 32u);
 }

@@ -4,11 +4,13 @@
  * same tagged schedule fires in the same order — per-tag ticks, per-tag
  * rng streams, firing digests — no matter how tags are grouped into
  * domains or how many threads advance them. Plus the staged-arbitration
- * replay (shared-link wire state matches serial bitwise), delays at
- * and past the near window's edge with cross-domain arrivals landing
- * before a domain's only pending record, and the horizon audits (a
- * cross-domain event or arbitrated delivery inside the epoch horizon
- * fires the invariant instead of corrupting the run).
+ * replay (shared-link wire state matches serial bitwise, and epochs
+ * whose earliest pending item is a staged arbitrated send keep the
+ * one-domain epoch sequence), delays at and past the near window's
+ * edge with cross-domain arrivals landing before a domain's only
+ * pending record, and the horizon audits (a cross-domain event or
+ * arbitrated delivery inside the epoch horizon fires the invariant
+ * instead of corrupting the run).
  */
 
 #include <gtest/gtest.h>
@@ -259,6 +261,11 @@ struct FakeWire : ArbHook
         free = start + bytes;
         return free + 40; // latency 40 >= lookahead 33
     }
+    Tick
+    lowerBound(Tick sent, std::uint64_t bytes) const override
+    {
+        return std::max(sent, free) + bytes + 40;
+    }
 };
 
 struct ArbDriver
@@ -310,6 +317,10 @@ TEST(DomainQueueDiff, SharedArbitrationReplaysInSerialOrder)
 
     ArbDriver split({0, 1, 2}, 3);
     split.run(3);
+    // Pinned, so a looser bound on staged arbitrated arrivals cannot
+    // add epochs unnoticed; one domain runs the same epochs.
+    EXPECT_EQ(split.eq.epochs(), 320u);
+    EXPECT_EQ(serial.eq.epochs(), split.eq.epochs());
     EXPECT_EQ(serial.wire.free, split.wire.free);
     ASSERT_EQ(serial.arrivals.ticks.size(), split.arrivals.ticks.size());
     for (std::size_t i = 0; i < serial.arrivals.ticks.size(); ++i) {
@@ -320,6 +331,59 @@ TEST(DomainQueueDiff, SharedArbitrationReplaysInSerialOrder)
     }
     EXPECT_TRUE(serial.eq.fireDigests() ==
                 split.eq.fireDigests());
+}
+
+TEST(DomainQueueDiff, FirstStagedOpInReplayOrderSetsTheHorizon)
+{
+    // Both chiplets send over the idle wire at tick 10: tag 1's 24-byte
+    // op sorts first and arrives at 74; tag 2's 1-byte op queues behind
+    // it (arrives at 75), though on the wire at the barrier it alone
+    // would arrive at 51. Staged, they are the earliest pending items
+    // when the first epoch [10, 43) ends. The next epoch must start at
+    // 74, as one domain's does, so it also fires tag 1's own event at
+    // 90; starting at 51 would leave that event to a third epoch.
+    struct Out
+    {
+        std::uint64_t epochs;
+        std::vector<Tick> fired;
+    };
+    auto run = [](const std::vector<std::uint32_t> &plan,
+                  std::uint32_t domains, unsigned threads) {
+        EventQueue eq;
+        eq.enableTags(plan, domains);
+        FakeWire wire;
+        std::vector<Tick> at; // host-side record
+        Tick local = 0;       // tag 1's record
+        for (SeqTag t = 1; t <= 2; ++t) {
+            EventQueue::TagScope scope(eq, t);
+            eq.schedule(10, [&, t] {
+                eq.stageArb(kHostTag, wire, t == 1 ? 24 : 1,
+                            [&] { at.push_back(eq.now()); });
+            });
+        }
+        {
+            EventQueue::TagScope scope(eq, 1);
+            eq.schedule(90, [&] { local = eq.now(); });
+        }
+        DomainScheduler::run(eq, 33, threads);
+        at.push_back(local);
+        return Out{eq.epochs(), at};
+    };
+    const Out ref = run({0, 0, 0}, 1, 1);
+    EXPECT_EQ(ref.epochs, 2u);
+    EXPECT_EQ(ref.fired, (std::vector<Tick>{74, 75, 90}));
+    for (const auto &[plan, domains] :
+         {std::pair{std::vector<std::uint32_t>{0, 0, 0}, 1u},
+          std::pair{std::vector<std::uint32_t>{0, 1, 2}, 3u}}) {
+        for (const unsigned threads : {1u, 2u, 3u}) {
+            SCOPED_TRACE(testing::Message()
+                         << domains << " domains, " << threads
+                         << " threads");
+            const Out got = run(plan, domains, threads);
+            EXPECT_EQ(got.epochs, ref.epochs);
+            EXPECT_EQ(got.fired, ref.fired);
+        }
+    }
 }
 
 TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
@@ -346,18 +410,43 @@ TEST(DomainQueueAudit, ArbitratedDeliveryInsideHorizonFires)
         GTEST_SKIP() << "horizon audit needs BARRE_CHECK_INVARIANTS";
     EventQueue eq;
     eq.enableTags({0, 1}, 2);
-    EventQueue *eng = &eq;
     FakeWire wire;
-    eng->setRunning(true);
-    eng->beginEpoch(100);
     {
         EventQueue::TagScope scope(eq, 1);
-        eq.stageArb(kHostTag, wire, 1, []() {});
+        eq.schedule(0, [&] { eq.stageArb(kHostTag, wire, 1, []() {}); });
     }
-    // Sent at tick 0, the wire delivers at tick 41, inside the epoch
-    // [0, 100): the replay must refuse it rather than fire it late.
-    EXPECT_THROW(eng->drainStaged(), std::logic_error);
-    eng->setRunning(false);
+    // Sent at tick 0, the wire delivers at tick 41, inside the first
+    // epoch [0, 100) of a run whose lookahead overstates the wire's:
+    // the host domain's drain must refuse it rather than fire it late.
+    EXPECT_THROW(DomainScheduler::run(eq, 100, 1), std::logic_error);
+}
+
+TEST(DomainQueueAudit, ThrowingEpochStepEndsTheRunOnEveryThreadCount)
+{
+    // The barrier's last arriver bounds the staged op through the hook;
+    // when that throws, the peers waiting at the barrier must be
+    // released and the run must rethrow, not hang.
+    struct BrokenWire : FakeWire
+    {
+        Tick
+        lowerBound(Tick, std::uint64_t) const override
+        {
+            throw std::logic_error("broken bound");
+        }
+    };
+    for (const unsigned threads : {1u, 2u, 3u}) {
+        SCOPED_TRACE(threads);
+        EventQueue eq;
+        eq.enableTags({0, 1, 2}, 3);
+        BrokenWire wire;
+        {
+            EventQueue::TagScope scope(eq, 1);
+            eq.schedule(0,
+                        [&] { eq.stageArb(kHostTag, wire, 1, []() {}); });
+        }
+        EXPECT_THROW(DomainScheduler::run(eq, 33, threads),
+                     std::logic_error);
+    }
 }
 
 TEST(DomainQueueAudit, TaggedScheduleOutsideAnyContextFires)

@@ -39,6 +39,12 @@ correctness story depends on:
                    src/iommu/walk_stage.{hh,cc}, so the walk stage stays
                    the one PW-queue / walker / PEC-scan path of the IOMMU
                    and the GMMUs and a second PW-queue cannot grow back.
+  one-epoch-loop   EpochBarrier, or a call of runEpoch(, appears in src/,
+                   bench/ and tools/ only in src/harness/domain_scheduler.cc
+                   and EventQueue::run (src/sim/domain.hh, which also
+                   defines runEpoch), so the scheduler's one barrier per
+                   epoch stays the only loop that drains a partitioned
+                   run and a second epoch loop cannot grow back.
   atomic-rmw       no atomic read-modify-write (fetch_add, fetch_sub,
                    fetch_or, fetch_and, exchange, compare_exchange_*,
                    as members or atomic_* free functions) in src/
@@ -293,6 +299,36 @@ class Linter:
             "PW-queues live only in src/iommu/walk_stage.*; queue walks "
             "through WalkStage", scope="src/iommu")
 
+    def check_one_epoch_loop(self):
+        loop_re = re.compile(r"\bEpochBarrier\b|\brunEpoch\s*\(")
+        home = "src/harness/domain_scheduler.cc"
+        # src/sim/domain.hh may name runEpoch( only where it defines it
+        # and where EventQueue::run drains a default queue through it.
+        engine = "src/sim/domain.hh"
+        engine_ok = re.compile(
+            r"^\s*(?:runEpoch\(std::uint32_t d, Tick horizon\)"
+            r"|return runEpoch\(0, max_tick\);)\s*$")
+        for path in self.files(["src/**/*.hh", "src/**/*.cc",
+                                "bench/**/*.hh", "bench/**/*.cc",
+                                "tools/**/*.hh", "tools/**/*.cc"]):
+            rel = path.relative_to(self.root).as_posix()
+            if rel == home:
+                continue
+            raw_lines = path.read_text().splitlines()
+            text = strip_comments_and_strings("\n".join(raw_lines))
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if not loop_re.search(line):
+                    continue
+                if rel == engine and "EpochBarrier" not in line and \
+                        engine_ok.match(line):
+                    continue
+                if "one-epoch-loop" in allowed_rules(raw_lines[lineno - 1]):
+                    continue
+                self.report(
+                    path, lineno, "one-epoch-loop",
+                    f"epochs are driven only by {home}; run a "
+                    f"partitioned queue through DomainScheduler::run")
+
     def check_atomic_rmw(self):
         rmw_re = re.compile(
             r"(?:\.|->)\s*(?:fetch_(?:add|sub|or|and|xor)|exchange"
@@ -358,6 +394,7 @@ class Linter:
         self.check_one_l2_miss_path()
         self.check_one_event_engine()
         self.check_one_walk_queue()
+        self.check_one_epoch_loop()
         self.check_atomic_rmw()
         self.check_domain_ownership()
         if format_check:
