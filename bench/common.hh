@@ -98,6 +98,7 @@ void runFigures(const std::vector<Figure> &figs);
 /// @name The figures, one source file each (bench/<name>.cc)
 /// Each takes the $BARRE_SCALE workload scale.
 /// @{
+Figure a04Tenants(double scale);
 Figure ablDemandPaging(double scale);
 Figure ablMulticast(double scale);
 Figure ablWalkModel(double scale);

@@ -25,19 +25,20 @@ figuresMain(int argc, char **argv)
 {
     const double scale = envScale();
     const std::vector<Figure> all{
-        ablDemandPaging(scale),         ablMulticast(scale),
-        ablWalkModel(scale),            fig01PtwScaling(scale),
-        fig02SuperpageMigration(scale), fig04Mshr(scale),
-        fig05VpnGap(scale),             fig06SharedL2tlb(scale),
-        fig15Overall(scale),            fig16Ats(scale),
-        fig17aFilterHits(scale),        fig17bFilterSize(scale),
-        fig18Breakdown(scale),          fig19SharingTraffic(scale),
-        fig20Chiplets(scale),           fig21Gmmu(scale),
-        fig22Migration(scale),          fig23PtwSweep(scale),
-        fig24PageSize(scale),           fig25VsSuperpage(scale),
-        fig26Mappings(scale),           fig27aMultiapp(scale),
-        fig27bIommuTlb(scale),          sec7kOverhead(scale),
-        tab1Mpki(scale),                tab2Params(scale),
+        a04Tenants(scale),              ablDemandPaging(scale),
+        ablMulticast(scale),            ablWalkModel(scale),
+        fig01PtwScaling(scale),         fig02SuperpageMigration(scale),
+        fig04Mshr(scale),               fig05VpnGap(scale),
+        fig06SharedL2tlb(scale),        fig15Overall(scale),
+        fig16Ats(scale),                fig17aFilterHits(scale),
+        fig17bFilterSize(scale),        fig18Breakdown(scale),
+        fig19SharingTraffic(scale),     fig20Chiplets(scale),
+        fig21Gmmu(scale),               fig22Migration(scale),
+        fig23PtwSweep(scale),           fig24PageSize(scale),
+        fig25VsSuperpage(scale),        fig26Mappings(scale),
+        fig27aMultiapp(scale),          fig27bIommuTlb(scale),
+        sec7kOverhead(scale),           tab1Mpki(scale),
+        tab2Params(scale),
     };
 
     std::vector<Figure> picked;

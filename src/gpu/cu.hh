@@ -2,12 +2,12 @@
  * @file
  * Compute-unit model: a warp-level memory-instruction generator.
  *
- * Each CU executes the access streams of the CTAs scheduled onto it. It
- * sustains `mlp` outstanding accesses (the latency hiding of resident
- * warps); each slot issues its next access `issue_gap` cycles after the
- * previous one completes (amortized compute between memory
- * instructions). The simulation's runtime metric is the tick when every
- * CU drains.
+ * Each CU executes the access streams of the CTAs scheduled onto it,
+ * each launched stream as one job. A job sustains `mlp` outstanding
+ * accesses (the latency hiding of resident warps); each slot issues
+ * its next access `issue_gap` cycles after the previous one completes
+ * (amortized compute between memory instructions). The simulation's
+ * runtime metric is the tick when every CU drains.
  */
 
 #pragma once
@@ -54,45 +54,43 @@ class Cu : public SimObject
           params_(params)
     {}
 
-    /** Append a CTA's access stream. Call before start(). */
+    /** Append CTA access streams. Call before start(). */
     void
-    addStream(const std::vector<AccessDesc> &accesses)
+    addStream(std::vector<AccessDesc> accesses)
     {
-        stream_.insert(stream_.end(), accesses.begin(), accesses.end());
-    }
-
-    /** Begin issuing; @p on_done fires when the stream drains. */
-    void
-    start(EventQueue::Callback on_done)
-    {
-        on_done_ = std::move(on_done);
-        if (stream_.empty()) {
-            on_done_();
-            return;
-        }
-        std::uint32_t slots =
-            std::min<std::uint32_t>(params_.mlp,
-                                    static_cast<std::uint32_t>(
-                                        stream_.size()));
-        active_slots_ = slots;
-        for (std::uint32_t s = 0; s < slots; ++s)
-            issueNext();
+        streamed_ += accesses.size();
+        if (stream_.empty())
+            stream_ = std::move(accesses);
+        else
+            stream_.insert(stream_.end(), accesses.begin(),
+                           accesses.end());
     }
 
     /**
-     * Dynamic-launch path (multi-tenant scenarios): run one CTA's
-     * access stream as an independent job, sharing the CU's issue
-     * machinery but arriving at any tick. Jobs issue concurrently with
+     * Launch the addStream() accesses as one job; @p on_done fires
+     * when they drain (at once if there are none).
+     */
+    void
+    start(EventQueue::Callback on_done)
+    {
+        if (stream_.empty()) {
+            on_done();
+            return;
+        }
+        launchJob(std::move(stream_), std::move(on_done));
+    }
+
+    /**
+     * Run one access stream as an independent job, arriving at any
+     * tick (a CU's preloaded share via start(), or its share of a
+     * multi-tenant scenario's arrival). Jobs issue concurrently with
      * each other (each gets its own mlp slots — the CU models enough
      * resident warps); @p on_done fires when this job's stream drains.
-     * Must not be mixed with the static addStream()/start() path.
      */
     void
     launchJob(std::vector<AccessDesc> accesses,
               EventQueue::Callback on_done)
     {
-        barre_assert(stream_.empty(),
-                     "launchJob on a CU with a static stream");
         barre_assert(!accesses.empty(), "launching an empty job");
         auto job = std::make_unique<Job>();
         job->accesses = std::move(accesses);
@@ -108,26 +106,11 @@ class Cu : public SimObject
     }
 
     std::uint64_t accessesIssued() const { return issued_; }
-    std::uint64_t streamLength() const { return stream_.size(); }
-    std::uint64_t jobsLaunched() const { return jobs_.size(); }
+    /** Accesses given by addStream(), launched or not. */
+    std::uint64_t streamLength() const { return streamed_; }
 
   private:
-    void
-    issueNext()
-    {
-        if (next_ >= stream_.size()) {
-            if (--active_slots_ == 0)
-                on_done_();
-            return;
-        }
-        const AccessDesc &a = stream_[next_++];
-        ++issued_;
-        chiplet_.access(id_, a.pid, a.vaddr, [this]() {
-            after(params_.issue_gap, [this]() { issueNext(); });
-        });
-    }
-
-    /** One dynamically launched CTA stream (stable address). */
+    /** One launched access stream (stable address). */
     struct Job
     {
         std::vector<AccessDesc> accesses;
@@ -159,11 +142,10 @@ class Cu : public SimObject
     Chiplet &chiplet_;
     CuId id_;
     CuParams params_;
+    /** Accesses added but not yet started. */
     std::vector<AccessDesc> stream_;
-    std::size_t next_ = 0;
+    std::uint64_t streamed_ = 0;
     std::uint64_t issued_ = 0;
-    std::uint32_t active_slots_ = 0;
-    EventQueue::Callback on_done_;
     std::vector<std::unique_ptr<Job>> jobs_;
 };
 

@@ -36,7 +36,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 
 namespace barre
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * One-call experiment helpers and plain-text table output used by the
- * benchmark harness (bench/figures, bench_tenants) and tools/sweep.
+ * benchmark harness (bench/figures) and tools/sweep.
  *
  * runMany() is the sweep workhorse: it fans independent simulations out
  * across host cores (harness/pool.hh parallelFor(), $BARRE_JOBS threads

@@ -384,25 +384,6 @@ System::allocate(const AppParams &app, ProcessId pid)
     return allocs;
 }
 
-void
-System::loadWorkload(const AppParams &app,
-                     const std::vector<DataAlloc> &allocs,
-                     double tenant_scale)
-{
-    const AppParams eff = scaleCtas(cfg_, app, tenant_scale);
-    for (std::uint32_t t = 0; t < eff.ctas; ++t) {
-        auto accesses = generateCta(eff, allocs, t, cfg_.page_size);
-        ChipletId c = assignCta(cfg_.driver.policy, eff, allocs, t,
-                                cfg_.chiplets);
-        std::uint32_t u = next_cu_[c]++ % cfg_.cus_per_chiplet;
-        total_accesses_ += accesses.size();
-        cus_[c][u]->addStream(accesses);
-    }
-    total_instructions_ += eff.ctas *
-                           static_cast<double>(eff.accesses_per_cta) *
-                           eff.instr_per_access;
-}
-
 const char *
 System::scenarioBlocker() const
 {
@@ -437,13 +418,16 @@ System::loadScenario(const ScenarioSpec &spec)
     const std::vector<ResolvedTenant> tenants = spec.resolve();
 
     if (!spec.dynamicArrivals()) {
-        // Static preload: byte-for-byte the historic single/multi-app
-        // path — allocate + load each tenant in pid order.
+        // Static preload: plan each tenant in pid order as if it
+        // arrived at tick 0, and append its jobs to the CUs' streams,
+        // which start() launches when the run begins.
         ProcessId pid = 1;
         for (const ResolvedTenant &t : tenants) {
-            auto allocs = allocate(t.app, pid);
-            loadWorkload(t.app, allocs, t.scale);
-            ++pid;
+            ScenarioEngine::LaunchPlan plan =
+                planTenant(scaleCtas(cfg_, t.app, t.scale), pid++);
+            for (ChipletId c = 0; c < cfg_.chiplets; ++c)
+                for (ScenarioEngine::CuJob &job : plan[c])
+                    cus_[c][job.cu]->addStream(std::move(job.accesses));
         }
         return;
     }
@@ -496,9 +480,9 @@ System::planTenant(const AppParams &app, ProcessId pid)
 {
     auto allocs = allocate(app, pid);
 
-    // Same CTA generation/placement as the preload path, but grouped
-    // into one job per CU so a CU's share issues with its usual mlp
-    // slots no matter how many CTAs land on it.
+    // One job per CU, its CTAs' streams in CTA order, so a CU's share
+    // issues with its usual mlp slots no matter how many CTAs land on
+    // it.
     ScenarioEngine::LaunchPlan plan(cfg_.chiplets);
     std::vector<std::vector<std::int32_t>> job_of(
         cfg_.chiplets,
@@ -563,10 +547,28 @@ System::recordAppTrace(const AppParams &app)
 }
 
 void
-System::loadTrace(const Trace &trace, double instr_per_access)
+System::loadTrace(const Trace &trace, const AppParams &app)
 {
+    // The allocation recordAppTrace() made for the same app.
+    const std::vector<DataAlloc> allocs = allocate(app, 1);
     for (std::size_t t = 0; t < trace.ctas.size(); ++t) {
         const auto &stream = trace.ctas[t];
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            const AccessDesc &a = stream[i];
+            const Vpn vpn = vpnOf(a.vaddr, cfg_.page_size);
+            if (std::none_of(allocs.begin(), allocs.end(),
+                             [&](const DataAlloc &d) {
+                                 return d.pid == a.pid &&
+                                        vpn >= d.start_vpn &&
+                                        vpn < d.start_vpn + d.pages;
+                             })) {
+                barre_fatal("trace access %zu of CTA %zu (pid %u, vaddr "
+                            "0x%llx) lies in no buffer of %s",
+                            i, t, unsigned(a.pid),
+                            (unsigned long long)a.vaddr,
+                            app.name.c_str());
+            }
+        }
         if (stream.empty())
             continue;
         Vpn first = vpnOf(stream.front().vaddr, cfg_.page_size);
@@ -574,7 +576,7 @@ System::loadTrace(const Trace &trace, double instr_per_access)
         std::uint32_t u = next_cu_[c]++ % cfg_.cus_per_chiplet;
         total_accesses_ += stream.size();
         total_instructions_ +=
-            static_cast<double>(stream.size()) * instr_per_access;
+            static_cast<double>(stream.size()) * app.instr_per_access;
         cus_[c][u]->addStream(stream);
     }
 }

@@ -14,6 +14,8 @@
 #include "harness/config.hh"
 #include "harness/metrics.hh"
 #include "sim/domain_guard.hh"
+// TaggedEngine, the name perfbench/cells.cc reads the queue under.
+#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "workloads/scenario.hh"
 #include "workloads/scenario_engine.hh"
@@ -58,11 +60,14 @@ class System
     Trace recordAppTrace(const AppParams &app);
 
     /**
-     * Load a recorded/imported trace (workloads/trace.hh). CTAs are
-     * co-located with the chiplet owning their first touched page.
-     * @param instr_per_access MPKI denominator weight per access.
+     * Replay a recorded/imported trace (workloads/trace.hh) of @p app:
+     * allocate @p app's buffers for pid 1, as recordAppTrace() did,
+     * then load the streams. CTAs are co-located with the chiplet
+     * owning their first touched page; @p app's instr_per_access
+     * weighs each access in the MPKI denominator. An access outside
+     * every buffer is fatal (the trace was recorded from another app).
      */
-    void loadTrace(const Trace &trace, double instr_per_access = 4.0);
+    void loadTrace(const Trace &trace, const AppParams &app);
 
     /** Run to completion and harvest metrics. */
     RunMetrics run();
@@ -121,17 +126,10 @@ class System
     /** Allocate an app's buffers through the driver. */
     std::vector<DataAlloc> allocate(const AppParams &app, ProcessId pid);
     /**
-     * Generate the app's CTAs and distribute them over CUs (co-located
-     * per the mapping policy); @p tenant_scale multiplies the CTA
-     * count on top of cfg.workload_scale. Preload path only — dynamic
-     * tenants go through planTenant().
-     */
-    void loadWorkload(const AppParams &app,
-                      const std::vector<DataAlloc> &allocs,
-                      double tenant_scale = 1.0);
-    /**
-     * Scenario-engine launch hook: allocate the arriving tenant's
-     * buffers and plan its CTA placement (host context).
+     * Allocate a tenant's buffers and plan its CTA placement: one job
+     * per CU that gets CTAs. @p app 's CTA count is already scaled.
+     * The scenario engine's launch hook at each arrival (host
+     * context), and the static preload for every tick-0 tenant.
      */
     ScenarioEngine::LaunchPlan planTenant(const AppParams &app,
                                           ProcessId pid);

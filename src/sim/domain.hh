@@ -253,6 +253,16 @@ class EventQueue
   public:
     using Callback = InlineFn<void()>;
 
+    // Event payloads are move-only InlineFns with a 48-byte inline
+    // buffer: per-event scheduling must not touch the allocator for
+    // the common 2-3-pointer capture. Guard against regressing back to
+    // a heap-allocating payload type.
+    static_assert(Callback::fitsInline<decltype([p = (void *)nullptr,
+                                                 q = (void *)nullptr,
+                                                 t = Tick{0}] {})>(),
+                  "EventQueue::Callback must store small captures "
+                  "inline");
+
     /** Ticks covered by a domain's near window. */
     static constexpr std::uint32_t kWindow = 1024;
 

@@ -12,7 +12,7 @@
 #include <string>
 #include <utility>
 
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 #include "sim/types.hh"
 
 namespace barre

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/migration.hh"
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 
 #include "stats_of.hh"
 

@@ -133,3 +133,53 @@ TEST(Cu, IssueGapSpacesAccesses)
     rig.eq.run();
     EXPECT_GT(end, 3u * 100u);
 }
+
+TEST(Cu, JobsLaunchedAtDifferentTicksGetTheirOwnSlots)
+{
+    Rig rig;
+    Cu cu(rig.eq, "cu", *rig.chip, 0, CuParams{2, 4});
+    int done_a = 0;
+    int done_b = 0;
+    cu.launchJob(rig.stream(9), [&] { ++done_a; });
+    // Both of the first job's slots issue at once.
+    EXPECT_EQ(cu.accessesIssued(), 2u);
+
+    std::uint64_t before_b = 0;
+    std::uint64_t after_b = 0;
+    rig.eq.schedule(50, [&] {
+        // The first job is still in flight, and the second issues on
+        // two slots of its own without waiting for it.
+        EXPECT_EQ(done_a, 0);
+        before_b = cu.accessesIssued();
+        cu.launchJob(rig.stream(5), [&] { ++done_b; });
+        after_b = cu.accessesIssued();
+    });
+    rig.eq.run();
+
+    EXPECT_EQ(after_b, before_b + 2);
+    EXPECT_EQ(done_a, 1);
+    EXPECT_EQ(done_b, 1);
+    EXPECT_EQ(cu.accessesIssued(), 14u);
+}
+
+TEST(Cu, JobLaunchedAfterAnotherDrainedCompletesOnce)
+{
+    Rig rig;
+    Cu cu(rig.eq, "cu", *rig.chip, 0, CuParams{4, 1});
+    int done_a = 0;
+    int done_b = 0;
+    Tick end_a = 0;
+    cu.launchJob(rig.stream(3), [&] {
+        ++done_a;
+        end_a = rig.eq.now();
+        // Relaunching from the completion itself: the CU keeps no
+        // per-CU issue state that a drained job could leave behind.
+        cu.launchJob(rig.stream(6), [&] { ++done_b; });
+    });
+    rig.eq.run();
+
+    EXPECT_GT(end_a, 0u);
+    EXPECT_EQ(done_a, 1);
+    EXPECT_EQ(done_b, 1);
+    EXPECT_EQ(cu.accessesIssued(), 9u);
+}

@@ -15,7 +15,9 @@
  * (GMMU platform, fair PW scheduling, timed walks, IOMMU TLB, demand
  * paging, unbounded walkers) were recorded while the IOMMU and the
  * GMMUs each kept their own PW-queue, walkers and PEC scan; sharing one
- * walk stage must leave them unchanged too.
+ * walk stage must leave them unchanged too. The static two-tenant
+ * cells were recorded while the static preload had a CTA planner of
+ * its own beside the churn engine's.
  */
 
 #include <gtest/gtest.h>
@@ -200,6 +202,23 @@ TEST(HerdIdentity, FBarreTenantChurn)
     const ScenarioSpec spec = parseScenarioSpec("poisson:8:2:7");
     expectDigests(SystemConfig::fbarreCfg(2),
                   {Cell{spec, spec.label(), 0x96f2bced437be0abull}});
+}
+
+// Static multi-tenant preload: two tenants' CTAs share the CUs, each
+// CU issuing the first tenant's streams before the second's.
+TEST(HerdIdentity, BaselineStaticPair)
+{
+    expectDigests(SystemConfig::baselineAts(),
+                  {Cell{ScenarioSpec::pair("cov", "atax"), "cov+atax",
+                        0x0d21aa317f77897full}});
+}
+
+// A per-tenant scale halves gups' CTA count on top of workload_scale.
+TEST(HerdIdentity, FBarreStaticScaledPair)
+{
+    const ScenarioSpec spec = parseScenarioSpec("gups*0.5+bicg");
+    expectDigests(SystemConfig::fbarreCfg(2),
+                  {Cell{spec, spec.label(), 0xfad3e0622961568dull}});
 }
 
 // The GMMU platform (MGvm, §VII-F): per-chiplet walkers with local and

@@ -86,9 +86,9 @@ expectIdentical(const RunOut &a, const RunOut &b, const char *what)
 }
 
 /**
- * barre, or one of the three F-Barre policy configs bench_tenants
- * reports: shared L2 TLB ways with a FIFO walker queue ("fbarre"),
- * per-tenant way partitions, and fair walker scheduling.
+ * barre, or one of the three F-Barre policy configs that `figures
+ * a04_tenants` reports: shared L2 TLB ways with a FIFO walker queue
+ * ("fbarre"), per-tenant way partitions, and fair walker scheduling.
  */
 SystemConfig
 cfgFor(const std::string &name)

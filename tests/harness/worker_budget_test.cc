@@ -20,7 +20,6 @@
 
 #include "harness/domain_scheduler.hh"
 #include "sim/domain.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 using namespace barre;

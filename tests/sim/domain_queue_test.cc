@@ -23,7 +23,6 @@
 
 #include "harness/domain_scheduler.hh"
 #include "sim/domain.hh"
-#include "sim/event_queue.hh"
 #include "sim/invariant.hh"
 #include "sim/rng.hh"
 

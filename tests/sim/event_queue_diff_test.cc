@@ -21,7 +21,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 #include "sim/rng.hh"
 
 using namespace barre;

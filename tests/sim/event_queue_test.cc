@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 
 using namespace barre;
 

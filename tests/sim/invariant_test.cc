@@ -17,7 +17,7 @@
 #include "core/filter_engine.hh"
 #include "driver/gpu_driver.hh"
 #include "filters/cuckoo_filter.hh"
-#include "sim/event_queue.hh"
+#include "sim/domain.hh"
 #include "sim/invariant.hh"
 
 using namespace barre;

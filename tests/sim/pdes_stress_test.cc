@@ -28,7 +28,6 @@
 #include "harness/domain_scheduler.hh"
 #include "sim/domain.hh"
 #include "sim/domain_guard.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "tlb/tlb.hh"
 

@@ -2,8 +2,9 @@
 # Contract test for clean CLI failures: each malformed input below must
 # end in exit code 1 with a "fatal: ..." message naming the problem on
 # stderr, never in std::terminate's SIGABRT (rc 134). Also checks that
-# barre_sim's output does not depend on where --mode stands among the
-# other flags, and that each mode name means one config.
+# a recorded trace replays in a fresh process, that barre_sim's output
+# does not depend on where --mode stands among the other flags, and
+# that each mode name means one config.
 #
 # Usage: cli_exit_test.sh <barre_sim> <sweep> <merge_csv> <figures>
 set -u -o pipefail
@@ -52,6 +53,33 @@ expect_fatal "demand paging is modeled on the IOMMU platform only" \
     "$sim" --gmmu --demand-paging --app gups --scale 0.02
 expect_fatal "migration is modeled on the IOMMU platform only" \
     "$sim" --gmmu --migration --app gups --scale 0.02
+
+# A trace is one app's streams: it cannot carry a scenario.
+expect_fatal "--trace/--record-trace conflict with --scenario/--tenants" \
+    "$sim" --trace "$work/none.trace" --scenario cov+atax
+expect_fatal "--trace/--record-trace conflict with --scenario/--tenants" \
+    "$sim" --record-trace "$work/none.trace" --tenants 4
+
+# Record, then replay in a fresh process: the replay allocates the
+# app's buffers exactly as the recording did.
+if "$sim" --app gups --scale 0.02 --record-trace "$work/gups.trace" \
+        >/dev/null 2>&1; then
+    echo "ok   rc 0: record gups trace"
+else
+    echo "FAIL recording a gups trace"
+    fail=1
+fi
+for mode in "--mode baseline" "--mode fbarre --demand-paging"; do
+    # shellcheck disable=SC2086
+    if "$sim" --trace "$work/gups.trace" --app gups $mode >/dev/null 2>&1; then
+        echo "ok   rc 0: replay gups trace $mode"
+    else
+        echo "FAIL replaying the gups trace $mode"
+        fail=1
+    fi
+done
+expect_fatal "lies in no buffer of atax" \
+    "$sim" --trace "$work/gups.trace" --app atax
 
 # expect_same_output <args A> -- <args B>: barre_sim prints the same
 # for both command lines.

@@ -140,10 +140,11 @@ TEST(Trace, ReplayReproducesGeneratedRun)
     RunMetrics m1 = direct.run();
 
     // recordAppTrace() applies workload_scale the same way the
-    // scenario preload path does.
+    // scenario preload path does, and a fresh system's replay
+    // allocates the buffers the recording system did.
+    const Trace t = System(cfg).recordAppTrace(app);
     System replay(cfg);
-    Trace t = replay.recordAppTrace(app);
-    replay.loadTrace(t, app.instr_per_access);
+    replay.loadTrace(t, app);
     RunMetrics m2 = replay.run();
 
     EXPECT_EQ(m1.accesses, m2.accesses);

@@ -10,8 +10,8 @@
  *   barre_sim --scenario cov+atax --mode fbarre
  *   barre_sim --scenario 'mvt*0.5@2000+poisson:8:2:7'
  *   barre_sim --tenants 64 --churn 2 --seed 7 --mode barre
- *   barre_sim --trace my.trace --mode barre
  *   barre_sim --app fft --record-trace fft.trace
+ *   barre_sim --app fft --trace fft.trace --mode barre
  *   barre_sim --list
  */
 
@@ -44,7 +44,7 @@ usage()
         "  --tenants N         Poisson churn: N arriving tenants\n"
         "  --churn R           arrivals per 100k cycles (default 1)\n"
         "  --seed S            churn RNG seed (default 1)\n"
-        "  --trace FILE        replay an access trace instead\n"
+        "  --trace FILE        replay a trace of --app instead\n"
         "  --record-trace FILE write the app's trace and exit\n"
         "  --mode M            baseline|valkyrie|least|barre|fbarre|\n"
         "                      fbarre4 (fbarre = F-Barre-2Merge,\n"
@@ -213,6 +213,12 @@ barreSimMain(int argc, char **argv)
         barre_fatal("--scenario conflicts with --app/--tenants");
     if (tenants > 0 && app_given)
         barre_fatal("--tenants conflicts with --app");
+    // A trace is one app's streams: recording or replaying one would
+    // silently drop the scenario.
+    if ((!trace_file.empty() || !record_file.empty()) &&
+        (!scenario_text.empty() || tenants > 0))
+        barre_fatal("--trace/--record-trace conflict with "
+                    "--scenario/--tenants");
 
     const ScenarioSpec spec =
         !scenario_text.empty()
@@ -237,8 +243,7 @@ barreSimMain(int argc, char **argv)
         std::ifstream is(trace_file);
         if (!is)
             barre_fatal("cannot read %s", trace_file.c_str());
-        sys.loadTrace(readTrace(is),
-                      appByName(app_name).instr_per_access);
+        sys.loadTrace(readTrace(is), appByName(app_name));
     } else {
         sys.loadScenario(spec);
     }

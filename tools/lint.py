@@ -45,6 +45,11 @@ correctness story depends on:
                    defines runEpoch), so the scheduler's one barrier per
                    epoch stays the only loop that drains a partitioned
                    run and a second epoch loop cannot grow back.
+  one-figure-driver
+                   main( appears in bench/ only in bench/figures.cc, so
+                   every figure, table and extension study is a Figure
+                   of the one driver and a second bench binary, with a
+                   runner and switches of its own, cannot grow back.
   atomic-rmw       no atomic read-modify-write (fetch_add, fetch_sub,
                    fetch_or, fetch_and, exchange, compare_exchange_*,
                    as members or atomic_* free functions) in src/
@@ -329,6 +334,12 @@ class Linter:
                     f"epochs are driven only by {home}; run a "
                     f"partitioned queue through DomainScheduler::run")
 
+    def check_one_figure_driver(self):
+        self.check_single_home(
+            "one-figure-driver", r"\bmain\s*\(", {"bench/figures.cc"},
+            "bench/figures.cc is the one bench binary; declare a Figure "
+            "(bench/common.hh) instead of a main()", scope="bench")
+
     def check_atomic_rmw(self):
         rmw_re = re.compile(
             r"(?:\.|->)\s*(?:fetch_(?:add|sub|or|and|xor)|exchange"
@@ -395,6 +406,7 @@ class Linter:
         self.check_one_event_engine()
         self.check_one_walk_queue()
         self.check_one_epoch_loop()
+        self.check_one_figure_driver()
         self.check_atomic_rmw()
         self.check_domain_ownership()
         if format_check:
