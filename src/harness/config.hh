@@ -89,8 +89,9 @@ struct SystemConfig
 
     /**
      * Worker threads advancing the domains (0 = defaultWorkers());
-     * clamped to the domain count. The thread count never affects
-     * results, only wall time.
+     * clamped to the domain count and to defaultWorkers(), because
+     * barrier-coupled workers must not outnumber the cores. The
+     * thread count never affects results, only wall time.
      */
     std::uint32_t sim_threads = 0;
 

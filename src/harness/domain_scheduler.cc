@@ -1,5 +1,6 @@
 #include "harness/domain_scheduler.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -138,13 +139,6 @@ runEpochs(EventQueue &eng, Tick lookahead, unsigned workers)
 
 } // namespace
 
-WorkerBudget &
-DomainScheduler::budget()
-{
-    static WorkerBudget b(defaultWorkers());
-    return b;
-}
-
 std::uint64_t
 DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
 {
@@ -152,25 +146,16 @@ DomainScheduler::run(EventQueue &eq, Tick lookahead, unsigned threads)
     const std::uint64_t fired_before = eq.fired();
     const std::uint32_t domains = eq.domains();
 
-    unsigned want = threads != 0 ? threads : defaultWorkers();
-    if (want > domains)
-        want = domains;
-    if (want < 1)
-        want = 1;
-
-    // A one-worker lease (asked for, or all the budget had left) runs
-    // the same epoch loop on the calling thread alone; results never
-    // depend on it.
-    const unsigned granted = budget().acquire(want);
+    // A one-worker run (asked for, or one domain or core) runs the
+    // same epoch loop on the calling thread alone; results never
+    // depend on the worker count.
+    const unsigned cores = defaultWorkers();
+    const unsigned workers =
+        std::max(1u, std::min({threads != 0 ? threads : cores,
+                               static_cast<unsigned>(domains), cores}));
     eq.setRunning(true);
-    try {
-        runEpochs(eq, lookahead, granted);
-    } catch (...) {
-        budget().release(granted);
-        throw;
-    }
+    runEpochs(eq, lookahead, workers);
     eq.setRunning(false);
-    budget().release(granted);
     barre_assert(eq.empty(), "partitioned run left staged events");
     return eq.fired() - fired_before;
 }

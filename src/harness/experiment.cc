@@ -125,35 +125,17 @@ runMany(const std::vector<NamedConfig> &cfgs,
         const std::vector<ScenarioSpec> &specs,
         const std::vector<CellRef> &cells, unsigned jobs)
 {
-    const std::size_t n = cells.size();
-
-    // A sweep with fewer cells than workers leaves cores idle; hand
-    // each cell's partitioned scheduler an equal share of the
-    // leftovers. The domain scheduler's thread count never affects
-    // results (harness/domain_scheduler.hh), only wall time, so the
-    // sweep stays bitwise identical to the serial path. Explicit
-    // sim_threads requests are left alone.
-    const unsigned eff_jobs =
-        jobs != 0 ? jobs : defaultWorkers();
-    const unsigned spare_threads =
-        n > 0 && eff_jobs > n ? static_cast<unsigned>(eff_jobs / n) : 1;
-
-    // One frozen handle per config; all of its cells share it.
+    // One frozen handle per config, as given; all of its cells share
+    // it.
     std::vector<SystemConfigHandle> frozen;
     frozen.reserve(cfgs.size());
-    for (const auto &nc : cfgs) {
-        SystemConfig cfg = nc.cfg;
-        if (spare_threads > 1 && cfg.sim_domains > 1 &&
-            cfg.sim_threads == 0) {
-            cfg.sim_threads = spare_threads;
-        }
-        frozen.push_back(freezeConfig(std::move(cfg)));
-    }
+    for (const auto &nc : cfgs)
+        frozen.push_back(freezeConfig(nc.cfg));
 
     std::vector<std::function<RunMetrics()>> sims;
     std::vector<double> hints;
-    sims.reserve(n);
-    hints.reserve(n);
+    sims.reserve(cells.size());
+    hints.reserve(cells.size());
     for (const CellRef &cell : cells) {
         const NamedConfig &nc = cfgs.at(cell.config);
         const ScenarioSpec &spec = specs.at(cell.spec);

@@ -62,8 +62,10 @@ struct CellRef
  * workers (0 = $BARRE_JOBS, else the CPUs this thread may run on; 1 =
  * plain serial loop, no threads spawned); result k is cell k. Each
  * cell is runScenario() with RunMetrics::config set to the config
- * name, and every cell of one config shares one frozen handle.
- * Results are deterministic and independent of the worker count.
+ * name, and every cell of one config shares one handle, frozen as
+ * given: a partitioned cell runs its config's sim_threads whatever
+ * @p jobs is. Results are deterministic and independent of the
+ * worker count.
  *
  * Cells start longest-expected-first (cellCostHint()) so a long
  * `gups` cell never tails the batch; results are still collected by

@@ -422,13 +422,8 @@ System::loadScenario(const ScenarioSpec &spec)
         // arrived at tick 0, and append its jobs to the CUs' streams,
         // which start() launches when the run begins.
         ProcessId pid = 1;
-        for (const ResolvedTenant &t : tenants) {
-            ScenarioEngine::LaunchPlan plan =
-                planTenant(scaleCtas(cfg_, t.app, t.scale), pid++);
-            for (ChipletId c = 0; c < cfg_.chiplets; ++c)
-                for (ScenarioEngine::CuJob &job : plan[c])
-                    cus_[c][job.cu]->addStream(std::move(job.accesses));
-        }
+        for (const ResolvedTenant &t : tenants)
+            preload(planTenant(scaleCtas(cfg_, t.app, t.scale), pid++));
         return;
     }
 
@@ -476,7 +471,7 @@ System::loadScenario(const ScenarioSpec &spec)
 }
 
 ScenarioEngine::LaunchPlan
-System::planTenant(const AppParams &app, ProcessId pid)
+System::planTenant(const AppParams &app, ProcessId pid, const Trace *trace)
 {
     auto allocs = allocate(app, pid);
 
@@ -487,12 +482,14 @@ System::planTenant(const AppParams &app, ProcessId pid)
     std::vector<std::vector<std::int32_t>> job_of(
         cfg_.chiplets,
         std::vector<std::int32_t>(cfg_.cus_per_chiplet, -1));
+    std::uint64_t accesses_planned = 0;
     for (std::uint32_t t = 0; t < app.ctas; ++t) {
-        auto accesses = generateCta(app, allocs, t, cfg_.page_size);
+        auto accesses = trace ? trace->ctas[t]
+                              : generateCta(app, allocs, t, cfg_.page_size);
         ChipletId c = assignCta(cfg_.driver.policy, app, allocs, t,
                                 cfg_.chiplets);
         std::uint32_t u = next_cu_[c]++ % cfg_.cus_per_chiplet;
-        total_accesses_ += accesses.size();
+        accesses_planned += accesses.size();
         if (job_of[c][u] < 0) {
             job_of[c][u] = static_cast<std::int32_t>(plan[c].size());
             plan[c].push_back(ScenarioEngine::CuJob{u, {}});
@@ -500,10 +497,18 @@ System::planTenant(const AppParams &app, ProcessId pid)
         auto &stream = plan[c][job_of[c][u]].accesses;
         stream.insert(stream.end(), accesses.begin(), accesses.end());
     }
-    total_instructions_ += app.ctas *
-                           static_cast<double>(app.accesses_per_cta) *
-                           app.instr_per_access;
+    total_accesses_ += accesses_planned;
+    total_instructions_ +=
+        static_cast<double>(accesses_planned) * app.instr_per_access;
     return plan;
+}
+
+void
+System::preload(ScenarioEngine::LaunchPlan plan)
+{
+    for (ChipletId c = 0; c < cfg_.chiplets; ++c)
+        for (ScenarioEngine::CuJob &job : plan[c])
+            cus_[c][job.cu]->addStream(std::move(job.accesses));
 }
 
 void
@@ -549,14 +554,17 @@ System::recordAppTrace(const AppParams &app)
 void
 System::loadTrace(const Trace &trace, const AppParams &app)
 {
-    // The allocation recordAppTrace() made for the same app.
-    const std::vector<DataAlloc> allocs = allocate(app, 1);
+    // Plan as the recorded run did: the same allocation (pid 1) and
+    // the same placement of CTA t, with the trace's streams.
+    AppParams traced = app;
+    traced.ctas = static_cast<std::uint32_t>(trace.ctas.size());
+    preload(planTenant(traced, 1, &trace));
     for (std::size_t t = 0; t < trace.ctas.size(); ++t) {
         const auto &stream = trace.ctas[t];
         for (std::size_t i = 0; i < stream.size(); ++i) {
             const AccessDesc &a = stream[i];
             const Vpn vpn = vpnOf(a.vaddr, cfg_.page_size);
-            if (std::none_of(allocs.begin(), allocs.end(),
+            if (std::none_of(all_allocs_.begin(), all_allocs_.end(),
                              [&](const DataAlloc &d) {
                                  return d.pid == a.pid &&
                                         vpn >= d.start_vpn &&
@@ -569,15 +577,6 @@ System::loadTrace(const Trace &trace, const AppParams &app)
                             app.name.c_str());
             }
         }
-        if (stream.empty())
-            continue;
-        Vpn first = vpnOf(stream.front().vaddr, cfg_.page_size);
-        ChipletId c = homeOf(stream.front().pid, first);
-        std::uint32_t u = next_cu_[c]++ % cfg_.cus_per_chiplet;
-        total_accesses_ += stream.size();
-        total_instructions_ +=
-            static_cast<double>(stream.size()) * app.instr_per_access;
-        cus_[c][u]->addStream(stream);
     }
 }
 

@@ -62,10 +62,11 @@ class System
     /**
      * Replay a recorded/imported trace (workloads/trace.hh) of @p app:
      * allocate @p app's buffers for pid 1, as recordAppTrace() did,
-     * then load the streams. CTAs are co-located with the chiplet
-     * owning their first touched page; @p app's instr_per_access
-     * weighs each access in the MPKI denominator. An access outside
-     * every buffer is fatal (the trace was recorded from another app).
+     * then place trace CTA t where the generated run places CTA t
+     * (planTenant), so a replay of a recorded app runs exactly as
+     * the recording's run; @p app's instr_per_access weighs each
+     * access in the MPKI denominator. An access outside every buffer
+     * is fatal (the trace was recorded from another app).
      */
     void loadTrace(const Trace &trace, const AppParams &app);
 
@@ -128,11 +129,17 @@ class System
     /**
      * Allocate a tenant's buffers and plan its CTA placement: one job
      * per CU that gets CTAs. @p app 's CTA count is already scaled.
+     * CTA t's stream is @p trace 's CTA t if given, else generated.
      * The scenario engine's launch hook at each arrival (host
-     * context), and the static preload for every tick-0 tenant.
+     * context), the static preload for every tick-0 tenant, and a
+     * trace replay.
      */
     ScenarioEngine::LaunchPlan planTenant(const AppParams &app,
-                                          ProcessId pid);
+                                          ProcessId pid,
+                                          const Trace *trace = nullptr);
+    /** Append each planned CU job to that CU's stream (start() runs
+     *  them when the run begins). */
+    void preload(ScenarioEngine::LaunchPlan plan);
     /** Why @p cfg cannot run a dynamic scenario, or nullptr. */
     const char *scenarioBlocker() const;
     void buildService();

@@ -181,13 +181,13 @@ TEST(CellCostHint, HighMpkiAppsCostMore)
               cellCostHint(one, ScenarioSpec::solo("fft")));
 }
 
-TEST(RunMany, SpareWorkersHandedToPartitionedCellsStayBitwise)
+TEST(RunMany, PartitionedCellsMatchSerialLoop)
 {
-    // 2 cells on 8 workers: the sweep hands each partitioned cell
-    // (sim_domains > 0, sim_threads unset) the 4 leftover workers as
-    // sim_threads. The scheduler's thread count must never leak into
-    // results, so the sweep stays bitwise identical to a hand-rolled
-    // serial loop pinned to one scheduler thread.
+    // 2 partitioned cells (sim_threads unset) on 8 runner workers,
+    // each cell's scheduler running its own workers at once: neither
+    // count may leak into results, so the sweep stays bitwise
+    // identical to a hand-rolled serial loop pinned to one scheduler
+    // thread.
     SystemConfig cfg = SystemConfig::fbarreCfg(2);
     cfg.workload_scale = 0.04;
     cfg.sim_domains = 4;

@@ -16,6 +16,10 @@
  *    every peer waiting at the epoch barrier and rethrow from
  *    DomainScheduler::run — not hang the barrier or vanish on a
  *    worker.
+ *
+ *  - Concurrent runs: two partitioned runs in one process, each on
+ *    worker threads of its own, must both complete (no deadlock
+ *    between their epoch barriers) and match the serial schedule.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +27,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/domain_scheduler.hh"
@@ -204,6 +209,85 @@ TEST(PdesStress, HeterogeneousLinkDelaysStayBitwiseIdentical)
                                 " threads=" + std::to_string(threads));
         }
     }
+}
+
+/** Minimal self-perpetuating tagged workload (domain_queue_test's
+ *  DiffDriver, shrunk to what a digest comparison needs). */
+struct SmallDriver
+{
+    static constexpr Tick kLinkDelay = 33;
+
+    EventQueue eq;
+    std::vector<Rng> rngs;
+    std::vector<std::uint64_t> budget;
+
+    explicit SmallDriver(std::uint64_t per_tag)
+        : budget(kTags, per_tag)
+    {
+        for (std::size_t t = 0; t < kTags; ++t)
+            rngs.emplace_back(0xb06e7 + t);
+        eq.enableTags(kFiveDomains, 5);
+    }
+
+    void
+    fire(SeqTag t)
+    {
+        (void)rngs[t].next();
+        const std::uint64_t children = 1 + rngs[t].below(2);
+        for (std::uint64_t k = 0; k < children; ++k) {
+            if (budget[t] == 0)
+                return;
+            --budget[t];
+            if (rngs[t].below(4) == 0) {
+                const SeqTag dst =
+                    static_cast<SeqTag>(rngs[t].below(kTags));
+                eq.scheduleCross(dst,
+                                 eq.now() + kLinkDelay +
+                                     rngs[t].below(64),
+                                 [this, dst]() { fire(dst); });
+            } else {
+                eq.scheduleAfter(rngs[t].below(128),
+                                 [this, t]() { fire(t); });
+            }
+        }
+    }
+
+    std::vector<std::uint64_t>
+    run(unsigned threads)
+    {
+        for (std::size_t t = 0; t < kTags; ++t) {
+            EventQueue::TagScope scope(eq, static_cast<SeqTag>(t));
+            const SeqTag tag = static_cast<SeqTag>(t);
+            eq.schedule(t * 7, [this, tag]() { fire(tag); });
+        }
+        DomainScheduler::run(eq, kLinkDelay, threads);
+        return eq.fireDigests();
+    }
+};
+
+TEST(PdesStress, ConcurrentPartitionedRunsStayIdentical)
+{
+    constexpr std::uint64_t per_tag = 1500;
+    SmallDriver ref(per_tag);
+    const std::vector<std::uint64_t> want = ref.run(1);
+
+    // Two partitioned runs at once, each spawning its own workers:
+    // both must complete (no deadlock between their epoch barriers)
+    // and match the serial schedule.
+    constexpr int kRuns = 2;
+    std::vector<std::vector<std::uint64_t>> got(kRuns);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kRuns; ++i) {
+        threads.emplace_back([&got, i]() {
+            SmallDriver d(per_tag);
+            got[i] = d.run(4);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (int i = 0; i < kRuns; ++i)
+        EXPECT_TRUE(got[i] == want) << "concurrent run " << i;
 }
 
 /**

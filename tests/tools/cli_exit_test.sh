@@ -2,9 +2,9 @@
 # Contract test for clean CLI failures: each malformed input below must
 # end in exit code 1 with a "fatal: ..." message naming the problem on
 # stderr, never in std::terminate's SIGABRT (rc 134). Also checks that
-# a recorded trace replays in a fresh process, that barre_sim's output
-# does not depend on where --mode stands among the other flags, and
-# that each mode name means one config.
+# a recorded trace replays in a fresh process exactly as the recorded
+# run, that barre_sim's output does not depend on where --mode stands
+# among the other flags, and that each mode name means one config.
 #
 # Usage: cli_exit_test.sh <barre_sim> <sweep> <merge_csv> <figures>
 set -u -o pipefail
@@ -61,7 +61,8 @@ expect_fatal "--trace/--record-trace conflict with --scenario/--tenants" \
     "$sim" --record-trace "$work/none.trace" --tenants 4
 
 # Record, then replay in a fresh process: the replay allocates the
-# app's buffers exactly as the recording did.
+# app's buffers and places its CTAs exactly as the recorded run did,
+# so it prints the same stats dump (the lines after the metric table).
 if "$sim" --app gups --scale 0.02 --record-trace "$work/gups.trace" \
         >/dev/null 2>&1; then
     echo "ok   rc 0: record gups trace"
@@ -69,12 +70,23 @@ else
     echo "FAIL recording a gups trace"
     fail=1
 fi
+stats_dump() { sed -n '/^sim\.ticks /,$p'; }
 for mode in "--mode baseline" "--mode fbarre --demand-paging"; do
     # shellcheck disable=SC2086
-    if "$sim" --trace "$work/gups.trace" --app gups $mode >/dev/null 2>&1; then
-        echo "ok   rc 0: replay gups trace $mode"
-    else
+    if ! "$sim" --trace "$work/gups.trace" --app gups $mode --stats \
+            2>&1 | stats_dump >"$work/replay.stats"; then
         echo "FAIL replaying the gups trace $mode"
+        fail=1
+        continue
+    fi
+    # shellcheck disable=SC2086
+    "$sim" --app gups --scale 0.02 $mode --stats 2>&1 |
+        stats_dump >"$work/run.stats"
+    if [ -s "$work/run.stats" ] && cmp -s "$work/run.stats" "$work/replay.stats"; then
+        echo "ok   replay of the gups trace $mode dumps the run's stats"
+    else
+        echo "FAIL the gups trace replay $mode differs from its run"
+        diff "$work/run.stats" "$work/replay.stats" | head -5 | sed 's/^/     /'
         fail=1
     fi
 done

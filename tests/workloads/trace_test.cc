@@ -126,11 +126,9 @@ TEST(Trace, RecordMatchesGenerator)
 
 TEST(Trace, ReplayReproducesGeneratedRun)
 {
-    // A system fed the recorded trace behaves identically to one fed
-    // the generator (same accesses, same CTA co-location). jac2d's
-    // first access per CTA is deterministically its slice base, so
-    // trace-side co-location by first page matches the generator-side
-    // policy assignment.
+    // A system fed the recorded trace runs exactly as the one fed the
+    // generator: same accesses, and trace CTA t placed where the
+    // generator places CTA t.
     const AppParams &app = appByName("jac2d");
     SystemConfig cfg = SystemConfig::fbarreCfg(2);
     cfg.workload_scale = 0.04;
@@ -147,12 +145,5 @@ TEST(Trace, ReplayReproducesGeneratedRun)
     replay.loadTrace(t, app);
     RunMetrics m2 = replay.run();
 
-    EXPECT_EQ(m1.accesses, m2.accesses);
-    // Same streams; CTA placement may differ at stripe boundaries
-    // (the trace loader co-locates by first page, the generator by
-    // CTA index), so allow a modest runtime difference.
-    double ratio = static_cast<double>(m1.runtime) /
-                   static_cast<double>(m2.runtime);
-    EXPECT_GT(ratio, 0.75);
-    EXPECT_LT(ratio, 1.33);
+    EXPECT_EQ(m1, m2);
 }
